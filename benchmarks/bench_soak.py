@@ -20,21 +20,15 @@ the memory ceiling, plus an append-style ``history`` trajectory.
 
 import json
 import resource
-import time
 import tracemalloc
 from pathlib import Path
 
-from repro.net.packet import Packet, tcp_packet
-from repro.net.pcap import PcapReader, write_pcap
 from repro.nids import IterPacketSource, SemanticNids, SensorDaemon
-from repro.nids.fleet import FLEET_TRANSPORTS, SensorFleet
 from repro.obs import quantile_from_buckets
 
 from bench_throughput import NIDS_KW, build_mixed_trace
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_soak.json"
-
-FLEET_WORKER_COUNTS = (1, 2, 4)
 
 
 def _soak(trace, *, ring_capacity, batch_size, shed_policy="newest"):
@@ -134,175 +128,3 @@ def test_soak_daemon_sustained_load(report, scale):
     assert burst.processed + burst.shed == burst.ingested
     # Latency quantiles came out of a populated histogram.
     assert regimes["steady"]["p99_us"] >= regimes["steady"]["p50_us"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Fleet transport matrix
-# ---------------------------------------------------------------------------
-
-
-def _fleet_run(capture, n_packets, *, transport, workers):
-    """One fleet soak: capture file in, work units shipped out, and the
-    *dispatcher's* CPU cost of getting them there.
-
-    On the single-CPU CI runner wall-clock throughput mostly measures
-    total pipeline work (workers share the core), so the number that
-    exposes the transport difference is dispatcher CPU over the feed:
-
-    - ``pickle`` is the seed-era ingestion: every record is decoded
-      into a :class:`Packet`, routed on its properties, and re-encoded
-      (checksums recomputed in Python) into the submit pickle;
-    - ``shm`` reads records and writes them once into the shared ring —
-      no decode, no re-encode, header-peek routing;
-    - ``offset`` scans record boundaries and ships extents — the
-      dispatcher never materializes payload bytes at all.
-
-    ``dispatch_packets_per_s`` is packets over the dispatcher process's
-    CPU seconds for that feed phase — ``time.process_time`` is
-    process-wide, so it also counts the executor's pickling threads,
-    which is exactly where the pickle transport hides part of its cost.
-    """
-    fleet = SensorFleet(workers=workers, transport=transport,
-                        batch_size=64, nids_options=NIDS_KW)
-    try:
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        if transport == "offset":
-            alerts = fleet.process_capture(capture)
-            feed_wall = time.perf_counter() - wall0
-            feed_cpu = time.process_time() - cpu0
-        else:
-            reader = PcapReader(capture)
-            try:
-                while True:
-                    rec = reader.poll()
-                    if rec is None:
-                        break
-                    if transport == "pickle":
-                        fleet.process_packet(
-                            Packet.decode(rec.data, rec.timestamp))
-                    else:
-                        fleet.process_raw(rec.data, rec.timestamp)
-            finally:
-                reader.close()
-            feed_wall = time.perf_counter() - wall0
-            feed_cpu = time.process_time() - cpu0
-            alerts = fleet.flush()
-        total_wall = time.perf_counter() - wall0
-        stats = fleet.stats
-    finally:
-        fleet.close()
-    assert stats.dispatched == n_packets
-    return dict(stats=stats, alerts=alerts, feed_wall=feed_wall,
-                feed_cpu=feed_cpu, total_wall=total_wall)
-
-
-def _bulk_flows(flows, segments):
-    """MTU-size benign transfers — where most real capture *bytes* live,
-    and where the per-byte dispatch tax (encode + serialize) bites.
-    Sources sit outside the dark nets and off the honeypots, so the
-    classifier waves them through and they change no verdicts."""
-    out = []
-    t = 5000.0
-    for f in range(flows):
-        src = f"172.16.{f % 50}.{f % 20 + 1}"
-        dst = f"192.168.2.{f % 30 + 1}"
-        for _ in range(segments):
-            out.append(tcp_packet(src, dst, 2000 + f, 80,
-                                  payload=b"B" * 1400, timestamp=t))
-            t += 0.0003
-    return out
-
-
-def test_soak_fleet_transport_matrix(report, scale, tmp_path):
-    """The zero-copy transport bench: transports × worker counts, all
-    fed from one capture file, asserting byte-identical alert streams
-    and measuring where the dispatcher's cycles go."""
-    trace = build_mixed_trace(benign=scale["soak_benign"],
-                              crii=scale["soak_crii"],
-                              poly=scale["soak_poly"],
-                              victims=scale["soak_victims"])
-    trace = trace + _bulk_flows(scale["soak_bulk_flows"],
-                                scale["soak_bulk_segments"])
-    capture = tmp_path / "fleet_soak.pcap"
-    write_pcap(capture, trace)
-
-    results = {}
-    reference_alerts = None
-    rows = [f"{'transport':9s} {'workers':>7s} {'pkt/s':>9s} "
-            f"{'disp pkt/s':>11s} {'cpu%':>5s} {'ship MB':>8s} "
-            f"{'ring full':>9s}"]
-    for transport in FLEET_TRANSPORTS:
-        results[transport] = {}
-        for workers in FLEET_WORKER_COUNTS:
-            r = _fleet_run(str(capture), len(trace), transport=transport,
-                           workers=workers)
-            s = r["stats"]
-            n = s.dispatched
-            entry = {
-                "packets_per_s": round(n / max(r["total_wall"], 1e-9), 1),
-                "dispatch_packets_per_s": round(
-                    n / max(r["feed_cpu"], 1e-9), 1),
-                "dispatcher_cpu_share": round(
-                    r["feed_cpu"] / max(r["feed_wall"], 1e-9), 4),
-                "ship_bytes": s.ship_bytes,
-                "ring_full": s.ring_full,
-                "ring_fallback": s.ring_fallback,
-                "alerts": len(r["alerts"]),
-                "seconds": round(r["total_wall"], 3),
-            }
-            results[transport][str(workers)] = entry
-            rows.append(
-                f"{transport:9s} {workers:7d} "
-                f"{entry['packets_per_s']:9.0f} "
-                f"{entry['dispatch_packets_per_s']:11.0f} "
-                f"{entry['dispatcher_cpu_share'] * 100:4.0f}% "
-                f"{s.ship_bytes / 1e6:8.2f} {s.ring_full:9d}")
-            lines = [a.format() for a in r["alerts"]]
-            if reference_alerts is None:
-                reference_alerts = lines
-            else:
-                # the transport must never change what the fleet raises
-                assert lines == reference_alerts, (transport, workers)
-    report.table("Soak — fleet transports × workers (dispatcher cost)",
-                 rows)
-
-    at4 = {t: results[t]["4"]["dispatch_packets_per_s"]
-           for t in FLEET_TRANSPORTS}
-    speedups = {f"{t}_vs_pickle_dispatch_speedup_4w":
-                round(at4[t] / max(at4["pickle"], 1e-9), 2)
-                for t in ("shm", "offset")}
-    report.row(f"dispatcher speedup vs pickle at 4 workers: "
-               f"shm {speedups['shm_vs_pickle_dispatch_speedup_4w']:.2f}x, "
-               f"offset "
-               f"{speedups['offset_vs_pickle_dispatch_speedup_4w']:.2f}x")
-
-    bench = {}
-    if BENCH_JSON.exists():
-        try:
-            bench = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            bench = {}
-    bench["fleet"] = {
-        "packets": len(trace),
-        "transports": results,
-        **speedups,
-    }
-    bench.setdefault("history", [])
-    # the soak test owns the shared history shape; fleet numbers append
-    # their own trajectory so regressions are visible over time
-    bench.setdefault("fleet_history", []).append({
-        "packets": len(trace),
-        **{f"{t}_dispatch_pkt_s_4w": at4[t] for t in FLEET_TRANSPORTS},
-        **speedups,
-    })
-    BENCH_JSON.write_text(json.dumps(bench, indent=2) + "\n")
-    report.row(f"wrote {BENCH_JSON.name} fleet section "
-               f"(history: {len(bench['fleet_history'])} entries)")
-
-    # Hard guarantees: alert parity held (asserted above), at least one
-    # zero-copy transport beats pickle's dispatcher cost convincingly at
-    # 4 workers, and the pickle tax is real (ship_bytes accounting).
-    best = max(speedups.values())
-    assert best >= 2.0, f"zero-copy dispatch speedup regressed: {speedups}"
-    assert results["offset"]["4"]["ship_bytes"] < \
-        results["pickle"]["4"]["ship_bytes"]

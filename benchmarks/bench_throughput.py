@@ -23,19 +23,13 @@ fixture, and a paired run with metric recording suppressed checks that
 the always-on metrics cost <= 3% of wall time.
 """
 
-import json
-from pathlib import Path
-
 import repro.obs.stage as stage_mod
 from repro.engines import AdmMutateEngine, generic_overflow_request, get_shellcode
 from repro.engines.codered import CodeRedHost
 from repro.net.layers import TCP_SYN
 from repro.net.packet import tcp_packet
 from repro.nids import ParallelSemanticNids, SemanticNids
-from repro.obs import aggregate_spans, Tracer
 from repro.traffic import BenignMixGenerator
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 NIDS_KW = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
                dark_threshold=5)
@@ -173,227 +167,6 @@ def test_throughput_parallel_vs_serial(benchmark, report, scale, bench_tracer):
     # Lenient CI bound (single runs jitter); the reported number is the
     # one held to the 3% target.
     assert overhead <= 0.10
-
-
-def test_fastpath_admission(report, scale, bench_tracer):
-    """Fast-path admission layer: prefilter on vs off, identical alerts.
-
-    Replays the mixed trace through the serial engine with the template
-    anchor prefilter enabled and disabled.  The prefilter is a pure
-    work-skipper — anchors are necessary conditions — so the alert
-    streams must be byte-identical; the win is wall time.  Results land
-    in ``BENCH_throughput.json`` at the repo root (consumed by the CI
-    perf-smoke job): per-configuration seconds and per-stage span
-    totals, the on-over-off speedup, and the prefilter's skip/prune
-    counters.
-    """
-    trace = build_mixed_trace(benign=scale["throughput_benign"],
-                              crii=scale["throughput_crii"],
-                              poly=scale["throughput_poly"],
-                              victims=scale["throughput_victims"])
-    payload_bytes = sum(len(p.payload) for p in trace)
-
-    # Fresh engines per round; min-of-3 per config (single runs jitter).
-    # Each config gets its own tracer so the per-stage totals in the
-    # JSON artifact are per-configuration, not commingled.
-    configs = {}
-    for tag, fastpath in [("fastpath-off", False), ("fastpath-on", True)]:
-        best, best_alerts, best_stats, best_tracer = None, None, None, None
-        for _ in range(3):
-            tracer = Tracer(max_spans=2_000_000)
-            elapsed, alerts, stats = _run(
-                trace, SemanticNids(fastpath=fastpath, tracer=tracer,
-                                    **NIDS_KW),
-                bench_tracer, tag)
-            if best is None or elapsed < best:
-                best, best_alerts, best_stats = elapsed, alerts, stats
-                best_tracer = tracer
-        stages = {
-            stage: {"calls": agg["calls"],
-                    "seconds": round(agg["seconds"], 4),
-                    "bytes": agg["bytes"]}
-            for stage, agg in aggregate_spans(best_tracer.spans).items()
-        }
-        configs[tag] = dict(elapsed=best, alerts=best_alerts,
-                            stats=best_stats, stages=stages)
-
-    off, on = configs["fastpath-off"], configs["fastpath-on"]
-    speedup = off["elapsed"] / on["elapsed"]
-    stats = on["stats"]
-    skip_rate = (stats.fastpath_frames_skipped /
-                 max(1, stats.fastpath_frames_skipped
-                     + stats.frames_analyzed))
-
-    rows = [f"{'config':14s} {'time':>8s} {'pkt/s':>8s} {'MB/s':>7s} "
-            f"{'alerts':>6s}"]
-    for tag in ("fastpath-off", "fastpath-on"):
-        c = configs[tag]
-        rows.append(f"{tag:14s} {c['elapsed']:7.2f}s "
-                    f"{len(trace) / c['elapsed']:8.0f} "
-                    f"{payload_bytes / c['elapsed'] / 1e6:7.2f} "
-                    f"{len(c['alerts']):6d}")
-    rows.append(f"fastpath speedup (on over off): {speedup:.2f}x on "
-                f"{len(trace)} packets, alerts byte-identical")
-    rows.append(f"prefilter: frames_skipped={stats.fastpath_frames_skipped} "
-                f"(skip rate {skip_rate * 100:.1f}%) "
-                f"anchor_hits={stats.fastpath_anchor_hits} "
-                f"starts_pruned={stats.fastpath_starts_pruned}")
-    report.table("Fast-path admission — prefilter on vs off", rows)
-
-    payload = {
-        "scale": dict(scale),
-        "packets": len(trace),
-        "payload_bytes": payload_bytes,
-        "configs": {
-            tag: {
-                "seconds": round(c["elapsed"], 4),
-                "packets_per_s": round(len(trace) / c["elapsed"], 1),
-                "alerts": len(c["alerts"]),
-                "stages": c["stages"],
-            }
-            for tag, c in configs.items()
-        },
-        "speedup_on_over_off": round(speedup, 3),
-        "alerts_identical": off["alerts"] == on["alerts"],
-        "prefilter": {
-            "frames_skipped": stats.fastpath_frames_skipped,
-            "frame_skip_rate": round(skip_rate, 4),
-            "anchor_hits": stats.fastpath_anchor_hits,
-            "starts_pruned": stats.fastpath_starts_pruned,
-        },
-    }
-    # Merge, don't clobber: the match-engine benchmark stores its own
-    # section (and the append-style run history) in the same artifact.
-    bench = {}
-    if BENCH_JSON.exists():
-        try:
-            bench = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            bench = {}
-    bench.update(payload)
-    BENCH_JSON.write_text(json.dumps(bench, indent=2) + "\n")
-    report.row(f"wrote {BENCH_JSON.name}")
-
-    # Soundness is absolute; speed is asserted leniently here (CI hosts
-    # jitter) — the perf-smoke job holds the artifact to >= 1.0x.
-    assert off["alerts"] == on["alerts"]
-    assert stats.fastpath_starts_pruned > 0
-    assert speedup >= 1.0
-
-
-def test_compiled_match_engine(report, scale, bench_tracer):
-    """Compiled match plans + lifted-IR memoization vs the interpreter.
-
-    Replays the mixed trace through the serial engine twice: once on the
-    recursive template-walk interpreter (the seed matcher), once on
-    compiled match plans with the lifted-IR cache — both with the frame
-    cache off, so every analyzed frame pays the full match cost and the
-    comparison isolates the match engine itself.  Alerts must be
-    byte-identical; the win is the combined disassemble+lift+match span.
-
-    Results merge into ``BENCH_throughput.json`` under ``match_engine``,
-    and every run appends a compact entry to the artifact's ``history``
-    list — the seed-relative speedup trajectory the CI perf-smoke job
-    records and gates on (compiled must never regress >10% against the
-    interpreter).
-    """
-    trace = build_mixed_trace(benign=scale["throughput_benign"],
-                              crii=scale["throughput_crii"],
-                              poly=scale["throughput_poly"],
-                              victims=scale["throughput_victims"])
-    payload_bytes = sum(len(p.payload) for p in trace)
-
-    engine_kw = {
-        "interpreted": dict(compiled=False, frame_cache_size=0),
-        "compiled": dict(compiled=True, frame_cache_size=0,
-                         ir_cache_size=4096),
-    }
-    configs = {}
-    for tag, kw in engine_kw.items():
-        best, best_alerts, best_tracer = None, None, None
-        for _ in range(3):
-            tracer = Tracer(max_spans=2_000_000)
-            elapsed, alerts, _ = _run(
-                trace, SemanticNids(fastpath=True, tracer=tracer,
-                                    **kw, **NIDS_KW),
-                bench_tracer, f"engine-{tag}")
-            if best is None or elapsed < best:
-                best, best_alerts, best_tracer = elapsed, alerts, tracer
-        stages = {
-            stage: {"calls": agg["calls"],
-                    "seconds": round(agg["seconds"], 4),
-                    "bytes": agg["bytes"]}
-            for stage, agg in aggregate_spans(best_tracer.spans).items()
-        }
-        configs[tag] = dict(elapsed=best, alerts=best_alerts, stages=stages)
-
-    def match_analyze(c):
-        """The spans the match engine owns: decode, lift, match.  (The
-        enclosing ``analyze`` span also carries cache/prefilter overhead,
-        so the inner spans are the honest comparison.)"""
-        return sum(c["stages"].get(s, {"seconds": 0.0})["seconds"]
-                   for s in ("disassemble", "lift", "match"))
-
-    interp, comp = configs["interpreted"], configs["compiled"]
-    wall_speedup = interp["elapsed"] / comp["elapsed"]
-    span_speedup = match_analyze(interp) / max(1e-9, match_analyze(comp))
-
-    rows = [f"{'engine':14s} {'time':>8s} {'pkt/s':>8s} "
-            f"{'match+analyze':>14s} {'alerts':>6s}"]
-    for tag in ("interpreted", "compiled"):
-        c = configs[tag]
-        rows.append(f"{tag:14s} {c['elapsed']:7.2f}s "
-                    f"{len(trace) / c['elapsed']:8.0f} "
-                    f"{match_analyze(c):13.2f}s {len(c['alerts']):6d}")
-    rows.append(f"compiled speedup: {wall_speedup:.2f}x wall, "
-                f"{span_speedup:.2f}x on match+analyze spans "
-                f"(target >= 3x) — alerts byte-identical")
-    report.table("Compiled match engine — plans + IR cache vs interpreter",
-                 rows)
-
-    entry = {
-        "scale": dict(scale),
-        "packets": len(trace),
-        "interpreted_packets_per_s": round(len(trace) / interp["elapsed"], 1),
-        "compiled_packets_per_s": round(len(trace) / comp["elapsed"], 1),
-        "wall_speedup": round(wall_speedup, 3),
-        "match_analyze_speedup": round(span_speedup, 3),
-    }
-    bench = {}
-    if BENCH_JSON.exists():
-        try:
-            bench = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            bench = {}
-    bench["match_engine"] = {
-        "configs": {
-            tag: {
-                "seconds": round(c["elapsed"], 4),
-                "packets_per_s": round(len(trace) / c["elapsed"], 1),
-                "match_analyze_seconds": round(match_analyze(c), 4),
-                "alerts": len(c["alerts"]),
-                "stages": c["stages"],
-            }
-            for tag, c in configs.items()
-        },
-        "payload_bytes": payload_bytes,
-        "wall_speedup": entry["wall_speedup"],
-        "match_analyze_speedup": entry["match_analyze_speedup"],
-        "alerts_identical": interp["alerts"] == comp["alerts"],
-    }
-    # Append-style trajectory: one compact entry per recorded run, so
-    # the artifact carries the speedup history across CI runs that
-    # restore it, not just the latest point.
-    bench.setdefault("history", []).append(entry)
-    BENCH_JSON.write_text(json.dumps(bench, indent=2) + "\n")
-    report.row(f"merged match_engine into {BENCH_JSON.name} "
-               f"(history: {len(bench['history'])} entries)")
-
-    # Soundness is absolute; speed is asserted leniently here (CI hosts
-    # jitter) — the perf-smoke gate holds the artifact to >= 0.9x and
-    # the reported number is the one held to the 3x target.
-    assert interp["alerts"] == comp["alerts"]
-    assert span_speedup >= 1.2
 
 
 def test_stall_isolation_under_deadline(report, scale, bench_tracer):

@@ -39,8 +39,6 @@ SCALES = {
         "soak_crii": 12,
         "soak_poly": 12,
         "soak_victims": 6,
-        "soak_bulk_flows": 120,
-        "soak_bulk_segments": 25,
     },
     "paper": {
         "table3_packets": 200_000,
@@ -56,8 +54,6 @@ SCALES = {
         "soak_crii": 30,
         "soak_poly": 30,
         "soak_victims": 10,
-        "soak_bulk_flows": 400,
-        "soak_bulk_segments": 25,
     },
 }
 

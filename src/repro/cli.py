@@ -59,10 +59,6 @@ def sensor_main(argv: list[str] | None = None) -> int:
                         help="disable the template anchor prefilter "
                              "(fast-path admission); results are identical "
                              "either way — the prefilter only skips work")
-    parser.add_argument("--no-compiled", action="store_true",
-                        help="run the matcher's recursive interpreter "
-                             "instead of compiled match plans; alerts and "
-                             "budget accounting are identical either way")
     parser.add_argument("--max-streams", type=int, default=65536, metavar="N",
                         help="bound on concurrently tracked TCP streams "
                              "(evicted oldest-first; default 65536)")
@@ -79,10 +75,6 @@ def sensor_main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="consecutive worker-pool failures before a "
                              "shard's circuit breaker opens (default 3)")
-    parser.add_argument("--no-self-heal", action="store_true",
-                        help="legacy worker-failure policy: first failure "
-                             "degrades the engine to the serial path "
-                             "permanently (no pool rebuilds or breakers)")
     parser.add_argument("--verify", action="store_true",
                         help="emulate matched frames to confirm behaviour")
     parser.add_argument("--stats", action="store_true",
@@ -124,7 +116,6 @@ def sensor_main(argv: list[str] | None = None) -> int:
         classification_enabled=not args.no_classify,
         frame_cache_size=0 if args.no_frame_cache else 4096,
         fastpath=not args.no_fastpath,
-        compiled=not args.no_compiled,
         max_streams=args.max_streams,
         analysis_deadline_ms=args.analysis_deadline_ms,
         quarantine=quarantine,
@@ -133,7 +124,6 @@ def sensor_main(argv: list[str] | None = None) -> int:
     if args.workers > 1:
         nids = ParallelSemanticNids(
             workers=args.workers,
-            self_heal=not args.no_self_heal,
             breaker_threshold=args.breaker_threshold,
             **kwargs)
     else:
@@ -236,6 +226,8 @@ def _frame_bytes_for(alert) -> bytes | None:
 
 def sensord_main(argv: list[str] | None = None) -> int:
     """Always-on sensor daemon over a (possibly growing) capture."""
+    from .core.library import TEMPLATE_SETS, resolve_template_set
+
     parser = argparse.ArgumentParser(
         prog="repro-sensord",
         description="Always-on semantic NIDS daemon: bounded ingestion, "
@@ -272,7 +264,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-packets", type=int, default=None, metavar="N",
                         help="stop after processing N packets (soak/CI runs)")
     parser.add_argument("--template-set", default="paper",
-                        choices=("paper", "all", "xor-only", "decoder"),
+                        choices=tuple(TEMPLATE_SETS),
                         help="named template set to load (default paper)")
     parser.add_argument("--template-set-file", type=Path, metavar="FILE",
                         help="poll FILE between batches; when its contents "
@@ -297,17 +289,13 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "(0 = single sensor; mutually exclusive with "
                              "--workers)")
     parser.add_argument("--fleet-transport",
-                        choices=("pickle", "shm", "offset"), default="pickle",
+                        choices=("pickle", "offset"), default="pickle",
                         help="fleet dispatcher→worker transport: pickle "
-                             "payload triples, shared-memory packet ring "
-                             "(shm), or pcap-offset extent partitioning "
-                             "(offset; the dispatcher reads headers only) — "
-                             "see docs/architecture.md 'Fleet transport'")
-    parser.add_argument("--ring-bytes", type=int, default=1 << 20,
-                        metavar="BYTES",
-                        help="per-shard shared-memory ring capacity for "
-                             "--fleet-transport shm (default 1 MiB; sizing "
-                             "guidance in docs/operations.md)")
+                             "payload triples through the daemon loop, or "
+                             "pcap-offset extent partitioning (offset; the "
+                             "dispatcher reads headers only and the fleet "
+                             "reads the capture itself) — see "
+                             "docs/architecture.md 'Fleet transport'")
     parser.add_argument("--heartbeat", type=float, default=0.0,
                         metavar="SECS",
                         help="print a liveness line to stderr every SECS "
@@ -347,11 +335,25 @@ def sensord_main(argv: list[str] | None = None) -> int:
         parser.error("--fleet-workers (whole-pipeline scale-out) and "
                      "--workers (in-sensor stage parallelism) are mutually "
                      "exclusive")
+    if args.workers > 1 and args.checkpoint_dir is not None:
+        parser.error("--checkpoint-dir cannot checkpoint the --workers "
+                     "engine (payloads in flight to workers would be "
+                     "lost); use the serial engine or --fleet-workers")
+    if args.fleet_workers and args.fleet_transport == "offset":
+        # The offset fleet reads the capture itself and bypasses the
+        # daemon loop, which is what implements these.
+        for flag, given in (
+                ("--template-set-file", args.template_set_file is not None),
+                ("--heartbeat", args.heartbeat > 0),
+                ("--window-secs", args.window_secs > 0)):
+            if given:
+                parser.error(f"{flag} needs the daemon loop, which "
+                             "--fleet-transport offset bypasses; use "
+                             "--fleet-transport pickle")
 
     from .net.pcap import PcapError, PcapReader
     from .nids import ParallelSemanticNids, SemanticNids, SensorDaemon
     from .nids.daemon import IterPacketSource, TailPacketSource
-    from .nids.parallel import resolve_template_set
 
     kwargs = dict(
         honeypots=args.honeypot,
@@ -371,7 +373,6 @@ def sensord_main(argv: list[str] | None = None) -> int:
             template_set=args.template_set,
             nids_options=kwargs,
             transport=args.fleet_transport,
-            ring_bytes=args.ring_bytes,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_interval=args.checkpoint_interval,
             journal_fsync_batch=args.journal_fsync_batch,
@@ -462,7 +463,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
         on_alert=lambda alert: print(alert.format()),
         # The fleet engine checkpoints itself (barrier checkpoints were
         # wired into its constructor above); daemon-level checkpointing
-        # is for single-sensor engines with snapshot_state().
+        # is for the serial engine.
         checkpoint_dir=None if fleet is not None else args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         journal_fsync_batch=args.journal_fsync_batch,
@@ -790,7 +791,7 @@ def scenario_main(argv: list[str] | None = None) -> int:
                   f"expect: {'yes' if not spec.expect.empty else 'no'}]")
         return 2 if failures else 0
     from .scenario import CAMPAIGN_ENGINES, CHAOS_KINDS, ENGINE_KINDS
-    from .nids.parallel import TEMPLATE_SETS
+    from .core.library import TEMPLATE_SETS
     from .traffic import evasion_names
 
     print("campaign engines: " + ", ".join(sorted(CAMPAIGN_ENGINES)))

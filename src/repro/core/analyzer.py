@@ -183,11 +183,10 @@ class SemanticAnalyzer:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         fastpath: bool = False,
-        compiled: bool = True,
         ir_cache_size: int | None = None,
     ) -> None:
         self.templates = templates if templates is not None else paper_templates()
-        self.engine = engine or MatchEngine(compiled=compiled)
+        self.engine = engine or MatchEngine()
         self.min_instructions = min_instructions
         self.frame_cache = FrameCache(frame_cache_size) if frame_cache_size > 0 else None
         # The IR cache follows the frame cache's size by default, so the
@@ -247,8 +246,7 @@ class SemanticAnalyzer:
         # Compile the library's match plans eagerly at load time so the
         # first frame doesn't pay compilation inside its match span.
         compile_before = self.engine.plan_compile_seconds
-        if self.engine.compiled:
-            self.engine.compile_plans(self.templates)
+        self.engine.compile_plans(self.templates)
         self._plan_compile_seconds.inc(
             self.engine.plan_compile_seconds - compile_before)
 
@@ -298,8 +296,7 @@ class SemanticAnalyzer:
             self.frame_cache.clear()
         self.engine.clear_plans()
         compile_before = self.engine.plan_compile_seconds
-        if self.engine.compiled:
-            self.engine.compile_plans(templates)
+        self.engine.compile_plans(templates)
         self._plan_compile_seconds.inc(
             self.engine.plan_compile_seconds - compile_before)
         if self.prefilter is not None:

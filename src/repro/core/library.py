@@ -65,6 +65,8 @@ __all__ = [
     "xor_only_templates",
     "decoder_templates",
     "all_templates",
+    "TEMPLATE_SETS",
+    "resolve_template_set",
 ]
 
 
@@ -227,3 +229,24 @@ def paper_templates() -> list[Template]:
 def all_templates() -> list[Template]:
     """Paper templates plus extensions."""
     return paper_templates() + [generic_decrypt_loop()]
+
+
+#: Template sets addressable *by name*, so worker processes can rebuild
+#: them locally instead of unpickling template objects.
+TEMPLATE_SETS = {
+    "paper": paper_templates,
+    "all": all_templates,
+    "xor-only": xor_only_templates,
+    "decoder": decoder_templates,
+}
+
+
+def resolve_template_set(name: str) -> list[Template]:
+    """Template list for a named set; raises ``ValueError`` on unknown."""
+    try:
+        factory = TEMPLATE_SETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown template set {name!r}; expected one of "
+            f"{sorted(TEMPLATE_SETS)}") from None
+    return factory()

@@ -1,9 +1,10 @@
 """Compiled template match plans: compile once, execute per start position.
 
-The interpreted matcher (:mod:`repro.core.matcher`) re-derives per
-candidate start everything a template implies — variable liveness, gap
-families, repeat bounds — by walking the node objects.  A
-:class:`TemplatePlan` hoists all of that to compile time:
+An interpreted search (the reference kept in
+``tests/core/interp_oracle.py``) re-derives per candidate start
+everything a template implies — variable liveness, gap families, repeat
+bounds — by walking the node objects.  A :class:`TemplatePlan` hoists
+all of that to compile time:
 
 - node visit order with repeat bounds as flat tuples;
 - per-node *variable sets* and, for ordered templates, suffix unions, so

@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..core.library import resolve_template_set
 from ..net.packet import Packet
 from ..net.pcap import PcapReader
 from ..obs import MetricsWindow, PeriodicSchedule
@@ -188,8 +189,9 @@ class SensorDaemon:
         and every ``checkpoint_interval`` processed packets the daemon
         atomically checkpoints its capture position, engine state, and
         accounting to ``<dir>/checkpoint.bin``.  Requires a source with
-        ``tell()`` and an engine with ``snapshot_state()`` (the serial
-        engine; the parallel engine's state lives in its workers).
+        ``tell()`` and an engine that declares itself ``checkpointable``
+        (the serial engine; the parallel engine has payloads in flight
+        to its workers that a snapshot would silently lose).
     resume:
         Rehydrate from ``checkpoint_dir`` instead of starting fresh:
         restore engine state and counters, replay the journaled-but-
@@ -269,11 +271,11 @@ class SensorDaemon:
         self._alert_seq = 0
         self._last_checkpoint_processed = 0
         if checkpoint_dir is not None:
-            if not hasattr(nids, "snapshot_state"):
+            if not getattr(nids, "checkpointable", False):
                 raise ValueError(
-                    "checkpointing needs an engine with snapshot_state(); "
-                    "the parallel engine keeps its state in worker "
-                    "processes — use the serial engine or SensorFleet")
+                    "checkpointing needs a checkpointable engine; the "
+                    "parallel engine's in-flight payloads would be lost "
+                    "— use the serial engine or SensorFleet")
             if not hasattr(source, "tell"):
                 raise ValueError(
                     "checkpointing needs a source with tell()/seek() "
@@ -459,7 +461,6 @@ class SensorDaemon:
             if hasattr(self.nids, "reload_template_set"):
                 changed = self.nids.reload_template_set(spec)
             else:
-                from .parallel import resolve_template_set
                 changed = self.nids.reload_templates(
                     resolve_template_set(spec))
         else:

@@ -16,20 +16,17 @@ across N sensor processes, the way a capture point outgrows one box:
   :class:`~repro.nids.SemanticNids` over the same capture; endpoint
   sharding balances heavy talkers better but only preserves parity when
   classification is per-packet (honeypots) or disabled.
-- **pluggable transport** (``transport=``) — how work units reach the
-  workers.  ``"pickle"`` ships ``(seq, wire_bytes, timestamp)`` triples
-  through the pool (every payload byte is pickled and unpickled);
-  ``"shm"`` writes the same batches once into a per-shard shared-memory
-  :class:`~repro.nids.shm.PacketRing` and ships only a tiny
-  :class:`~repro.nids.shm.RingSlot` descriptor, with a counted
-  fallback ladder (blocking drain, then the pickle path) when a ring is
-  full; ``"offset"`` never moves payload bytes at all — the dispatcher
-  scans record *boundaries* of a capture file
+- **one transport per feed** (``transport=``) — how work units reach
+  the workers.  ``"pickle"`` is the in-memory feed: it ships ``(seq,
+  wire_bytes, timestamp)`` triples through the pool (every payload byte
+  is pickled and unpickled).  ``"offset"`` is the capture-file feed and
+  never moves payload bytes at all — the dispatcher scans record
+  *boundaries* of a capture file
   (:meth:`~repro.net.pcap.PcapReader.poll_meta`), shards each record by
   a bounded header peek (:meth:`~repro.net.packet.Packet.peek_flow`),
   and ships ``(seq0, offset, count)`` extents; each worker re-reads its
-  own slice of the capture.  All three produce byte-identical merged
-  alert streams (the transport parity suite proves it).
+  own slice of the capture.  Both produce byte-identical merged alert
+  streams (the transport parity suite proves it).
 - **deterministic aggregation** — the aggregator orders packet alerts by
   global dispatch sequence (a stable sort, so one packet's alerts keep
   their pipeline order) and appends each worker's flush-time alerts in
@@ -44,14 +41,10 @@ across N sensor processes, the way a capture point outgrows one box:
   fleet-wide stage timings and shed/fault counters read like one
   sensor's.
 
-Crash safety composes with every transport: barrier checkpoints drain
-all in-flight work first (ring spans retire as their batches fold), the
-replay log keeps the *raw* work units — not ring descriptors — so a
-watchdog-respawned shard is re-fed through the pickle path, and a shard
-restart resets its ring (generation bump + frame poisoning) so any
-descriptor that survived the restart fails loud
-(:class:`~repro.nids.shm.RingIntegrityError`) instead of reading
-recycled bytes.
+Crash safety composes with both transports: barrier checkpoints drain
+all in-flight work first, and the replay log keeps the work units
+shipped since the last barrier (triples or extent jobs), so a
+watchdog-respawned shard is re-fed exactly what it lost.
 """
 
 from __future__ import annotations
@@ -72,13 +65,12 @@ from ..obs import MetricsRegistry
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.journal import AlertJournal, alert_to_record, record_to_alert
 from .alerts import Alert
-from .parallel import resolve_template_set
+from ..core.library import library_digest, resolve_template_set
 from .pipeline import SemanticNids
-from .shm import DEFAULT_RING_BYTES, PacketRing, RingReader, RingSlot
 
 __all__ = ["SensorFleet", "FleetStats", "FLEET_TRANSPORTS"]
 
-FLEET_TRANSPORTS = ("pickle", "shm", "offset")
+FLEET_TRANSPORTS = ("pickle", "offset")
 
 #: Serialized size of one ``(seq0, offset, count)`` extent descriptor —
 #: what the offset transport ships instead of payload bytes.
@@ -93,15 +85,13 @@ _FLEET_STATE: dict = {}
 
 
 def _init_fleet_worker(template_set: str, options: dict,
-                       state: dict | None = None,
-                       ring_name: str | None = None) -> None:
+                       state: dict | None = None) -> None:
     """Per-process initializer: one complete sensor pipeline.
 
     ``state`` — a :meth:`SemanticNids.snapshot_state` payload from a
     checkpoint barrier — rehydrates a respawned or resumed worker so
     its per-source classifier memory and half-open streams continue
-    where the dead worker stopped.  ``ring_name`` attaches the worker
-    to its shard's shared-memory packet ring (``transport="shm"``).
+    where the dead worker stopped.
     """
     registry = MetricsRegistry()
     _FLEET_STATE["registry"] = registry
@@ -114,8 +104,6 @@ def _init_fleet_worker(template_set: str, options: dict,
         # delta collected after restore must not re-report them.
         registry.collect_delta()
     _FLEET_STATE["nids"] = nids
-    _FLEET_STATE["ring"] = (RingReader(ring_name)
-                            if ring_name is not None else None)
     _FLEET_STATE["captures"] = {}
 
 
@@ -133,8 +121,9 @@ def _portable(alert: Alert) -> Alert:
 
 def _run_records(records) -> tuple[list, dict]:
     """Run ``(seq, wire_bytes, timestamp)`` records through the worker's
-    pipeline; returns seq-tagged alerts + a metrics delta.  The shared
-    tail of every transport's worker entry point."""
+    pipeline; returns seq-tagged alerts + a metrics delta.  The pickle
+    transport's worker entry point (the records travelled inside the
+    submit call itself) and the tail of the offset transport's."""
     nids: SemanticNids = _FLEET_STATE["nids"]
     out = []
     for seq, raw, timestamp in records:
@@ -142,23 +131,6 @@ def _run_records(records) -> tuple[list, dict]:
         for alert in nids.process_packet(pkt):
             out.append((seq, _portable(alert)))
     return out, _FLEET_STATE["registry"].collect_delta()
-
-
-def _fleet_process_batch(batch: list) -> tuple[list, dict]:
-    """Pickle transport (and every replay path): the records travelled
-    inside the submit call itself."""
-    return _run_records(batch)
-
-
-def _fleet_process_shm(slot: RingSlot) -> tuple[list, dict]:
-    """Shm transport: the submit call carried only a descriptor; the
-    records are validated and decoded out of the shared ring."""
-    reader: RingReader | None = _FLEET_STATE.get("ring")
-    if reader is None:
-        raise RuntimeError(
-            "worker received a ring descriptor but was initialized "
-            "without a ring (transport mismatch)")
-    return _run_records(reader.read_batch(slot))
 
 
 def _fleet_process_extents(job: tuple) -> tuple[list, dict]:
@@ -199,6 +171,16 @@ def _fleet_flush_worker() -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Terminate and reap a pool's worker without waiting on its queue."""
+    procs = list(getattr(pool, "_processes", {}).values())
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join(timeout=10)
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 @dataclass
 class FleetStats:
     """Aggregator-side accounting for one fleet run."""
@@ -216,8 +198,8 @@ class FleetStats:
     #: transport accounting (docs/architecture.md "Fleet transport").
     transport: str = "pickle"
     ship_bytes: int = 0
+    #: always 0; benchmarks/harness/child.py reads it (nids.fleet.ring_full).
     ring_full: int = 0
-    ring_fallback: int = 0
 
 
 class SensorFleet:
@@ -250,13 +232,9 @@ class SensorFleet:
     registry:
         The central registry worker deltas fold into.
     transport:
-        Dispatcher→worker comms layer: ``"pickle"`` (in-band triples),
-        ``"shm"`` (shared-memory ring + descriptors), or ``"offset"``
-        (capture-extent partitioning; feed via :meth:`process_capture`
-        only).  See the module docstring.
-    ring_bytes:
-        Per-shard shared-memory ring capacity (``transport="shm"``).
-        Sizing guidance in docs/operations.md.
+        Dispatcher→worker comms layer: ``"pickle"`` (in-band triples)
+        or ``"offset"`` (capture-extent partitioning; feed via
+        :meth:`process_capture` only).  See the module docstring.
     """
 
     def __init__(
@@ -273,7 +251,6 @@ class SensorFleet:
         resume: bool = False,
         watchdog_timeout: float | None = None,
         transport: str = "pickle",
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if workers < 1:
             raise ValueError("a fleet needs at least one worker")
@@ -294,7 +271,7 @@ class SensorFleet:
         self._seq = 0
         self._batches_sent = 0
         self._deltas_merged = 0
-        #: pickle/shm: lists of (seq, wire, ts) triples.  offset: lists
+        #: pickle: lists of (seq, wire, ts) triples.  offset: lists
         #: of mutable [seq0, file_offset, count] extent runs.
         self._batches: list[list] = [[] for _ in range(workers)]
         #: offset transport: records (not runs) buffered per shard.
@@ -316,27 +293,13 @@ class SensorFleet:
         self._ship_bytes = self.registry.counter(
             "repro_fleet_ship_bytes_total",
             help="Payload bytes serialized into the dispatcher→worker "
-                 "transport (pickle triples or ring frames; offset "
-                 "extents count only their 24-byte descriptors).",
+                 "transport (pickle triples; offset extents count only "
+                 "their 24-byte descriptors).",
             unit="bytes")
         self._ship_seconds = self.registry.histogram(
             "repro_fleet_ship_seconds",
             help="Dispatcher wall seconds per batch shipped "
-                 "(serialize/frame + submit).", unit="seconds")
-        self._ring_full = self.registry.counter(
-            "repro_fleet_ring_full_total",
-            help="Dispatch batches that found their shard's shared-"
-                 "memory ring full (counted blocking drain engaged).",
-            unit="batches")
-        self._ring_fallback = self.registry.counter(
-            "repro_fleet_ring_fallback_total",
-            help="Dispatch batches that rode the pickle path because "
-                 "their ring stayed full after the drain.",
-            unit="batches")
-        #: per-shard shared-memory rings (shm transport only).
-        self._rings: list[PacketRing | None] = [
-            PacketRing(ring_bytes) if transport == "shm" else None
-            for _ in range(workers)]
+                 "(serialize + submit).", unit="seconds")
         # -- durability / supervision (optional) --
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.watchdog_timeout = watchdog_timeout
@@ -348,9 +311,7 @@ class SensorFleet:
         #: last barrier snapshot per shard (respawn/resume rehydration)
         self._shard_states: list[dict | None] = [None] * workers
         #: work units shipped since the last barrier, per shard, for
-        #: replay after a watchdog kill (keyed like the futures).  Raw
-        #: batches / extent jobs — never ring descriptors, so replay
-        #: cannot read a recycled ring.
+        #: replay after a watchdog kill (keyed like the futures).
         self._replay: list[list] = [[] for _ in range(workers)]
         #: batch keys already folded (a replayed batch must not re-emit)
         self._folded: set[int] = set()
@@ -386,14 +347,10 @@ class SensorFleet:
                 max_workers=1,
                 initializer=_init_fleet_worker,
                 initargs=(self.template_set, self.nids_options,
-                          self._shard_states[shard], self._ring_name(shard)),
+                          self._shard_states[shard]),
             )
             for shard in range(workers)
         ]
-
-    def _ring_name(self, shard: int) -> str | None:
-        ring = self._rings[shard]
-        return ring.name if ring is not None else None
 
     # -- crash recovery ------------------------------------------------------
 
@@ -410,7 +367,6 @@ class SensorFleet:
         recovery = self.journal.recover()
         ckpt = self.checkpoints.load()
         if ckpt is not None:
-            from ..core.library import library_digest
             current = library_digest(resolve_template_set(self.template_set))
             if ckpt["library_digest"] != current:
                 raise ValueError(
@@ -436,8 +392,7 @@ class SensorFleet:
         journal and emit the collected window, then atomically persist
         the dispatch watermark + shard snapshots.  The journal is synced
         before the checkpoint rename, so a checkpointed watermark never
-        points past un-durable alerts.  Draining also retires every
-        live ring span, so a barrier never pins ring capacity."""
+        points past un-durable alerts."""
         if self.checkpoints is None:
             return
         for shard in range(self.workers):
@@ -451,7 +406,6 @@ class SensorFleet:
         self._collected = []
         self._journal_and_emit(window)
         self.journal.sync()
-        from ..core.library import library_digest
         self.checkpoints.save({
             "watermark": self._seq,
             "workers": self.workers,
@@ -514,16 +468,26 @@ class SensorFleet:
         self.close()
 
     def close(self) -> None:
-        self.flush()
-        pools, self._pools = self._pools, []
-        for pool in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        rings, self._rings = self._rings, [None] * self.workers
-        for ring in rings:
-            if ring is not None:
-                ring.close()
-        if self.journal is not None:
-            self.journal.close()
+        """Flush, then reap every worker and close the journal — also
+        when the flush raises (a shard that hung twice, a journal write
+        error), so a failed shutdown never orphans processes or the
+        journal fd."""
+        pools = self._pools
+        try:
+            self.flush()
+        except BaseException:
+            # Whatever made the flush raise may have left a worker hung;
+            # waiting on it would block forever, so kill instead.
+            for pool in pools:
+                _kill_pool(pool)
+            raise
+        else:
+            for pool in pools:
+                pool.shutdown(wait=True, cancel_futures=True)
+        finally:
+            self._pools = []
+            if self.journal is not None:
+                self.journal.close()
 
     # -- dispatch ------------------------------------------------------------
 
@@ -576,8 +540,8 @@ class SensorFleet:
 
         The record is sharded by a bounded header peek
         (:meth:`Packet.peek_flow`) — the dispatcher never decodes or
-        re-encodes the payload, which is the point: with ``pickle`` or
-        ``shm`` transports this is the cheap way to feed a capture
+        re-encodes the payload, which is the point: with the ``pickle``
+        transport this is the cheap way to feed a capture
         (:meth:`process_capture` uses it).
         """
         if self.transport == "offset":
@@ -585,7 +549,7 @@ class SensorFleet:
                 "the offset transport dispatches capture extents, not "
                 "records; feed it via process_capture()")
         if not isinstance(raw, (bytes, bytearray)):
-            raw = bytes(raw)  # replay/fallback logs need stable bytes
+            raw = bytes(raw)  # the replay log needs stable bytes
         shard = self._shard_of_fields(*Packet.peek_flow(raw))
         self._enqueue(shard, (self._seq, raw, timestamp))
 
@@ -617,7 +581,7 @@ class SensorFleet:
         - ``offset``: the dispatcher scans record boundaries and ships
           ``(seq0, offset, count)`` extents — payload bytes are read
           only by the workers;
-        - ``pickle``/``shm``: records are read once and dispatched via
+        - ``pickle``: records are read once and dispatched via
           :meth:`process_raw` (header-peek sharding, no dispatcher
           decode).
 
@@ -713,25 +677,7 @@ class SensorFleet:
         if track:
             self._replay[shard].append((key, batch))
         self._ship_bytes.inc(sum(len(raw) for _seq, raw, _ts in batch))
-        fn, payload = _fleet_process_batch, batch
-        retry = None
-        if self.transport == "shm":
-            pool_before = self._pools[shard]
-            slot = self._write_ring(shard, key, batch)
-            if self._pools[shard] is not pool_before and track:
-                # The blocking drain tripped the watchdog: the shard was
-                # restarted and the replay log — this batch included —
-                # already resubmitted on the fresh pool (pickle path).
-                if slot is not None:
-                    self._rings[shard].retire(key)
-                self._finish_ship(t0)
-                return
-            if slot is not None:
-                fn, payload = _fleet_process_shm, slot
-                retry = (_fleet_process_batch, batch)  # ring dies w/ pool
-            else:
-                self._ring_fallback.inc()
-        self._submit_batch(shard, key, fn, payload, track, retry=retry)
+        self._submit_batch(shard, key, _run_records, batch, track)
         self._finish_ship(t0)
 
     def _ship_extents(self, shard: int) -> None:
@@ -755,27 +701,8 @@ class SensorFleet:
         self._batch_counter.inc()
         self._ship_seconds.observe(time.perf_counter() - t0)
 
-    def _write_ring(self, shard: int, key, batch: list):
-        """The shm fallback ladder, every rung counted: try the ring;
-        full → blocking drain of this shard's oldest in-flight batches
-        (their spans retire as they fold) and retry; still no room (a
-        batch bigger than the ring, or a watchdog restart mid-drain) →
-        ``None``, and the caller ships through the pickle path."""
-        ring = self._rings[shard]
-        slot = ring.try_write(key, batch)
-        if slot is not None:
-            return slot
-        self._ring_full.inc()
-        while slot is None and self._futures[shard]:
-            pool_before = self._pools[shard]
-            self._fold_one(shard, blocking=True)
-            slot = self._rings[shard].try_write(key, batch)
-            if self._pools[shard] is not pool_before:
-                break  # watchdog fired mid-drain; _ship decides
-        return slot
-
-    def _submit_batch(self, shard: int, key, fn, payload, track: bool,
-                      retry: tuple | None = None) -> None:
+    def _submit_batch(self, shard: int, key, fn, payload,
+                      track: bool) -> None:
         try:
             future = self._pools[shard].submit(fn, payload)
         except BrokenProcessPool:
@@ -783,11 +710,8 @@ class SensorFleet:
             # resubmits the whole replay window (this batch included).
             self._restart_shard(shard)
             if not track:
-                # No replay log to lean on — resubmit directly.  A ring
-                # descriptor died with the reset ring; use the retry
-                # (pickle) form instead.
-                rfn, rpayload = retry if retry is not None else (fn, payload)
-                future = self._pools[shard].submit(rfn, rpayload)
+                # No replay log to lean on — resubmit directly.
+                future = self._pools[shard].submit(fn, payload)
                 self._futures[shard].append((key, future))
         else:
             self._futures[shard].append((key, future))
@@ -808,10 +732,7 @@ class SensorFleet:
                 self._fold_one(shard, blocking)
 
     def _fold_one(self, shard: int, blocking: bool) -> None:
-        """Fold the head future of one shard (FIFO).  Folding retires
-        the batch's ring span — the only recycling point, which is what
-        makes ring reads safe without locks: bytes live strictly longer
-        than the descriptor that names them."""
+        """Fold the head future of one shard (FIFO)."""
         futures = self._futures[shard]
         if not futures:
             return
@@ -825,9 +746,6 @@ class SensorFleet:
             self._restart_shard(shard)
             return
         futures.popleft()
-        ring = self._rings[shard]
-        if ring is not None:
-            ring.retire(key)
         self.registry.merge_delta(delta)
         self._deltas_merged += 1
         if key in self._folded:
@@ -840,30 +758,19 @@ class SensorFleet:
 
     def _restart_shard(self, shard: int) -> None:
         """Watchdog kill path: terminate and reap the shard's worker,
-        reset its ring (voiding every live span and bumping the
-        generation — stale descriptors must fail loud, not read recycled
-        bytes), respawn the pool rehydrated from the last barrier
-        snapshot, and resubmit every work unit shipped since that
-        barrier from the raw replay log."""
+        respawn the pool rehydrated from the last barrier snapshot, and
+        resubmit every work unit shipped since that barrier from the
+        replay log."""
         self._watchdog_restarts.inc()
-        pool = self._pools[shard]
-        procs = list(getattr(pool, "_processes", {}).values())
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join(timeout=10)
-        pool.shutdown(wait=False, cancel_futures=True)
-        ring = self._rings[shard]
-        if ring is not None:
-            ring.reset()
+        _kill_pool(self._pools[shard])
         self._pools[shard] = ProcessPoolExecutor(
             max_workers=1,
             initializer=_init_fleet_worker,
             initargs=(self.template_set, self.nids_options,
-                      self._shard_states[shard], self._ring_name(shard)),
+                      self._shard_states[shard]),
         )
         replay_fn = (_fleet_process_extents if self.transport == "offset"
-                     else _fleet_process_batch)
+                     else _run_records)
         self._futures[shard] = deque(
             (key, self._pools[shard].submit(replay_fn, payload))
             for key, payload in self._replay[shard])
@@ -911,8 +818,6 @@ class SensorFleet:
         semantics as the single-sensor engines: in-flight batches drain
         under the old library, then every worker is respawned with the
         new set in its initargs."""
-        from ..core.library import library_digest
-
         new = library_digest(resolve_template_set(template_set))
         old = library_digest(resolve_template_set(self.template_set))
         if new == old:
@@ -930,8 +835,7 @@ class SensorFleet:
             self._pools[shard] = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_init_fleet_worker,
-                initargs=(template_set, self.nids_options, None,
-                          self._ring_name(shard)),
+                initargs=(template_set, self.nids_options, None),
             )
         return True
 
@@ -952,6 +856,4 @@ class SensorFleet:
             watchdog_restarts=int(self._watchdog_restarts.value),
             transport=self.transport,
             ship_bytes=int(self._ship_bytes.value),
-            ring_full=int(self._ring_full.value),
-            ring_fallback=int(self._ring_fallback.value),
         )

@@ -24,10 +24,8 @@ pools, selected by ``hash(FlowKey) % N``:
   *consecutive* failures open the breaker — after which the shard's
   payloads ride the in-process serial path while a capped exponential
   backoff elapses, then a single probe payload decides whether the shard
-  re-closes.  Other shards never notice.  ``self_heal=False`` restores
-  the old one-shot policy (first failure degrades the whole engine to
-  serial, permanently);  ``workers <= 1`` never spawns a pool.
-  Either way no alert is ever lost: stranded payloads are re-analyzed
+  re-closes.  Other shards never notice.  ``workers <= 1`` never spawns
+  a pool.  No alert is ever lost: stranded payloads are re-analyzed
   in-process.
 
 Worker-side stage faults (extraction/analysis exceptions, analysis
@@ -52,13 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..core.analyzer import SemanticAnalyzer
-from ..core.library import (
-    all_templates,
-    decoder_templates,
-    library_digest,
-    paper_templates,
-    xor_only_templates,
-)
+from ..core.library import library_digest, resolve_template_set
 from ..errors import DeadlineExceeded, FlowKeyError
 from ..extract.frames import BinaryExtractor
 from ..net.flow import FlowKey
@@ -70,27 +62,7 @@ from ..resilience.firewall import DEADLINE_TEMPLATE, FAULT_TEMPLATE
 from .alerts import Alert
 from .pipeline import SemanticNids, _StreamState
 
-__all__ = ["ParallelSemanticNids", "TEMPLATE_SETS", "resolve_template_set"]
-
-#: Template sets addressable *by name*, so worker processes can rebuild
-#: them locally instead of unpickling template objects.
-TEMPLATE_SETS = {
-    "paper": paper_templates,
-    "all": all_templates,
-    "xor-only": xor_only_templates,
-    "decoder": decoder_templates,
-}
-
-
-def resolve_template_set(name: str):
-    """Template list for a named set; raises ``ValueError`` on unknown."""
-    try:
-        factory = TEMPLATE_SETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown template set {name!r}; expected one of "
-            f"{sorted(TEMPLATE_SETS)}") from None
-    return factory()
+__all__ = ["ParallelSemanticNids"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +122,6 @@ def _init_worker(template_set: str, frame_cache_size: int,
                  min_instructions: int,
                  deadline_units: int | None = None,
                  fastpath: bool = False,
-                 compiled: bool = True,
                  ir_cache_size: int | None = None) -> None:
     """Per-process initializer: build the stateless stage objects once."""
     registry = MetricsRegistry()
@@ -162,7 +133,6 @@ def _init_worker(template_set: str, frame_cache_size: int,
         frame_cache_size=frame_cache_size,
         registry=registry,
         fastpath=fastpath,
-        compiled=compiled,
         ir_cache_size=ir_cache_size,
     )
     _WORKER_STATE["deadline_units"] = deadline_units
@@ -288,13 +258,10 @@ class ParallelSemanticNids(SemanticNids):
         at every victim) replays the merged :class:`WorkResult` without a
         worker round-trip at all.  Disabled alongside the frame cache
         (``frame_cache_size=0``) so "no caching" means none anywhere.
-    self_heal:
-        ``True`` (default): per-shard circuit breakers + pool rebuilds +
-        retry-once, per the module docstring.  ``False``: legacy one-shot
-        policy — the first worker failure degrades the engine to the
-        serial path permanently.
     breaker_threshold:
-        Consecutive pool failures on one shard before its breaker opens.
+        Consecutive pool failures on one shard before its breaker opens
+        (per-shard breakers + pool rebuilds + retry-once, per the module
+        docstring).
     breaker_backoff / breaker_backoff_cap:
         Initial and maximum open-state backoff, in seconds (each re-open
         doubles the wait).  ``breaker_backoff=0`` probes immediately —
@@ -303,13 +270,17 @@ class ParallelSemanticNids(SemanticNids):
         Injectable monotonic clock for the breakers (tests).
     """
 
+    #: the inherited snapshot marks payloads still in ``_pending`` as
+    #: analyzed (``analyzed_len`` already covers them), so a crash after
+    #: a checkpoint would lose their alerts.
+    checkpointable = False
+
     def __init__(
         self,
         workers: int | None = None,
         template_set: str = "paper",
         max_pending: int = 256,
         payload_cache_size: int = 2048,
-        self_heal: bool = True,
         breaker_threshold: int = 3,
         breaker_backoff: float = 0.5,
         breaker_backoff_cap: float = 30.0,
@@ -324,9 +295,7 @@ class ParallelSemanticNids(SemanticNids):
         super().__init__(templates=resolve_template_set(template_set), **kwargs)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.max_pending = max_pending
-        self.self_heal = self_heal
         self._pending: deque[_Pending] = deque()
-        self._degraded = False
         self._pools: list[ProcessPoolExecutor] = []
         caching_on = self.analyzer.frame_cache is not None
         self.payload_cache_size = payload_cache_size if caching_on else 0
@@ -345,7 +314,6 @@ class ParallelSemanticNids(SemanticNids):
                               self.analyzer.min_instructions,
                               self._deadline_units,
                               self.fastpath,
-                              self.compiled,
                               self.ir_cache_size)
             self._pools = [
                 ProcessPoolExecutor(
@@ -384,14 +352,17 @@ class ParallelSemanticNids(SemanticNids):
         return out
 
     def close(self) -> None:
-        """Drain pending work and shut the worker pools down."""
-        self.flush()
-        pools, self._pools = self._pools, []
-        for pool in pools:
-            # wait=True: flush() already drained the queues, so this is
-            # quick, and it avoids interpreter-exit races with the pool's
-            # management thread.
-            pool.shutdown(wait=True, cancel_futures=True)
+        """Drain pending work and shut the worker pools down — also when
+        the drain raises, so a failed flush never orphans workers."""
+        try:
+            self.flush()
+        finally:
+            pools, self._pools = self._pools, []
+            for pool in pools:
+                # wait=True: flush() already drained the queues, so this
+                # is quick, and it avoids interpreter-exit races with the
+                # pool's management thread.
+                pool.shutdown(wait=True, cancel_futures=True)
 
     # -- hot template reload ------------------------------------------------
 
@@ -424,7 +395,6 @@ class ParallelSemanticNids(SemanticNids):
                               self.analyzer.min_instructions,
                               self._deadline_units,
                               self.fastpath,
-                              self.compiled,
                               self.ir_cache_size)
             for shard, old in enumerate(self._pools):
                 old.shutdown(wait=False, cancel_futures=True)
@@ -450,7 +420,7 @@ class ParallelSemanticNids(SemanticNids):
     def _analyze_payload(
         self, pkt: Packet, payload: bytes, state: _StreamState | None
     ) -> list[Alert]:
-        if self._degraded or not self._pools:
+        if not self._pools:
             return super()._analyze_payload(pkt, payload, state)
         if not isinstance(payload, bytes):
             payload = bytes(payload)  # zero-copy views do not pickle
@@ -490,23 +460,19 @@ class ParallelSemanticNids(SemanticNids):
                 return self._drain(blocking=False)
         shard = self._shard_of(pkt)
         probe = False
-        if self.self_heal and self._breakers:
-            breaker = self._breakers[shard]
-            if not self._breaker_allow(shard):
-                # Shard cooling off (open, or a probe already out): the
-                # payload rides the serial path in-process.  Other shards
-                # keep their pools — this is per-shard containment.
-                self.stats.serial_fallback_payloads += 1
-                return super()._analyze_payload(pkt, payload, state)
-            if breaker.state == HALF_OPEN:
-                probe = True
-                breaker.begin_probe()
+        breaker = self._breakers[shard]
+        if not self._breaker_allow(shard):
+            # Shard cooling off (open, or a probe already out): the
+            # payload rides the serial path in-process.  Other shards
+            # keep their pools — this is per-shard containment.
+            self.stats.serial_fallback_payloads += 1
+            return super()._analyze_payload(pkt, payload, state)
+        if breaker.state == HALF_OPEN:
+            probe = True
+            breaker.begin_probe()
         try:
             future = self._pools[shard].submit(_analyze_in_worker, payload)
         except (BrokenProcessPool, CancelledError, RuntimeError, OSError):
-            if not self.self_heal:
-                self._note_worker_failure()
-                return super()._analyze_payload(pkt, payload, state)
             self.stats.worker_failures += 1
             self._breaker_failure(shard)
             self._rebuild_pool(shard)
@@ -531,7 +497,7 @@ class ParallelSemanticNids(SemanticNids):
             future=future, timestamp=pkt.timestamp, source=pkt.src,
             destination=pkt.dst, payload=payload, packet=pkt, state=state,
             digest=digest, owner=True, shard=shard,
-            gen=self._pool_gen[shard] if self._pool_gen else -1, probe=probe,
+            gen=self._pool_gen[shard], probe=probe,
         ))
         return self._drain(blocking=False)
 
@@ -584,22 +550,16 @@ class ParallelSemanticNids(SemanticNids):
         return self._merge_result(head, result)
 
     def _recover_pending(self, head: _Pending) -> list[Alert]:
-        """The pool died under an in-flight payload: heal the shard (or
-        degrade, without ``self_heal``) and make sure the payload still
-        gets analyzed — retried on the rebuilt pool, or in-process."""
+        """The pool died under an in-flight payload: heal the shard and
+        make sure the payload still gets analyzed — retried on the
+        rebuilt pool, or in-process."""
         if head.owner and head.digest is not None:
             self._inflight.pop(head.digest, None)
-        if not self.self_heal:
-            self._note_worker_failure()
-            # Recover in-process: undo the submit-time count (the serial
-            # path re-counts) and run stages (b)-(e) locally.
-            self.stats.payloads_analyzed -= 1
-            return super()._analyze_payload(
-                head.packet, head.payload, head.state)
         if head.shard < 0:
             # Piggyback on a future that broke: the owner's recovery (just
             # above it in the queue) already charged the breaker; this one
-            # only needs its payload analyzed.
+            # only needs its payload analyzed.  Undo the submit-time count
+            # (the serial path re-counts).
             self.stats.serial_fallback_payloads += 1
             self.stats.payloads_analyzed -= 1
             return super()._analyze_payload(
@@ -677,19 +637,12 @@ class ParallelSemanticNids(SemanticNids):
             stage = self.firewall.contain_record(
                 fault.stage, reason=template, detail=detail,
                 pkt=head.packet, payload=head.payload)
-            out.extend(self._degraded_alert(
+            out.extend(self._degradation_alert(
                 stage, template, detail, head.timestamp, head.source,
                 head.destination, head.state))
         return out
 
     # -- failure handling ---------------------------------------------------
-
-    def _note_worker_failure(self) -> None:
-        """A worker died (``self_heal=False``): record it and degrade to the
-        serial path for all subsequent payloads (pending results are still
-        drained/recovered)."""
-        self.stats.worker_failures += 1
-        self._degraded = True
 
     def _breaker_allow(self, shard: int) -> bool:
         """May this shard's pool take a payload right now?  Counts the

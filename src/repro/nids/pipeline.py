@@ -92,12 +92,6 @@ class SemanticNids:
         the analyzer.  Anchors are necessary conditions, so the alert
         stream is byte-identical with it off (``--no-fastpath``) — it
         only skips provably fruitless work.  Default on.
-    compiled:
-        Run the analyzer's match engine on compiled template match plans
-        instead of the recursive interpreter.  The compiled executor is
-        exactly equivalent (alerts *and* budget accounting are
-        byte-identical); it only skips work that provably cannot match.
-        Default on.
     ir_cache_size:
         Bound on the analyzer's lifted-IR memoization cache, keyed by
         frame content digest.  ``None`` inherits ``frame_cache_size``;
@@ -124,7 +118,6 @@ class SemanticNids:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         fastpath: bool = True,
-        compiled: bool = True,
         ir_cache_size: int | None = None,
     ) -> None:
         #: one registry per sensor: every component registers its metrics
@@ -153,11 +146,9 @@ class SemanticNids:
         self.analyzer = SemanticAnalyzer(templates=templates,
                                          frame_cache_size=frame_cache_size,
                                          fastpath=fastpath,
-                                         compiled=compiled,
                                          ir_cache_size=ir_cache_size,
                                          **obs)
         self.fastpath = fastpath
-        self.compiled = compiled
         self.ir_cache_size = ir_cache_size
         self.blocklist = BlockList()
         self.firewall = StageFirewall(self.registry, quarantine=quarantine)
@@ -316,6 +307,11 @@ class SemanticNids:
 
     STATE_VERSION = 1
 
+    #: whether :meth:`snapshot_state` captures everything a crash would
+    #: lose; :class:`~repro.nids.SensorDaemon` refuses ``checkpoint_dir``
+    #: for an engine that says no.
+    checkpointable = True
+
     def snapshot_state(self) -> dict:
         """Picklable snapshot of all detection-relevant mutable state.
 
@@ -469,7 +465,7 @@ class SemanticNids:
         """A per-packet stage threw: count, quarantine, alert degraded."""
         stage = self.firewall.contain(site, exc, pkt=pkt,
                                       payload=pkt.payload or None)
-        return self._degraded_alert(
+        return self._degradation_alert(
             stage, self.firewall.template_for(exc),
             f"{type(exc).__name__}: {exc}",
             pkt.timestamp, pkt.src, pkt.dst, None)
@@ -481,12 +477,12 @@ class SemanticNids:
         the quarantined evidence is the (possibly reassembled) payload and
         the degraded alert dedups per stream like any template alert."""
         stage = self.firewall.contain(site, exc, pkt=pkt, payload=payload)
-        return self._degraded_alert(
+        return self._degradation_alert(
             stage, self.firewall.template_for(exc),
             f"{type(exc).__name__}: {exc}",
             pkt.timestamp, pkt.src, pkt.dst, state)
 
-    def _degraded_alert(self, stage: str, template: str, detail: str,
+    def _degradation_alert(self, stage: str, template: str, detail: str,
                         timestamp: float, source: str | None,
                         destination: str | None,
                         state: _StreamState | None) -> list[Alert]:

@@ -172,16 +172,8 @@ class NidsStats:
     fleet_ship_bytes = MetricField(
         "repro_fleet_ship_bytes_total",
         help="Payload bytes serialized into the dispatcher→worker "
-             "transport (pickle triples or ring frames; offset extents "
-             "count only their 24-byte descriptors).", unit="bytes")
-    fleet_ring_full = MetricField(
-        "repro_fleet_ring_full_total",
-        help="Dispatch batches that found their shard's shared-memory "
-             "ring full (counted blocking drain engaged).", unit="batches")
-    fleet_ring_fallback = MetricField(
-        "repro_fleet_ring_fallback_total",
-        help="Dispatch batches that rode the pickle path because their "
-             "ring stayed full after the drain.", unit="batches")
+             "transport (pickle triples; offset extents count only "
+             "their 24-byte descriptors).", unit="bytes")
     quarantine_write_errors = MetricField(
         "repro_quarantine_write_errors_total",
         help="Quarantine capture/metadata writes that failed and were "
@@ -200,7 +192,7 @@ class NidsStats:
         self.fleet_ship_seconds = self.registry.histogram(
             "repro_fleet_ship_seconds",
             help="Dispatcher wall seconds per fleet batch shipped "
-                 "(serialize/frame + submit).", unit="seconds")
+                 "(serialize + submit).", unit="seconds")
         tracer = tracer if tracer is not None else NullTracer()
         # Historical attribute names; the stage labels are the canonical
         # pipeline stage names (classify/reassemble/extract + the

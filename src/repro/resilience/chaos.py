@@ -260,13 +260,6 @@ class FaultInjector:
                 killed += 1
             pool.shutdown(wait=False, cancel_futures=True)
         fleet._pools = []
-        # A real dispatcher death reclaims its shared-memory segments
-        # via the kernel; here the finalizer-backed close stands in, so
-        # a long kill matrix doesn't accumulate dead rings in /dev/shm.
-        for ring in getattr(fleet, "_rings", []):
-            if ring is not None:
-                ring.close()
-        fleet._rings = [None] * len(fleet._rings)
         self.injected.append(InjectedFault(
             "crash", killed, detail="fleet-kill"))
         return killed

@@ -30,103 +30,9 @@ from typing import Iterable
 
 from ..obs import MetricsRegistry
 
-__all__ = ["BoundedRing", "SpanRing", "SHED_POLICIES"]
+__all__ = ["BoundedRing", "SHED_POLICIES"]
 
 SHED_POLICIES = ("newest", "oldest", "block")
-
-
-class SpanRing:
-    """FIFO byte-span allocator over a fixed circular capacity.
-
-    This is the allocation arithmetic behind the fleet's shared-memory
-    packet ring (:mod:`repro.nids.shm`): the dispatcher bump-allocates
-    one contiguous span per dispatch batch, workers consume, and spans
-    retire strictly in allocation order when their batch is folded.  A
-    span that would straddle the wrap point is placed at offset 0
-    instead; the skipped tail gap is accounted against the span and
-    freed with it, so ``used_bytes`` never lies about what a new span
-    can claim.  Like :class:`BoundedRing`, overflow is an explicit
-    verdict — :meth:`alloc` returns ``None`` and the caller applies its
-    counted fallback ladder — never a silent drop.
-
-    Single-threaded by design: the fleet dispatcher is the only
-    producer, and retirement happens on the dispatcher thread when a
-    batch result folds.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("span ring capacity must be positive")
-        self.capacity = capacity
-        #: live spans in allocation order: [key, offset, size, waste]
-        #: where ``waste`` is the tail gap skipped to place this span
-        #: at offset 0 (zero for non-wrapping allocations).
-        self._spans: deque = deque()
-        self._head = 0  # next write offset
-        self._tail = 0  # oldest live byte
-        self._used = 0  # spans + wrap waste
-        self.high_watermark = 0
-
-    def alloc(self, key, size: int) -> int | None:
-        """Claim ``size`` contiguous bytes for ``key``; returns the span
-        offset, or ``None`` when no contiguous room exists (ring full or
-        fragmented by the wrap)."""
-        if size <= 0:
-            raise ValueError("span size must be positive")
-        if self._used == 0:
-            self._head = self._tail = 0
-        if size > self.capacity - self._used:
-            return None
-        waste = 0
-        if self._head >= self._tail and self._used < self.capacity:
-            room_end = self.capacity - self._head
-            if size > room_end:
-                if size > self._tail:
-                    return None  # fits overall, but not contiguously
-                waste = room_end
-                self._head = 0
-        elif size > self._tail - self._head:
-            return None
-        offset = self._head
-        self._head = (offset + size) % self.capacity
-        self._used += size + waste
-        self._spans.append([key, offset, size, waste])
-        if self._used > self.high_watermark:
-            self.high_watermark = self._used
-        return offset
-
-    def retire_if(self, key) -> bool:
-        """Free the oldest span when it belongs to ``key``; ``False``
-        when it does not (the batch never got a span — e.g. it rode the
-        pickle fallback — or the ring was reset under it)."""
-        if not self._spans or self._spans[0][0] != key:
-            return False
-        _key, offset, size, waste = self._spans.popleft()
-        self._tail = (offset + size) % self.capacity
-        self._used -= size + waste
-        return True
-
-    def reset(self) -> None:
-        """Drop every live span (shard restart: in-flight descriptors
-        are void and their bytes will be rewritten)."""
-        self._spans.clear()
-        self._head = self._tail = 0
-        self._used = 0
-
-    def live_spans(self) -> list:
-        """``(key, offset, size)`` of every live span, oldest first."""
-        return [(key, offset, size) for key, offset, size, _ in self._spans]
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self._used
-
-    def __len__(self) -> int:
-        return len(self._spans)
 
 
 class BoundedRing:

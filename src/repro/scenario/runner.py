@@ -285,7 +285,7 @@ def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
         ParallelSemanticNids, SemanticNids, SensorDaemon, SensorFleet,
     )
     from ..nids.daemon import IterPacketSource
-    from ..nids.parallel import resolve_template_set
+    from ..core.library import resolve_template_set
 
     engine: EngineSpec = spec.engine
     options = dict(engine.options)
@@ -338,7 +338,7 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     uninterrupted stream, then the kill schedule runs against a fresh
     checkpoint directory and the recovered stream is compared."""
     from ..nids import SemanticNids
-    from ..nids.parallel import resolve_template_set
+    from ..core.library import resolve_template_set
     from ..resilience.recovery import (
         run_daemon_reference, run_daemon_with_crashes,
         run_fleet_reference, run_fleet_with_crashes,

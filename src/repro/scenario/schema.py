@@ -212,7 +212,7 @@ SCHEMA: list[SchemaKey] = [
               "parallel / fleet only: worker processes.", ">= 2"),
     SchemaKey("engine.template_set", "str", '"paper"',
               "Named template set every engine kind can rebuild.",
-              "a repro.nids.parallel.TEMPLATE_SETS name"),
+              "a repro.core.library.TEMPLATE_SETS name"),
     SchemaKey("engine.options", "map", "{}",
               "Engine construction knobs, passed through to "
               "repro.nids.SemanticNids (validated subset; see below)."),
@@ -236,9 +236,6 @@ SCHEMA: list[SchemaKey] = [
               "Bound on concurrently tracked TCP streams.", ">= 1"),
     SchemaKey("engine.options.fastpath", "bool", "true",
               "Template anchor prefilter on/off (alert stream is "
-              "byte-identical either way)."),
-    SchemaKey("engine.options.compiled", "bool", "true",
-              "Compiled match plans on/off (alert stream is "
               "byte-identical either way)."),
     SchemaKey("engine.daemon", "map", "{}",
               "daemon kind only: ingestion tuning."),
@@ -707,13 +704,11 @@ def _validate_engine_options(ctx: _Ctx) -> dict[str, Any]:
                                allow_none=True, minimum=1))
     put("fastpath", ctx.get("fastpath", (bool,), default=None,
                             allow_none=True))
-    put("compiled", ctx.get("compiled", (bool,), default=None,
-                            allow_none=True))
     return options
 
 
 def _validate_engine(ctx: _Ctx) -> EngineSpec:
-    from ..nids.parallel import TEMPLATE_SETS
+    from ..core.library import TEMPLATE_SETS
 
     ctx.reject_unknown(_children("engine."), "engine")
     kind = ctx.get("kind", (str,), default="serial",
@@ -833,7 +828,7 @@ def _validate_expect(ctx: _Ctx, engine: EngineSpec) -> ExpectSpec:
 def _known_templates(template_set: str) -> frozenset[str]:
     """Template names resolvable in ``template_set``, plus the degraded
     templates the firewall can emit (expectable under chaos)."""
-    from ..nids.parallel import resolve_template_set
+    from ..core.library import resolve_template_set
 
     return (frozenset(t.name for t in resolve_template_set(template_set))
             | DEGRADED_TEMPLATES)

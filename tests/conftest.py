@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import SemanticAnalyzer
 from repro.engines import get_shellcode
 from repro.x86 import assemble
+
+# tests/core/interp_oracle.py (the interpreter the compiled matcher is
+# held to) is imported by suites outside tests/core as well.
+sys.path.insert(0, str(Path(__file__).parent / "core"))
 
 # The three equivalent decryption routines of Figure 1.
 FIG1A = """

@@ -1,6 +1,7 @@
 """Tests for the template matcher: obfuscation tolerance and def-use."""
 
 import pytest
+from interp_oracle import InterpretedMatchEngine
 
 from repro.core.library import (
     admmutate_alt_decoder,
@@ -19,8 +20,8 @@ def match(template, source: str):
     """Match with BOTH engines and assert they agree — every test in this
     file doubles as a compiled-vs-interpreted differential check."""
     trace = prepare_trace(disassemble(assemble(source)))
-    compiled = MatchEngine(compiled=True).match(template, trace)
-    interpreted = MatchEngine(compiled=False).match(template, trace)
+    compiled = MatchEngine().match(template, trace)
+    interpreted = InterpretedMatchEngine().match(template, trace)
     if compiled is None or interpreted is None:
         assert compiled is None and interpreted is None
     else:

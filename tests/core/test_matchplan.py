@@ -2,13 +2,16 @@
 against BOTH engines, and a seeded differential fuzz harness.
 
 The compiled executor's contract is *exact* equivalence with the
-recursive interpreter — same match results (template, bindings,
+recursive interpreter (``interp_oracle.py``, the differential oracle
+kept beside this file) — same match results (template, bindings,
 positions) AND same budget accounting (``budget_trips``).  Everything
-here pins that contract; :mod:`tests.core.test_matcher` additionally
-runs its whole behavioural suite through both engines.
+here pins that contract; ``test_matcher.py`` additionally runs its
+whole behavioural suite through both engines.
 """
 
 import random
+
+from interp_oracle import InterpretedMatchEngine
 
 from repro.core.analyzer import disassemble_frame
 from repro.core.library import (
@@ -46,8 +49,8 @@ def trace_of(source: str):
 def both(template, trace, max_candidates: int = 200_000):
     """Run both engines; assert equivalent results and budget accounting;
     return the interpreted result."""
-    comp = MatchEngine(max_candidates=max_candidates, compiled=True)
-    interp = MatchEngine(max_candidates=max_candidates, compiled=False)
+    comp = MatchEngine(max_candidates=max_candidates)
+    interp = InterpretedMatchEngine(max_candidates=max_candidates)
     r_comp = comp.match(template, trace)
     r_interp = interp.match(template, trace)
     assert comp.budget_trips == interp.budget_trips

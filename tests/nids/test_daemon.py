@@ -3,6 +3,7 @@ shedding, backpressure, hot reload, heartbeats, and rolling windows."""
 
 import pytest
 
+from repro.core.library import resolve_template_set
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
 from repro.nids import (
@@ -11,7 +12,6 @@ from repro.nids import (
     SemanticNids,
     SensorDaemon,
 )
-from repro.nids.parallel import resolve_template_set
 from repro.traffic.mix import BenignMixGenerator
 
 
@@ -216,6 +216,28 @@ class TestHotReload:
             assert stats.reloads == 1
             assert nids.template_set == "paper"
             assert [a.template for a in received] == ["linux_shell_spawn"]
+
+
+class TestCheckpointGate:
+    def test_parallel_engine_is_refused(self, tmp_path):
+        """Regression: the gate was ``hasattr(nids, "snapshot_state")``,
+        which the parallel engine inherits — so it was checkpointed
+        with payloads still in flight to its workers, and a crash after
+        that checkpoint silently lost their alerts."""
+        with ParallelSemanticNids(workers=2,
+                                  classification_enabled=False) as nids:
+            assert not nids.checkpointable
+            with pytest.raises(ValueError, match="checkpointable"):
+                SensorDaemon(nids, IterPacketSource(iter([])),
+                             checkpoint_dir=tmp_path / "state")
+        assert not (tmp_path / "state").exists()
+
+    def test_serial_engine_is_accepted(self, tmp_path):
+        nids = SemanticNids(classification_enabled=False)
+        assert nids.checkpointable
+        daemon = SensorDaemon(nids, IterPacketSource(iter([])),
+                              checkpoint_dir=tmp_path / "state")
+        assert daemon.checkpoints is not None
 
 
 class TestStatsInvariant:

@@ -16,6 +16,7 @@ marked ``always_scan`` and never filtered.
 import os
 
 import pytest
+from interp_oracle import InterpretedMatchEngine
 
 from repro.core import SemanticAnalyzer
 from repro.core.library import paper_templates
@@ -55,8 +56,14 @@ def alert_stream(nids):
     return sorted((a.template, a.source, a.severity) for a in nids.alerts)
 
 
-def run_serial(packets, kwargs, fastpath, compiled=True):
-    nids = SemanticNids(fastpath=fastpath, compiled=compiled, **kwargs)
+def run_serial(packets, kwargs, fastpath, interpreted=False):
+    nids = SemanticNids(fastpath=fastpath, **kwargs)
+    if interpreted:
+        # the interpreter oracle rides the analyzer's engine= seam
+        nids.analyzer = SemanticAnalyzer(
+            templates=nids.analyzer.templates,
+            engine=InterpretedMatchEngine(), fastpath=fastpath,
+            registry=nids.registry, tracer=nids.tracer)
     nids.process_trace(packets)
     nids.close()
     return nids
@@ -167,22 +174,24 @@ class TestEvasionParity:
 
 
 class TestCompiledParity:
-    """Compiled match plans on == recursive interpreter, over every
-    corpus, the evasion gauntlet, and the parallel engine.  The compiled
-    executor's contract is the same as the prefilter's: skip provably
-    fruitless work, never change the alert stream."""
+    """Compiled match plans == the recursive-interpreter oracle, over
+    every corpus and the evasion gauntlet (the parallel engine runs the
+    same analyzer in its workers; serial×parallel parity pins that
+    seam).  The compiled executor's contract is the same as the
+    prefilter's: skip provably fruitless work, never change the alert
+    stream."""
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
     def test_unevaded_parity(self, corpora, corpus):
         packets, kwargs, baseline = corpora[corpus]
-        # baseline was produced with compiled plans on (the default);
-        # the interpreter must agree with it under both fastpath modes.
+        # baseline was produced with compiled plans; the interpreter
+        # must agree with it under both fastpath modes.
         assert alert_stream(
             run_serial(packets, kwargs, fastpath=False,
-                       compiled=False)) == baseline
+                       interpreted=True)) == baseline
         assert alert_stream(
             run_serial(packets, kwargs, fastpath=True,
-                       compiled=False)) == baseline
+                       interpreted=True)) == baseline
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
     @pytest.mark.parametrize("transform", evasion_names())
@@ -190,22 +199,10 @@ class TestCompiledParity:
         packets, kwargs, _ = corpora[corpus]
         evaded = apply_evasion(transform, packets, seed=EVASION_SEED)
         interpreted = alert_stream(
-            run_serial(evaded, kwargs, fastpath=True, compiled=False))
+            run_serial(evaded, kwargs, fastpath=True, interpreted=True))
         compiled = alert_stream(
-            run_serial(evaded, kwargs, fastpath=True, compiled=True))
+            run_serial(evaded, kwargs, fastpath=True))
         assert compiled == interpreted
-
-    @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_parallel_parity(self, corpora, corpus):
-        packets, kwargs, baseline = corpora[corpus]
-        streams = {}
-        for compiled in (False, True):
-            nids = ParallelSemanticNids(workers=2, compiled=compiled,
-                                        **kwargs)
-            nids.process_trace(packets)
-            nids.close()
-            streams[compiled] = alert_stream(nids)
-        assert streams[True] == streams[False] == baseline
 
 
 class TestBenignSkipRate:

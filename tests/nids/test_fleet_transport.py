@@ -1,8 +1,8 @@
 """Transport parity suite: the fleet's verdicts are transport-invariant.
 
-The zero-copy transports (shared-memory ring, pcap-offset extents) are
-pure plumbing — they move the same wire bytes to the same sharded
-engines by different roads.  This suite proves it: for a dark-config
+The transports (in-band pickle triples, pcap-offset extents) are pure
+plumbing — they move the same wire bytes to the same sharded engines
+by different roads.  This suite proves it: for a dark-config
 Table 3 trace and for adversarially-delivered (evasion gauntlet)
 traffic, every transport must emit the byte-identical alert stream a
 serial :class:`SemanticNids` run over the same capture produces — and
@@ -109,19 +109,18 @@ class TestTransportParity:
             lines = [alert.format() for alert in fleet.alerts]
         assert lines == expected
 
-    def test_tiny_ring_drains_and_falls_back_without_divergence(
-            self, capture, reference):
-        """Force the shm fallback ladder: a ring smaller than the fat
-        batches makes some writes drain-and-retry (counted ring_full)
-        or ride the pickle path (counted ring_fallback) — the alert
-        stream must not notice."""
-        with SensorFleet(workers=2, transport="shm", ring_bytes=16384,
-                         batch_size=24, nids_options=DARK) as fleet:
-            fleet.process_capture(capture)
-            lines = [alert.format() for alert in fleet.alerts]
-            stats = fleet.stats
-        assert lines == reference
-        assert stats.ring_full > 0  # the ladder actually engaged
+    def test_removed_transport_is_rejected_before_any_spawn(
+            self, monkeypatch):
+        """``shm`` is gone: asking for it names what is left and costs
+        no worker process."""
+        spawned = []
+        monkeypatch.setattr("repro.nids.fleet.ProcessPoolExecutor",
+                            lambda **kw: spawned.append(kw))
+        with pytest.raises(ValueError) as err:
+            SensorFleet(workers=2, transport="shm")
+        assert all(name in str(err.value) for name in FLEET_TRANSPORTS)
+        assert FLEET_TRANSPORTS == ("pickle", "offset")
+        assert not spawned
 
 
 class TestCrashSeamMatrix:
@@ -158,7 +157,7 @@ class TestCrashSeamMatrix:
                                           nids_options=DARK),
                 capture_path=tmp_path / f"{transport}.pcap")
             assert stats.transport == transport
-        assert lines["pickle"] == lines["shm"] == lines["offset"]
+        assert lines["pickle"] == lines["offset"]
 
 
 class TestSupervisedRetryTimeout:
@@ -200,3 +199,30 @@ class TestSupervisedRetryTimeout:
         finally:
             fleet._pools = real_pools
             fleet.close()
+
+
+class TestCloseAfterFailedFlush:
+    def test_workers_and_journal_are_released_when_flush_raises(
+            self, tmp_path):
+        """Regression: ``close()`` ran ``flush()`` outside any
+        ``try``/``finally``, so a flush that raised (second watchdog
+        timeout, journal write error) orphaned every worker process and
+        left the journal open."""
+        fleet = SensorFleet(workers=2, checkpoint_dir=tmp_path / "state",
+                            nids_options={"classification_enabled": False})
+        fleet.flush()  # a real flush reaches every shard: workers are up
+        procs = [proc for pool in fleet._pools
+                 for proc in pool._processes.values()]
+        assert len(procs) == 2
+
+        def broken_flush():
+            raise OSError("journal write failed")
+
+        fleet.flush = broken_flush
+        with pytest.raises(OSError, match="journal write failed"):
+            fleet.close()
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+        assert fleet._pools == []
+        assert fleet.journal._fh is None

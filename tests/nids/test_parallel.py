@@ -9,6 +9,7 @@ the serial path — losing no alerts — when a worker dies.
 import pytest
 
 from repro.core.analyzer import FrameCache, SemanticAnalyzer
+from repro.core.library import TEMPLATE_SETS, resolve_template_set
 from repro.engines import (
     AdmMutateEngine,
     CletEngine,
@@ -21,7 +22,6 @@ from repro.net.layers import TCP_SYN
 from repro.net.packet import tcp_packet, udp_packet
 from repro.net.wire import Wire
 from repro.nids import NidsSensor, ParallelSemanticNids, SemanticNids
-from repro.nids.parallel import TEMPLATE_SETS, resolve_template_set
 
 HONEYPOT = "10.10.0.250"
 DARK_KW = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
@@ -196,9 +196,9 @@ class TestPayloadCache:
 
 
 class TestDegradation:
-    def test_worker_crash_falls_back_to_serial(self):
-        # Legacy one-shot policy (self_heal=False): the first worker death
-        # permanently degrades the engine to the serial path.
+    def test_worker_crash_self_heals(self):
+        # A worker death rebuilds the pool and retries; the engine stays
+        # parallel and no alert is lost.
         first = codered_trace(attackers=1, victims=2)
         second = codered_trace(attackers=2, victims=2, seed=11, subnet=80)
         serial = run_trace(SemanticNids(**DARK_KW), first + second)
@@ -206,7 +206,7 @@ class TestDegradation:
         # payload cache off: repeated payloads must actually reach the
         # (dead) pools for the failure path to trigger.
         engine = ParallelSemanticNids(workers=2, payload_cache_size=0,
-                                      self_heal=False, **DARK_KW)
+                                      breaker_backoff=0.0, **DARK_KW)
         engine.process_trace(first)  # spawns the worker processes
         assert engine.stats.payloads_offloaded > 0
         for pool in engine._pools:  # simulate every worker dying
@@ -218,29 +218,6 @@ class TestDegradation:
         engine.process_trace(second)
         engine.close()
 
-        assert engine._degraded
-        assert engine.stats.worker_failures >= 1
-        assert alert_set(engine) == alert_set(serial)
-
-    def test_worker_crash_self_heals(self):
-        # Default policy: a worker death rebuilds the pool and retries;
-        # the engine stays parallel and no alert is lost.
-        first = codered_trace(attackers=1, victims=2)
-        second = codered_trace(attackers=2, victims=2, seed=11, subnet=80)
-        serial = run_trace(SemanticNids(**DARK_KW), first + second)
-
-        engine = ParallelSemanticNids(workers=2, payload_cache_size=0,
-                                      breaker_backoff=0.0, **DARK_KW)
-        engine.process_trace(first)
-        assert engine.stats.payloads_offloaded > 0
-        for pool in engine._pools:
-            pool.submit(len, b"warm").result()  # force the spawn (see above)
-            for proc in (pool._processes or {}).values():
-                proc.kill()
-        engine.process_trace(second)
-        engine.close()
-
-        assert not engine._degraded
         assert engine.stats.pool_rebuilds >= 1
         assert alert_set(engine) == alert_set(serial)
         # Healed: the breakers are closed again by the end of the run.
@@ -271,6 +248,27 @@ class TestDegradation:
         assert killed, "test needs in-flight payloads to strand"
         assert [(a.source, a.template) for a in engine.alerts] == \
             [(a.source, a.template) for a in serial.alerts]
+
+    def test_close_shuts_pools_down_when_flush_raises(self):
+        # Regression: close() ran flush() outside any try/finally, so a
+        # flush that raised orphaned every worker process.
+        engine = ParallelSemanticNids(workers=2, **DARK_KW)
+        procs = []
+        for pool in engine._pools:
+            pool.submit(len, b"warm").result()  # force the spawn
+            procs.extend(pool._processes.values())
+        assert len(procs) == 2
+
+        def broken_flush():
+            raise RuntimeError("drain failed")
+
+        engine.flush = broken_flush
+        with pytest.raises(RuntimeError, match="drain failed"):
+            engine.close()
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+        assert engine._pools == []
 
     def test_template_objects_rejected(self):
         from repro.core.library import paper_templates

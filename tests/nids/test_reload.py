@@ -4,12 +4,11 @@ anchor prefilter), on the serial and the parallel engine."""
 
 import pytest
 
-from repro.core.library import library_digest
+from repro.core.library import library_digest, resolve_template_set
 from repro.engines.admmutate import SLED_OPCODES  # noqa: F401 — doc import
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
 from repro.nids import ParallelSemanticNids, SemanticNids
-from repro.nids.parallel import resolve_template_set
 
 
 def _execve_packet(sport=1000):

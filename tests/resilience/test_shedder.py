@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.resilience import SHED_POLICIES, BoundedRing
-from repro.resilience.shedder import SpanRing
 
 
 class TestAdmission:
@@ -95,94 +94,3 @@ class TestMetrics:
             ring.take()
         assert reg.get("repro_ring_occupancy").value == 0
         assert reg.get("repro_ring_high_watermark").value == 5
-
-
-class TestSpanRing:
-    """The byte-span allocator behind the fleet's shared-memory ring."""
-
-    def test_bump_allocation_is_contiguous_fifo(self):
-        ring = SpanRing(100)
-        assert ring.alloc("a", 30) == 0
-        assert ring.alloc("b", 30) == 30
-        assert ring.used_bytes == 60 and ring.free_bytes == 40
-        assert len(ring) == 2
-
-    def test_invalid_sizes_are_rejected(self):
-        with pytest.raises(ValueError):
-            SpanRing(0)
-        with pytest.raises(ValueError):
-            SpanRing(100).alloc("a", 0)
-
-    def test_full_ring_returns_none(self):
-        ring = SpanRing(100)
-        assert ring.alloc("a", 60) == 0
-        assert ring.alloc("b", 60) is None  # explicit verdict, no raise
-        assert ring.alloc("c", 40) == 60
-
-    def test_retire_is_strictly_fifo(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 40)
-        ring.alloc("b", 40)
-        assert not ring.retire_if("b")  # not the oldest: refused
-        assert ring.retire_if("a")
-        assert ring.retire_if("b")
-        assert ring.used_bytes == 0
-
-    def test_retire_unknown_key_is_a_noop(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 10)
-        assert not ring.retire_if("never-allocated")
-        assert ring.used_bytes == 10
-
-    def test_wrap_places_span_at_zero_and_counts_waste(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 60)
-        ring.alloc("b", 30)  # head at 90
-        assert ring.retire_if("a")  # tail at 60; 10 bytes before the end
-        offset = ring.alloc("c", 20)  # 10 bytes of tail room: must wrap
-        assert offset == 0
-        # the skipped 10-byte tail gap is charged to "c"...
-        assert ring.used_bytes == 30 + 20 + 10
-        assert ring.retire_if("b")
-        used_before = ring.used_bytes
-        assert ring.retire_if("c")
-        # ...and released with it
-        assert used_before - ring.used_bytes == 30
-
-    def test_fits_overall_but_not_contiguously(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 40)
-        ring.alloc("b", 40)
-        assert ring.retire_if("a")  # 40 free at the front, 20 at the back
-        assert ring.free_bytes == 60
-        assert ring.alloc("c", 50) is None  # no 50-byte contiguous run
-        assert ring.alloc("d", 35) == 0
-
-    def test_reset_voids_everything(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 40)
-        ring.alloc("b", 40)
-        ring.reset()
-        assert ring.used_bytes == 0 and len(ring) == 0
-        assert not ring.retire_if("a")  # stale keys refuse after reset
-        assert ring.alloc("fresh", 100) == 0
-
-    def test_live_spans_lists_oldest_first(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 10)
-        ring.alloc("b", 20)
-        assert ring.live_spans() == [("a", 0, 10), ("b", 10, 20)]
-
-    def test_empty_ring_rewinds_cursors(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 70)
-        assert ring.retire_if("a")
-        # cursors rewound: the full capacity is contiguous again
-        assert ring.alloc("b", 100) == 0
-
-    def test_high_watermark_includes_wrap_waste(self):
-        ring = SpanRing(100)
-        ring.alloc("a", 90)
-        assert ring.retire_if("a")
-        ring.alloc("b", 50)  # head at 90 -> wraps? no: ring empty, rewound
-        assert ring.high_watermark == 90

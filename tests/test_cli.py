@@ -220,3 +220,28 @@ class TestSensord:
         from repro.cli import sensord_main
         rc = sensord_main(["/nonexistent/file.pcap"])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--template-set-file", "set.txt"],
+        ["--heartbeat", "1"],
+        ["--window-secs", "5"],
+    ])
+    def test_offset_fleet_rejects_daemon_loop_flags(self, attack_pcap,
+                                                    capsys, extra):
+        """The offset fleet bypasses the daemon loop that implements
+        these; silently ignoring them would be the quiet failure."""
+        from repro.cli import sensord_main
+        with pytest.raises(SystemExit) as exc:
+            sensord_main([str(attack_pcap), "--fleet-workers", "2",
+                          "--fleet-transport", "offset", *extra])
+        assert exc.value.code == 2
+        assert extra[0] in capsys.readouterr().err
+
+    def test_workers_with_checkpoint_dir_is_rejected(self, attack_pcap,
+                                                     tmp_path, capsys):
+        from repro.cli import sensord_main
+        with pytest.raises(SystemExit) as exc:
+            sensord_main([str(attack_pcap), "--workers", "2",
+                          "--checkpoint-dir", str(tmp_path / "state")])
+        assert exc.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
