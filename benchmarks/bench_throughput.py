@@ -1,34 +1,20 @@
-"""Throughput: the parallel flow-sharded engine vs the serial seed path.
+"""Stall isolation on the parallel flow-sharded engine.
 
-Replays one mixed trace — benign HTTP/SMTP/DNS conversations, Code Red II
-sweeps, and polymorphic (ADMmutate) overflow campaigns — through three
-engine configurations:
+One mixed trace — benign HTTP/SMTP/DNS conversations, Code Red II sweeps,
+and polymorphic (ADMmutate) overflow campaigns (``build_mixed_trace``,
+which ``bench_soak.py`` shares) — replayed with and without a
+detector-stalling flow, each run wrapped in a ``bench.*`` tracer span.
 
-- ``seed-serial``: frame cache off, full-stream reanalysis (the behaviour
-  of the original serial pipeline, used as the baseline);
-- ``serial+cache``: the serial engine with the content-hash frame cache
-  and incremental reanalysis;
-- ``parallel-4``: :class:`ParallelSemanticNids` with four flow-sharded
-  workers plus the parent-side payload-digest cache.
-
-The acceptance bar is a >=3x packets/s speedup for parallel-4 over
-seed-serial with a byte-identical alert set; the cache hit rate is
-reported alongside.
-
-Timing comes from the observability layer, not hand-rolled clocks: each
-configuration runs wrapped in a ``bench.*`` tracer span (the same span
-machinery ``repro-sensor --trace-out`` streams), the per-stage breakdown
-table is folded out of the collected stage spans by the ``bench_tracer``
-fixture, and a paired run with metric recording suppressed checks that
-the always-on metrics cost <= 3% of wall time.
+Engine-against-engine throughput is the harness's job
+(``benchmarks/harness``: ``pkts_per_s`` per workload and the
+``strategy.parallel.pkts_per_s`` row).
 """
 
-import repro.obs.stage as stage_mod
 from repro.engines import AdmMutateEngine, generic_overflow_request, get_shellcode
 from repro.engines.codered import CodeRedHost
 from repro.net.layers import TCP_SYN
 from repro.net.packet import tcp_packet
-from repro.nids import ParallelSemanticNids, SemanticNids
+from repro.nids import ParallelSemanticNids
 from repro.traffic import BenignMixGenerator
 
 NIDS_KW = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
@@ -93,80 +79,6 @@ def _run(trace, nids, tracer, tag):
         nids.close()
     alerts = sorted((a.template, a.source) for a in nids.alerts)
     return span.duration, alerts, nids.stats
-
-
-def test_throughput_parallel_vs_serial(benchmark, report, scale, bench_tracer):
-    trace = build_mixed_trace(benign=scale["throughput_benign"],
-                              crii=scale["throughput_crii"],
-                              poly=scale["throughput_poly"],
-                              victims=scale["throughput_victims"])
-    payload_bytes = sum(len(p.payload) for p in trace)
-
-    # Benchmark the headline configuration end-to-end...
-    benchmark.pedantic(
-        lambda: _run(trace, ParallelSemanticNids(workers=4, **NIDS_KW),
-                     bench_tracer, "headline"),
-        rounds=1, iterations=1)
-
-    # ...then measure all three configurations for the comparison table.
-    # Each engine carries the bench tracer, so every classify/reassemble/
-    # extract/analyze call lands in the per-stage breakdown table the
-    # ``bench_tracer`` fixture prints on teardown.
-    configs = [
-        ("seed-serial", lambda: SemanticNids(
-            frame_cache_size=0, reanalysis_overlap=None,
-            tracer=bench_tracer, **NIDS_KW)),
-        ("serial+cache", lambda: SemanticNids(tracer=bench_tracer,
-                                              **NIDS_KW)),
-        ("parallel-4", lambda: ParallelSemanticNids(
-            workers=4, tracer=bench_tracer, **NIDS_KW)),
-    ]
-    rows = [f"{'engine':14s} {'time':>8s} {'pkt/s':>8s} {'MB/s':>7s} "
-            f"{'alerts':>6s} {'cache hit%':>10s}"]
-    results = {}
-    for tag, make in configs:
-        elapsed, alerts, stats = _run(trace, make(), bench_tracer, tag)
-        results[tag] = (elapsed, alerts)
-        rows.append(
-            f"{tag:14s} {elapsed:7.2f}s {len(trace) / elapsed:8.0f} "
-            f"{payload_bytes / elapsed / 1e6:7.2f} {len(alerts):6d} "
-            f"{stats.frame_cache_hit_rate * 100:9.1f}%")
-
-    speedup = results["seed-serial"][0] / results["parallel-4"][0]
-    rows.append(f"parallel-4 speedup over seed-serial: {speedup:.2f}x "
-                f"(target >= 3x) on {len(trace)} packets")
-
-    # Metrics-overhead check: the registry is always on, so the cost of
-    # recording (histogram bucketing + counter updates) is isolated by
-    # re-running serial+cache with StageTimer.observe suppressed.  Runs
-    # are untraced so span emission does not skew the pair, interleaved
-    # A/B with min-of-3 per side (single pairs jitter +/-10%+).
-    orig_observe = stage_mod.StageTimer.observe
-    on_times, off_times = [], []
-    try:
-        for rep in range(3):
-            on_times.append(_run(trace, SemanticNids(**NIDS_KW),
-                                 bench_tracer, f"obs-on-{rep}")[0])
-            stage_mod.StageTimer.observe = (
-                lambda self, duration, nbytes=0: None)
-            off_times.append(_run(trace, SemanticNids(**NIDS_KW),
-                                  bench_tracer, f"obs-off-{rep}")[0])
-            stage_mod.StageTimer.observe = orig_observe
-    finally:
-        stage_mod.StageTimer.observe = orig_observe
-    on_s, off_s = min(on_times), min(off_times)
-    overhead = on_s / off_s - 1.0
-    rows.append(f"metric-recording overhead: {overhead * 100:+.1f}% "
-                f"(target <= 3%; best of 3: {on_s:.2f}s vs {off_s:.2f}s "
-                f"suppressed)")
-    report.table("Throughput — parallel flow-sharded engine", rows)
-
-    assert results["serial+cache"][1] == results["seed-serial"][1]
-    assert results["parallel-4"][1] == results["seed-serial"][1]
-    assert speedup >= 3.0
-    # Lenient CI bound (single runs jitter); the reported number is the
-    # one held to the 3% target.
-    assert overhead <= 0.10
 
 
 def test_stall_isolation_under_deadline(report, scale, bench_tracer):

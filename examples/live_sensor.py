@@ -6,7 +6,7 @@ attacker; attaches the five-stage semantic NIDS as a passive tap; and
 shows alerts arriving in real time as the attacker probes the honeypot
 and then fires real exploits at a production server.
 
-Run:  python examples/live_sensor.py [--workers N] [--no-frame-cache]
+Run:  python examples/live_sensor.py [--workers N]
 """
 
 import argparse
@@ -25,8 +25,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--workers", type=int, default=0,
                         help="analysis worker processes, sharded by flow "
                              "(0/1 = serial)")
-    parser.add_argument("--no-frame-cache", action="store_true",
-                        help="disable the content-hash frame cache")
     args = parser.parse_args(argv)
 
     wire = Wire()
@@ -36,7 +34,6 @@ def main(argv: list[str] | None = None) -> None:
         dark_networks=["10.0.0.0/8"],
         dark_exclude=["10.10.0.0/24"],
         dark_threshold=5,
-        frame_cache_size=0 if args.no_frame_cache else 4096,
     )
     if args.workers > 1:
         nids = ParallelSemanticNids(workers=args.workers, **kwargs)

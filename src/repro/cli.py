@@ -29,17 +29,15 @@ __all__ = ["sensor_main", "sensord_main", "analyze_main", "asm_main",
 
 
 # ---------------------------------------------------------------------------
-# repro-sensor
+# options and helpers shared by repro-sensor and repro-sensord
 # ---------------------------------------------------------------------------
 
 
-def sensor_main(argv: list[str] | None = None) -> int:
-    """Run the five-stage NIDS over a pcap capture."""
-    parser = argparse.ArgumentParser(
-        prog="repro-sensor",
-        description="Semantic NIDS over a pcap file (Scheirer & Chuah 2006).",
-    )
-    parser.add_argument("pcap", type=Path, help="capture to analyze")
+def _add_site_options(parser: argparse.ArgumentParser, *, metrics_out: str,
+                      metrics_format: str, stats: str, heartbeat: str) -> None:
+    """The monitored site's address plan, the engine choice and the
+    reporting switches — the same flags on both sensor commands; the
+    keyword arguments are the help strings whose wording differs."""
     parser.add_argument("--honeypot", action="append", default=[],
                         metavar="IP", help="decoy address (repeatable)")
     parser.add_argument("--dark-net", action="append", default=[],
@@ -53,8 +51,66 @@ def sensor_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="analysis worker processes, sharded by flow "
                              "(0/1 = serial; default 0)")
-    parser.add_argument("--no-frame-cache", action="store_true",
-                        help="disable the content-hash frame cache")
+    parser.add_argument("--metrics-out", type=Path, metavar="FILE",
+                        help=metrics_out)
+    parser.add_argument("--metrics-format", choices=("json", "prom"),
+                        default="json", help=metrics_format)
+    parser.add_argument("--stats", action="store_true", help=stats)
+    parser.add_argument("--heartbeat", type=float, default=0.0,
+                        metavar="SECS", help=heartbeat)
+
+
+def _site_kwargs(args: argparse.Namespace) -> dict:
+    """``SemanticNids`` keyword arguments from :func:`_add_site_options`."""
+    return dict(
+        honeypots=args.honeypot,
+        dark_networks=args.dark_net or None,
+        dark_exclude=args.dark_exclude or None,
+        dark_threshold=args.threshold,
+        classification_enabled=not args.no_classify,
+    )
+
+
+def _write_metrics(registry, args: argparse.Namespace) -> None:
+    """``--metrics-out`` in the chosen ``--metrics-format``."""
+    if args.metrics_out:
+        args.metrics_out.write_text(
+            registry.to_prometheus() if args.metrics_format == "prom"
+            else registry.to_json())
+
+
+def _pcap_error(exc: Exception, pcap: Path) -> int:
+    """Report an unreadable capture; the exit status for bad input."""
+    if isinstance(exc, FileNotFoundError):
+        print(f"error: no such file: {pcap}", file=sys.stderr)
+    else:
+        print(f"error: bad pcap: {exc}", file=sys.stderr)
+    return 2
+
+
+# ---------------------------------------------------------------------------
+# repro-sensor
+# ---------------------------------------------------------------------------
+
+
+def sensor_main(argv: list[str] | None = None) -> int:
+    """Run the five-stage NIDS over a pcap capture."""
+    parser = argparse.ArgumentParser(
+        prog="repro-sensor",
+        description="Semantic NIDS over a pcap file (Scheirer & Chuah 2006).",
+    )
+    parser.add_argument("pcap", type=Path, help="capture to analyze")
+    _add_site_options(
+        parser,
+        metrics_out="write the metrics registry snapshot here when the "
+                    "capture has been processed",
+        metrics_format="snapshot format for --metrics-out: json "
+                       "(repro.obs/v1) or prom (Prometheus text exposition; "
+                       "default json)",
+        stats="print pipeline statistics (per-stage timings and "
+              "frame-cache hit rate)",
+        heartbeat="print a progress heartbeat to stderr every SECS seconds "
+                  "of wall time (0 = off)")
     parser.add_argument("--no-fastpath", action="store_true",
                         help="disable the template anchor prefilter "
                              "(fast-path admission); results are identical "
@@ -77,26 +133,11 @@ def sensor_main(argv: list[str] | None = None) -> int:
                              "shard's circuit breaker opens (default 3)")
     parser.add_argument("--verify", action="store_true",
                         help="emulate matched frames to confirm behaviour")
-    parser.add_argument("--stats", action="store_true",
-                        help="print pipeline statistics (per-stage timings "
-                             "and frame-cache hit rate)")
     parser.add_argument("--report", action="store_true",
                         help="print an incident report at the end")
-    parser.add_argument("--metrics-out", type=Path, metavar="FILE",
-                        help="write the metrics registry snapshot here when "
-                             "the capture has been processed")
-    parser.add_argument("--metrics-format", choices=("json", "prom"),
-                        default="json",
-                        help="snapshot format for --metrics-out: json "
-                             "(repro.obs/v1) or prom (Prometheus text "
-                             "exposition; default json)")
     parser.add_argument("--trace-out", type=Path, metavar="FILE",
                         help="stream per-stage spans here as JSON Lines "
                              "(one span per stage invocation)")
-    parser.add_argument("--heartbeat", type=float, default=0.0,
-                        metavar="SECS",
-                        help="print a progress heartbeat to stderr every "
-                             "SECS seconds of wall time (0 = off)")
     args = parser.parse_args(argv)
 
     from .core.emuverify import EmulationVerifier
@@ -109,12 +150,7 @@ def sensor_main(argv: list[str] | None = None) -> int:
     quarantine = (QuarantineWriter(args.quarantine_out)
                   if args.quarantine_out else None)
     kwargs = dict(
-        honeypots=args.honeypot,
-        dark_networks=args.dark_net or None,
-        dark_exclude=args.dark_exclude or None,
-        dark_threshold=args.threshold,
-        classification_enabled=not args.no_classify,
-        frame_cache_size=0 if args.no_frame_cache else 4096,
+        **_site_kwargs(args),
         fastpath=not args.no_fastpath,
         max_streams=args.max_streams,
         analysis_deadline_ms=args.analysis_deadline_ms,
@@ -160,12 +196,8 @@ def sensor_main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
         for alert in nids.flush():
             emit(alert)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.pcap}", file=sys.stderr)
-        return 2
-    except PcapError as exc:
-        print(f"error: bad pcap: {exc}", file=sys.stderr)
-        return 2
+    except (FileNotFoundError, PcapError) as exc:
+        return _pcap_error(exc, args.pcap)
     finally:
         nids.close()
         if tracer is not None:
@@ -178,12 +210,7 @@ def sensor_main(argv: list[str] | None = None) -> int:
     if beat is not None:
         print(_heartbeat_line(nids.stats), file=sys.stderr)
 
-    if args.metrics_out:
-        nids.sync_frontend_stats()
-        if args.metrics_format == "prom":
-            args.metrics_out.write_text(nids.registry.to_prometheus())
-        else:
-            args.metrics_out.write_text(nids.registry.to_json())
+    _write_metrics(nids.registry, args)
 
     if args.report:
         from .nids.report import build_report
@@ -270,19 +297,13 @@ def sensord_main(argv: list[str] | None = None) -> int:
                         help="poll FILE between batches; when its contents "
                              "name a different template set, the library is "
                              "hot-reloaded (digest-keyed, no packets lost)")
-    parser.add_argument("--honeypot", action="append", default=[],
-                        metavar="IP", help="decoy address (repeatable)")
-    parser.add_argument("--dark-net", action="append", default=[],
-                        metavar="CIDR", help="unused address space (repeatable)")
-    parser.add_argument("--dark-exclude", action="append", default=[],
-                        metavar="CIDR", help="used subnets carved out of dark space")
-    parser.add_argument("--threshold", type=int, default=5,
-                        help="dark-space scan threshold t (default 5)")
-    parser.add_argument("--no-classify", action="store_true",
-                        help="analyze every payload (the §5.4 mode)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="analysis worker processes, sharded by flow "
-                             "(0/1 = serial; default 0)")
+    _add_site_options(
+        parser,
+        metrics_out="write the metrics registry snapshot here at shutdown",
+        metrics_format="snapshot format for --metrics-out (default json)",
+        stats="print pipeline statistics at shutdown",
+        heartbeat="print a liveness line to stderr every SECS seconds "
+                  "(deadline-anchored, drift-free; 0 = off)")
     parser.add_argument("--fleet-workers", type=int, default=0, metavar="N",
                         help="scale the WHOLE pipeline out across N sensor "
                              "processes behind a flow-hash dispatcher "
@@ -296,11 +317,6 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "dispatcher reads headers only and the fleet "
                              "reads the capture itself) — see "
                              "docs/architecture.md 'Fleet transport'")
-    parser.add_argument("--heartbeat", type=float, default=0.0,
-                        metavar="SECS",
-                        help="print a liveness line to stderr every SECS "
-                             "seconds (deadline-anchored, drift-free; "
-                             "0 = off)")
     parser.add_argument("--checkpoint-dir", type=Path, metavar="DIR",
                         help="enable crash safety: keep versioned "
                              "checkpoints and a write-ahead alert journal "
@@ -317,15 +333,6 @@ def sensord_main(argv: list[str] | None = None) -> int:
                         help="rehydrate from --checkpoint-dir after a crash: "
                              "restore counters, replay journaled alerts, "
                              "seek the capture to the checkpointed offset")
-    parser.add_argument("--metrics-out", type=Path, metavar="FILE",
-                        help="write the metrics registry snapshot here at "
-                             "shutdown")
-    parser.add_argument("--metrics-format", choices=("json", "prom"),
-                        default="json",
-                        help="snapshot format for --metrics-out (default "
-                             "json)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print pipeline statistics at shutdown")
     args = parser.parse_args(argv)
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
@@ -355,13 +362,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
     from .nids import ParallelSemanticNids, SemanticNids, SensorDaemon
     from .nids.daemon import IterPacketSource, TailPacketSource
 
-    kwargs = dict(
-        honeypots=args.honeypot,
-        dark_networks=args.dark_net or None,
-        dark_exclude=args.dark_exclude or None,
-        dark_threshold=args.threshold,
-        classification_enabled=not args.no_classify,
-    )
+    kwargs = _site_kwargs(args)
     fleet = None
     if args.fleet_workers >= 1:
         from .nids.fleet import SensorFleet
@@ -398,22 +399,14 @@ def sensord_main(argv: list[str] | None = None) -> int:
             finally:
                 st = fleet.stats
                 fleet.close()
-        except FileNotFoundError:
-            print(f"error: no such file: {args.pcap}", file=sys.stderr)
-            return 2
-        except PcapError as exc:
-            print(f"error: bad pcap: {exc}", file=sys.stderr)
-            return 2
+        except (FileNotFoundError, PcapError) as exc:
+            return _pcap_error(exc, args.pcap)
         for alert in alerts:
             print(alert.format())
         print(f"sensord: ingested={st.dispatched} processed={st.dispatched} "
               f"shed=0 queued=0 backpressure=0 alerts={len(fleet.alerts)} "
               f"reloads=0 uncounted_drops=0", file=sys.stderr)
-        if args.metrics_out:
-            if args.metrics_format == "prom":
-                args.metrics_out.write_text(fleet.registry.to_prometheus())
-            else:
-                args.metrics_out.write_text(fleet.registry.to_json())
+        _write_metrics(fleet.registry, args)
         if args.stats:
             print(fleet.stats)
         return 1 if fleet.alerts else 0
@@ -430,12 +423,8 @@ def sensord_main(argv: list[str] | None = None) -> int:
     try:
         reader = PcapReader(args.pcap, salvage=True, streaming=args.follow,
                             registry=nids.registry)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.pcap}", file=sys.stderr)
-        return 2
-    except PcapError as exc:
-        print(f"error: bad pcap: {exc}", file=sys.stderr)
-        return 2
+    except (FileNotFoundError, PcapError) as exc:
+        return _pcap_error(exc, args.pcap)
     source = (TailPacketSource(reader) if args.follow
               else IterPacketSource(iter(reader)))
     if fleet is not None and fleet.resume_seq:
@@ -472,8 +461,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
     try:
         stats = daemon.run(max_packets=args.max_packets)
     except PcapError as exc:
-        print(f"error: bad pcap: {exc}", file=sys.stderr)
-        return 2
+        return _pcap_error(exc, args.pcap)
     finally:
         nids.close()
         reader.close()
@@ -484,13 +472,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
           f"reloads={stats.reloads} uncounted_drops={stats.uncounted_drops}",
           file=sys.stderr)
 
-    if args.metrics_out:
-        if hasattr(nids, "sync_frontend_stats"):  # fleet folds deltas live
-            nids.sync_frontend_stats()
-        if args.metrics_format == "prom":
-            args.metrics_out.write_text(nids.registry.to_prometheus())
-        else:
-            args.metrics_out.write_text(nids.registry.to_json())
+    _write_metrics(nids.registry, args)
     if args.stats:
         stats_obj = nids.stats
         print(stats_obj.summary() if hasattr(stats_obj, "summary")

@@ -21,7 +21,7 @@ from .library import library_digest, paper_templates
 from .matcher import MatchEngine, PreparedTrace, prepare_trace
 from .template import Template, TemplateMatch
 
-__all__ = ["AnalysisResult", "FrameCache", "IRCache", "SemanticAnalyzer"]
+__all__ = ["AnalysisResult", "FrameCache", "SemanticAnalyzer"]
 
 
 @dataclass
@@ -95,59 +95,6 @@ class FrameCache:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class IREntry:
-    """Memoized front-end work for one unique frame: the decoded
-    instruction list plus, once some template needed it, the prepared
-    (lifted + const-propagated) trace with its lazily built feature and
-    anchor index arrays."""
-
-    instructions: list[Instruction]
-    consumed: int
-    trace: PreparedTrace | None = None
-
-
-class IRCache:
-    """Bounded LRU of :class:`IREntry` keyed by frame content digest.
-
-    One level below the frame cache: entries do not depend on the
-    template set, only on the bytes and load address, so the decoded
-    instructions and the prepared trace survive template-set changes
-    (and the prepared trace carries every per-frame index the match
-    plans build — feature cums, anchor cums, statement kind masks —
-    so those are built once per unique frame, not once per analysis).
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
-        self._entries: OrderedDict[bytes, IREntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: bytes) -> IREntry | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: bytes, entry: IREntry) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class SemanticAnalyzer:
     """Matches a template set against binary frames.
 
@@ -160,7 +107,12 @@ class SemanticAnalyzer:
     it).  The cache key is ``(sha1(frame bytes), template-set fingerprint,
     base)``: the fingerprint ties an entry to the exact template set it was
     computed under, so an analyzer restored with different templates (or a
-    shared cache, later) can never replay a stale match set.
+    shared cache, later) can never replay a stale match set.  It is the
+    analyzer's only cache: a second LRU of decoded instructions and
+    lifted traces under the same sha1 never answered (the frame cache
+    always hit first) while holding the largest per-unique-frame state
+    an attacker can inflate, so a hot reload re-lifts each distinct
+    frame once instead.
 
     ``fastpath`` enables the template anchor prefilter
     (:mod:`repro.fastpath`): one Aho-Corasick pass over the frame decides
@@ -183,17 +135,11 @@ class SemanticAnalyzer:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         fastpath: bool = False,
-        ir_cache_size: int | None = None,
     ) -> None:
         self.templates = templates if templates is not None else paper_templates()
         self.engine = engine or MatchEngine()
         self.min_instructions = min_instructions
         self.frame_cache = FrameCache(frame_cache_size) if frame_cache_size > 0 else None
-        # The IR cache follows the frame cache's size by default, so the
-        # "no caching" ablation (frame_cache_size=0) disables both.
-        if ir_cache_size is None:
-            ir_cache_size = frame_cache_size
-        self.ir_cache = IRCache(ir_cache_size) if ir_cache_size > 0 else None
         self.template_fingerprint = self._fingerprint()
         if fastpath:
             # Imported here, not at module top: repro.fastpath compiles
@@ -230,11 +176,6 @@ class SemanticAnalyzer:
             help="Match start positions skipped via anchor offsets "
                  "(ruled-out templates count their whole trace).",
             unit="positions")
-        self._ir_cache_hits = registry.counter(
-            "repro_ir_cache_hits_total",
-            help="Frames whose decoded instructions (and, when already "
-                 "built, prepared trace) were replayed from the IR "
-                 "memoization cache.", unit="frames")
         self._budget_trips = registry.counter(
             "repro_match_budget_trips_total",
             help="Per-(template, frame) searches cut short by the "
@@ -284,11 +225,10 @@ class SemanticAnalyzer:
         - compiled match plans are dropped and recompiled: the plan
           cache is keyed by template identity and would otherwise pin
           the retired library's objects forever;
-        - the anchor prefilter is rebuilt from the new library;
-        - the IR cache *survives*: decoded instructions and prepared
-          traces depend only on frame bytes (anchor cums are keyed by
-          opcode content, not template identity), so the expensive
-          front-end work carries over across reloads.
+        - the anchor prefilter is rebuilt from the new library.
+
+        Nothing else is memoized, so the first post-reload analysis of
+        each distinct frame re-disassembles and re-lifts it once.
         """
         self.templates = templates
         self.template_fingerprint = self._fingerprint()
@@ -321,11 +261,8 @@ class SemanticAnalyzer:
         with self.timer.timed(nbytes=len(data)):
             start = time.perf_counter()
             key = None
-            digest = None
-            if self.frame_cache is not None or self.ir_cache is not None:
-                digest = hashlib.sha1(data).digest()
             if self.frame_cache is not None:
-                key = (digest
+                key = (hashlib.sha1(data).digest()
                        + self.template_fingerprint
                        + base.to_bytes(8, "little", signed=True))
                 stored = self.frame_cache.get(key)
@@ -351,39 +288,17 @@ class SemanticAnalyzer:
                     self._frames_skipped.inc()
                     return AnalysisResult(frame_size=len(data),
                                           elapsed=time.perf_counter() - start)
-            # Lifted-IR memoization: identical frame content skips
-            # disassemble + lift even when the match step must re-run
-            # (different template set, evicted frame-cache entry, or the
-            # frame cache disabled).  Like the prefilter, it disengages
-            # under a deadline — replayed IR would charge no disassembly
-            # ticks, so deadline-trip behaviour could diverge.
-            entry = None
-            if self.ir_cache is not None and deadline is None:
-                ir_key = digest + base.to_bytes(8, "little", signed=True)
-                entry = self.ir_cache.get(ir_key)
-                if entry is not None:
-                    self._ir_cache_hits.inc()
-                else:
-                    with self.disassemble_timer.timed(nbytes=len(data)):
-                        instructions, consumed = disassemble_frame(data, base)
-                    entry = IREntry(instructions, consumed)
-                    self.ir_cache.put(ir_key, entry)
-                result = self._analyze(entry.instructions,
-                                       nbytes=entry.consumed, scan=scan,
-                                       base=base, entry=entry)
-                consumed = entry.consumed
-            else:
-                try:
-                    with self.disassemble_timer.timed(nbytes=len(data)):
-                        instructions, consumed = disassemble_frame(
-                            data, base,
-                            tick=deadline.tick if deadline is not None else None)
-                    result = self._analyze(instructions, nbytes=consumed,
-                                           deadline=deadline, scan=scan,
-                                           base=base)
-                except DeadlineExceeded:
-                    self._deadline_trips.inc()
-                    raise
+            try:
+                with self.disassemble_timer.timed(nbytes=len(data)):
+                    instructions, consumed = disassemble_frame(
+                        data, base,
+                        tick=deadline.tick if deadline is not None else None)
+                result = self._analyze(instructions, nbytes=consumed,
+                                       deadline=deadline, scan=scan,
+                                       base=base)
+            except DeadlineExceeded:
+                self._deadline_trips.inc()
+                raise
             result.bytes_consumed = consumed
             result.frame_size = len(data)
             result.elapsed = time.perf_counter() - start
@@ -408,7 +323,7 @@ class SemanticAnalyzer:
 
     def _analyze(self, instructions: list[Instruction],
                  nbytes: int = 0, deadline=None, scan=None,
-                 base: int = 0, entry: IREntry | None = None) -> AnalysisResult:
+                 base: int = 0) -> AnalysisResult:
         result = AnalysisResult(instruction_count=len(instructions))
         if len(instructions) < self.min_instructions:
             return result
@@ -418,13 +333,8 @@ class SemanticAnalyzer:
             # per instruction-template pair matched.  Deterministic —
             # the same payload trips at the same point on every machine.
             deadline.tick(len(instructions))
-        if entry is not None and entry.trace is not None:
-            trace = entry.trace
-        else:
-            with self.lift_timer.timed(nbytes=nbytes):
-                trace = prepare_trace(instructions)
-            if entry is not None:
-                entry.trace = trace
+        with self.lift_timer.timed(nbytes=nbytes):
+            trace = prepare_trace(instructions)
         if deadline is not None:
             deadline.tick(len(instructions) * max(1, len(self.templates)))
         with self.match_timer.timed(nbytes=nbytes):

@@ -76,9 +76,9 @@ def library_digest(templates: list[Template]) -> bytes:
     The digest changes whenever any template's structure changes (see
     :meth:`Template.fingerprint`) or the set's membership/order changes.
     The analyzer folds it into its frame-cache key, and the compiled
-    match-plan and lifted-IR caches inherit invalidation from it: a new
-    library digest means new cache keys, so no stale plan or cached
-    result can ever be replayed against an edited template set.
+    match plans inherit invalidation from it: a new library digest
+    means new cache keys, so no stale plan or cached result can ever be
+    replayed against an edited template set.
     """
     h = hashlib.sha1()
     for template in templates:

@@ -100,9 +100,8 @@ _NODE_ADMITS: dict[str, int] = {
 def plan_data(trace):
     """Per-trace execution arrays: ``(kind_masks, def_masks, fam_bit)``.
 
-    Built lazily and cached on the trace; shared by every compiled plan
-    (and, through the analyzer's IR cache, across frames with identical
-    content).  ``fam_bit`` interns register family names to single-bit
+    Built lazily and cached on the trace; shared by every compiled plan.
+    ``fam_bit`` interns register family names to single-bit
     integers consistently across def masks and liveness masks.
     """
     data = getattr(trace, "_plan_data", None)

@@ -45,6 +45,7 @@ from ..net.pcap import PcapReader
 from ..obs import MetricsWindow, PeriodicSchedule
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.delivery import DurableDelivery
+from ..resilience.firewall import StageFirewall
 from ..resilience.journal import AlertJournal
 from ..resilience.shedder import BoundedRing
 from .alerts import Alert
@@ -249,6 +250,11 @@ class SensorDaemon:
                                      clock=clock)
                        if window_secs > 0 else None)
         reg = nids.registry
+        #: where ``on_alert`` faults are counted (and quarantine-logged):
+        #: the engine's own firewall, or — a fleet has none in the
+        #: dispatcher process — one on the same registry.
+        self._firewall = (getattr(nids, "firewall", None)
+                          or StageFirewall(reg))
         self._ingested = reg.counter(
             "repro_daemon_ingested_total",
             help="Packets pulled from the capture source.", unit="packets")
@@ -498,11 +504,9 @@ class SensorDaemon:
         try:
             self.on_alert(alert)
         except Exception as exc:  # noqa: BLE001 — operator code is untrusted
-            firewall = getattr(self.nids, "firewall", None)
-            if firewall is not None:  # fleet engines have no firewall
-                firewall.contain_record(
-                    "deliver", reason="resilience.stage-fault",
-                    detail=f"{type(exc).__name__}: {exc}")
+            self._firewall.contain_record(
+                "deliver", reason="resilience.stage-fault",
+                detail=f"{type(exc).__name__}: {exc}")
 
     # -- shutdown -------------------------------------------------------------
 

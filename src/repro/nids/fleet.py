@@ -342,15 +342,16 @@ class SensorFleet:
                 self.journal.prune(keep_segments=0)
         elif resume:
             raise ValueError("resume=True requires checkpoint_dir")
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_init_fleet_worker,
-                initargs=(self.template_set, self.nids_options,
-                          self._shard_states[shard]),
-            )
-            for shard in range(workers)
-        ]
+        self._pools = [self._spawn_pool(shard) for shard in range(workers)]
+
+    def _spawn_pool(self, shard: int) -> ProcessPoolExecutor:
+        """One whole-pipeline worker running the current template set,
+        rehydrated from the shard's last barrier snapshot if it has one
+        (first spawn, resume, watchdog respawn, hot reload)."""
+        return ProcessPoolExecutor(
+            max_workers=1, initializer=_init_fleet_worker,
+            initargs=(self.template_set, self.nids_options,
+                      self._shard_states[shard]))
 
     # -- crash recovery ------------------------------------------------------
 
@@ -763,12 +764,7 @@ class SensorFleet:
         replay log."""
         self._watchdog_restarts.inc()
         _kill_pool(self._pools[shard])
-        self._pools[shard] = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_init_fleet_worker,
-            initargs=(self.template_set, self.nids_options,
-                      self._shard_states[shard]),
-        )
+        self._pools[shard] = self._spawn_pool(shard)
         replay_fn = (_fleet_process_extents if self.transport == "offset"
                      else _run_records)
         self._futures[shard] = deque(
@@ -832,11 +828,7 @@ class SensorFleet:
             # flush() already drained its queue, so there is no work to
             # wait on, only process teardown.
             pool.shutdown(wait=True, cancel_futures=True)
-            self._pools[shard] = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_init_fleet_worker,
-                initargs=(template_set, self.nids_options, None),
-            )
+            self._pools[shard] = self._spawn_pool(shard)
         return True
 
     # -- reporting -----------------------------------------------------------

@@ -28,10 +28,11 @@ pools, selected by ``hash(FlowKey) % N``:
   a pool.  No alert is ever lost: stranded payloads are re-analyzed
   in-process.
 
-Worker-side stage faults (extraction/analysis exceptions, analysis
-deadlines) are contained *in the worker* and shipped back as
-:class:`FaultRecord` entries on the result; the parent quarantines the
-payload and emits the same degraded alert the serial engine would.
+A worker runs the very function the serial engine runs in-process
+(:func:`~repro.nids.pipeline.analyze_payload`) and the parent folds its
+result through the very merge (:meth:`SemanticNids._merge`), so stage
+faults contained in a worker come out as the same quarantine entry and
+degraded alert, in the same frame order, as on the serial engine.
 
 Alerts may surface a few packets later than in the serial engine (they
 are returned once the worker's result is drained); ``flush()`` — called
@@ -45,22 +46,21 @@ import hashlib
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..core.analyzer import SemanticAnalyzer
 from ..core.library import library_digest, resolve_template_set
-from ..errors import DeadlineExceeded, FlowKeyError
+from ..errors import FlowKeyError
 from ..extract.frames import BinaryExtractor
 from ..net.flow import FlowKey
 from ..net.packet import Packet
 from ..obs import MetricsRegistry
 from ..resilience.breaker import CLOSED, HALF_OPEN, CircuitBreaker
-from ..resilience.deadline import Deadline
-from ..resilience.firewall import DEADLINE_TEMPLATE, FAULT_TEMPLATE
 from .alerts import Alert
-from .pipeline import SemanticNids, _StreamState
+from .pipeline import (PayloadResult, SemanticNids, _StreamState,
+                       analyze_payload)
 
 __all__ = ["ParallelSemanticNids"]
 
@@ -70,59 +70,13 @@ __all__ = ["ParallelSemanticNids"]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MatchRecord:
-    """One template match, flattened to picklable fields."""
-
-    template: str
-    severity: str
-    origin: str
-    detail: str
-
-
-@dataclass
-class FaultRecord:
-    """One contained worker-side stage fault, flattened for pickling.
-
-    The worker catches the exception (so one poisoned payload cannot take
-    the pool down), and the parent turns the record into the same
-    quarantine entry + degraded alert the serial engine's stage firewall
-    would have produced.
-    """
-
-    stage: str
-    exc_type: str
-    message: str
-    deadline: bool = False  # DeadlineExceeded → the deadline template
-
-
-@dataclass
-class WorkResult:
-    """Outcome of analyzing one payload in a worker.
-
-    ``metrics`` is the worker registry's picklable delta for this payload
-    (stage timings, extraction counters); the parent merges it, which is
-    how worker-side stage time lands in ``--metrics-out``.  Replayed and
-    piggybacked results carry ``metrics=None`` — no new work was done.
-    """
-
-    matches: list[MatchRecord] = field(default_factory=list)
-    frames_extracted: int = 0
-    frames_analyzed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    metrics: dict | None = None
-    faults: list[FaultRecord] = field(default_factory=list)
-
-
 _WORKER_STATE: dict = {}
 
 
 def _init_worker(template_set: str, frame_cache_size: int,
                  min_instructions: int,
                  deadline_units: int | None = None,
-                 fastpath: bool = False,
-                 ir_cache_size: int | None = None) -> None:
+                 fastpath: bool = False) -> None:
     """Per-process initializer: build the stateless stage objects once."""
     registry = MetricsRegistry()
     _WORKER_STATE["registry"] = registry
@@ -133,60 +87,22 @@ def _init_worker(template_set: str, frame_cache_size: int,
         frame_cache_size=frame_cache_size,
         registry=registry,
         fastpath=fastpath,
-        ir_cache_size=ir_cache_size,
     )
     _WORKER_STATE["deadline_units"] = deadline_units
 
 
-def _analyze_in_worker(payload: bytes) -> WorkResult:
-    """Stages (b)-(e) on one payload; mirrors SemanticNids._analyze_payload
-    minus the parent-side state (dedup, alerts, blocklist).
-
-    Stage faults are contained here — recorded on ``result.faults`` rather
-    than raised — so an exception in extraction or analysis costs one
-    degraded alert, not a ``BrokenProcessPool``-sized recovery."""
-    extractor: BinaryExtractor = _WORKER_STATE["extractor"]
-    analyzer: SemanticAnalyzer = _WORKER_STATE["analyzer"]
-    deadline_units = _WORKER_STATE.get("deadline_units")
-    result = WorkResult()
-    try:
-        frames = extractor.extract(payload)
-    except Exception as exc:  # noqa: BLE001 — firewall: contain, don't crash
-        result.faults.append(FaultRecord(
-            stage="extract", exc_type=type(exc).__name__, message=str(exc)))
-        frames = []
-    result.frames_extracted = len(frames)
-    deadline = Deadline(deadline_units) if deadline_units else None
-    for frame in frames:
-        try:
-            analysis = analyzer.analyze_frame(frame.data, deadline=deadline)
-        except DeadlineExceeded as exc:
-            result.faults.append(FaultRecord(
-                stage="analyze", exc_type=type(exc).__name__,
-                message=str(exc), deadline=True))
-            break  # the budget is per-payload: remaining frames forfeit
-        except Exception as exc:  # noqa: BLE001 — contain per-frame faults
-            result.faults.append(FaultRecord(
-                stage="analyze", exc_type=type(exc).__name__,
-                message=str(exc)))
-            continue
-        result.frames_analyzed += 1
-        if analyzer.frame_cache is not None:
-            if analysis.cached:
-                result.cache_hits += 1
-            else:
-                result.cache_misses += 1
-        for match in analysis.matches:
-            result.matches.append(MatchRecord(
-                template=match.template.name,
-                severity=match.template.severity,
-                origin=frame.origin,
-                detail=match.summary(),
-            ))
-    # Ship only what this payload changed; the components timed themselves
-    # into the worker-local registry above.
-    result.metrics = _WORKER_STATE["registry"].collect_delta()
-    return result
+def _analyze_in_worker(payload: bytes) -> tuple[PayloadResult, dict]:
+    """Stages (b)-(e) on one payload, plus the worker registry's
+    picklable delta for it (stage timings, extraction counters — how
+    worker-side stage time lands in ``--metrics-out``)."""
+    result = analyze_payload(
+        _WORKER_STATE["extractor"], _WORKER_STATE["analyzer"], payload,
+        _WORKER_STATE["deadline_units"])
+    # The pickle boundary: TemplateMatch objects hold template
+    # predicates (lambdas) and stay in the worker.
+    for entry in result.entries:
+        entry.match = None
+    return result, _WORKER_STATE["registry"].collect_delta()
 
 
 # ---------------------------------------------------------------------------
@@ -194,37 +110,20 @@ def _analyze_in_worker(payload: bytes) -> WorkResult:
 # ---------------------------------------------------------------------------
 
 
-class _DoneFuture:
-    """Future-alike wrapping an already-known result, so payload-cache
-    replays flow through the same in-order drain as live worker results."""
-
-    __slots__ = ("_result",)
-
-    def __init__(self, result: WorkResult) -> None:
-        self._result = result
-
-    def done(self) -> bool:
-        return True
-
-    def result(self) -> WorkResult:
-        return self._result
-
-
 @dataclass
 class _Pending:
     """One in-flight payload awaiting its worker result."""
 
-    future: object  # concurrent.futures.Future[WorkResult] | _DoneFuture
-    timestamp: float
-    source: str | None
-    destination: str | None
+    future: Future  # of (PayloadResult, worker registry delta | None)
     payload: bytes
     packet: Packet
     state: _StreamState | None
-    digest: bytes | None = None  # payload-cache key to fill on completion
-    #: first submission of this digest (owns the worker round-trip); later
-    #: identical payloads share the owner's future and count as cache hits
-    owner: bool = False
+    #: payload-cache key to fill on completion — set only on the first
+    #: submission of a digest, which owns the worker round-trip
+    digest: bytes | None = None
+    #: no stage work was spent on this one (payload-cache replay, or a
+    #: piggyback on the owner's future): its frames count as cache hits
+    replay: bool = False
     #: shard the payload was submitted to (-1 for replays/piggybacks: they
     #: never touched a pool, so they never move a breaker)
     shard: int = -1
@@ -232,8 +131,6 @@ class _Pending:
     #: generation, so the N futures stranded by ONE dead worker count as
     #: one breaker failure, not N
     gen: int = -1
-    #: half-open probe payload: its outcome alone re-closes or re-opens
-    probe: bool = False
 
 
 class ParallelSemanticNids(SemanticNids):
@@ -255,8 +152,8 @@ class ParallelSemanticNids(SemanticNids):
     payload_cache_size:
         Bound on the parent-side payload-digest result cache: a payload
         byte-identical to one already analyzed (a worm's request repeated
-        at every victim) replays the merged :class:`WorkResult` without a
-        worker round-trip at all.  Disabled alongside the frame cache
+        at every victim) replays the merged result without a worker
+        round-trip at all.  Disabled alongside the frame cache
         (``frame_cache_size=0``) so "no caching" means none anywhere.
     breaker_threshold:
         Consecutive pool failures on one shard before its breaker opens
@@ -299,30 +196,15 @@ class ParallelSemanticNids(SemanticNids):
         self._pools: list[ProcessPoolExecutor] = []
         caching_on = self.analyzer.frame_cache is not None
         self.payload_cache_size = payload_cache_size if caching_on else 0
-        self._payload_cache: OrderedDict[bytes, WorkResult] = OrderedDict()
+        self._payload_cache: OrderedDict[bytes, PayloadResult] = OrderedDict()
         #: digest → future of the first, still-pending submission; identical
         #: payloads arriving before it completes piggyback on that future
         #: instead of paying another worker round-trip.
-        self._inflight: dict[bytes, object] = {}
+        self._inflight: dict[bytes, Future] = {}
         self._breakers: list[CircuitBreaker] = []
         self._pool_gen: list[int] = []
         if self.workers > 1:
-            cache_size = (self.analyzer.frame_cache.max_entries
-                          if self.analyzer.frame_cache is not None else 0)
-            # Kept whole for pool rebuilds after a worker death.
-            self._initargs = (template_set, cache_size,
-                              self.analyzer.min_instructions,
-                              self._deadline_units,
-                              self.fastpath,
-                              self.ir_cache_size)
-            self._pools = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_worker,
-                    initargs=self._initargs,
-                )
-                for _ in range(self.workers)
-            ]
+            self._pools = [self._spawn_pool() for _ in range(self.workers)]
             clock = breaker_clock if breaker_clock is not None else time.monotonic
             self._breakers = [
                 CircuitBreaker(
@@ -342,6 +224,17 @@ class ParallelSemanticNids(SemanticNids):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _spawn_pool(self) -> ProcessPoolExecutor:
+        """One single-process worker pool running the current template
+        set (first spawn, rebuild after a worker death, hot reload)."""
+        frame_cache = self.analyzer.frame_cache
+        return ProcessPoolExecutor(
+            max_workers=1, initializer=_init_worker,
+            initargs=(self.template_set,
+                      frame_cache.max_entries if frame_cache is not None else 0,
+                      self.analyzer.min_instructions, self._deadline_units,
+                      self.fastpath))
 
     def flush(self) -> list[Alert]:
         """Finalize unexamined stream tails, then drain every pending
@@ -388,21 +281,9 @@ class ParallelSemanticNids(SemanticNids):
         self._drain(blocking=True)
         changed = super(ParallelSemanticNids, self).reload_templates(templates)
         self.template_set = template_set
-        if self._pools:
-            cache_size = (self.analyzer.frame_cache.max_entries
-                          if self.analyzer.frame_cache is not None else 0)
-            self._initargs = (template_set, cache_size,
-                              self.analyzer.min_instructions,
-                              self._deadline_units,
-                              self.fastpath,
-                              self.ir_cache_size)
-            for shard, old in enumerate(self._pools):
-                old.shutdown(wait=False, cancel_futures=True)
-                self._pools[shard] = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_worker,
-                    initargs=self._initargs,
-                )
+        for shard, old in enumerate(self._pools):
+            old.shutdown(wait=False, cancel_futures=True)
+            self._pools[shard] = self._spawn_pool()
         # Results cached parent-side were computed under the old library.
         self._payload_cache.clear()
         self._inflight.clear()
@@ -433,19 +314,12 @@ class ParallelSemanticNids(SemanticNids):
                 # submission order, exactly as a live result would.  Every
                 # frame of a replayed payload counts as a cache hit.
                 self._payload_cache.move_to_end(digest)
-                replay = WorkResult(
-                    matches=cached.matches,
-                    frames_extracted=cached.frames_extracted,
-                    frames_analyzed=cached.frames_analyzed,
-                    cache_hits=cached.frames_analyzed,
-                    faults=cached.faults,
-                )
                 self.stats.payloads_analyzed += 1
+                done: Future = Future()
+                done.set_result((cached, None))
                 self._pending.append(_Pending(
-                    future=_DoneFuture(replay), timestamp=pkt.timestamp,
-                    source=pkt.src, destination=pkt.dst, payload=payload,
-                    packet=pkt, state=state,
-                ))
+                    future=done, payload=payload, packet=pkt, state=state,
+                    replay=True))
                 return self._drain(blocking=False)
             inflight = self._inflight.get(digest)
             if inflight is not None:
@@ -453,13 +327,10 @@ class ParallelSemanticNids(SemanticNids):
                 # future rather than paying a second round-trip.
                 self.stats.payloads_analyzed += 1
                 self._pending.append(_Pending(
-                    future=inflight, timestamp=pkt.timestamp, source=pkt.src,
-                    destination=pkt.dst, payload=payload, packet=pkt,
-                    state=state, digest=digest, owner=False,
-                ))
+                    future=inflight, payload=payload, packet=pkt,
+                    state=state, replay=True))
                 return self._drain(blocking=False)
         shard = self._shard_of(pkt)
-        probe = False
         breaker = self._breakers[shard]
         if not self._breaker_allow(shard):
             # Shard cooling off (open, or a probe already out): the
@@ -468,7 +339,6 @@ class ParallelSemanticNids(SemanticNids):
             self.stats.serial_fallback_payloads += 1
             return super()._analyze_payload(pkt, payload, state)
         if breaker.state == HALF_OPEN:
-            probe = True
             breaker.begin_probe()
         try:
             future = self._pools[shard].submit(_analyze_in_worker, payload)
@@ -494,11 +364,8 @@ class ParallelSemanticNids(SemanticNids):
         if digest is not None:
             self._inflight[digest] = future
         self._pending.append(_Pending(
-            future=future, timestamp=pkt.timestamp, source=pkt.src,
-            destination=pkt.dst, payload=payload, packet=pkt, state=state,
-            digest=digest, owner=True, shard=shard,
-            gen=self._pool_gen[shard], probe=probe,
-        ))
+            future=future, payload=payload, packet=pkt, state=state,
+            digest=digest, shard=shard, gen=self._pool_gen[shard]))
         return self._drain(blocking=False)
 
     # -- merge --------------------------------------------------------------
@@ -519,41 +386,44 @@ class ParallelSemanticNids(SemanticNids):
                 break
             self._pending.popleft()
             try:
-                result = head.future.result()
+                result, delta = head.future.result()
             except (BrokenProcessPool, CancelledError, OSError, RuntimeError):
                 out.extend(self._recover_pending(head))
                 continue
             if head.shard >= 0:
                 self._breaker_success(head.shard)
-            out.extend(self._finish_pending(head, result))
+            out.extend(self._finish_pending(head, result, delta))
         return out
 
-    def _finish_pending(self, head: _Pending, result: WorkResult) -> list[Alert]:
-        """Payload-cache bookkeeping + merge for one completed payload."""
-        if head.digest is not None:
-            if head.owner:
+    def _finish_pending(self, head: _Pending, result: PayloadResult,
+                        delta: dict | None) -> list[Alert]:
+        """Payload-cache and registry bookkeeping for one completed
+        payload, then the shared merge."""
+        if head.replay:
+            # No stage work happened anywhere, but hit and call counts
+            # must match what a serial engine (whose analyzer replays
+            # hits through its frame cache) would record.
+            result = replace(result, cache_hits=result.frames_analyzed,
+                             cache_misses=0)
+            self.stats.extraction.calls += 1
+            self.stats.analysis.calls += result.frames_analyzed
+        else:
+            # Live worker result: fold its registry delta into the parent
+            # registry — the stats stage-timer views read from there.
+            self.registry.merge_delta(delta)
+            if head.digest is not None:
                 self._inflight.pop(head.digest, None)
                 self._payload_cache[head.digest] = result
                 self._payload_cache.move_to_end(head.digest)
                 while len(self._payload_cache) > self.payload_cache_size:
                     self._payload_cache.popitem(last=False)
-            else:
-                # Piggybacked duplicate: account its frames as hits —
-                # no worker round-trip or analysis was spent on it.
-                result = WorkResult(
-                    matches=result.matches,
-                    frames_extracted=result.frames_extracted,
-                    frames_analyzed=result.frames_analyzed,
-                    cache_hits=result.frames_analyzed,
-                    faults=result.faults,
-                )
-        return self._merge_result(head, result)
+        return self._merge(head.packet, head.payload, head.state, result)
 
     def _recover_pending(self, head: _Pending) -> list[Alert]:
         """The pool died under an in-flight payload: heal the shard and
         make sure the payload still gets analyzed — retried on the
         rebuilt pool, or in-process."""
-        if head.owner and head.digest is not None:
+        if head.digest is not None:
             self._inflight.pop(head.digest, None)
         if head.shard < 0:
             # Piggyback on a future that broke: the owner's recovery (just
@@ -576,7 +446,7 @@ class ParallelSemanticNids(SemanticNids):
             self.stats.worker_retries += 1
             try:
                 # Blocking retry-once keeps the drain in submission order.
-                result = self._pools[shard].submit(
+                result, delta = self._pools[shard].submit(
                     _analyze_in_worker, head.payload).result()
             except (BrokenProcessPool, CancelledError, OSError, RuntimeError):
                 self.stats.worker_failures += 1
@@ -584,63 +454,10 @@ class ParallelSemanticNids(SemanticNids):
                 self._rebuild_pool(shard)
             else:
                 self._breaker_success(shard)
-                return self._finish_pending(head, result)
+                return self._finish_pending(head, result, delta)
         self.stats.serial_fallback_payloads += 1
         self.stats.payloads_analyzed -= 1
         return super()._analyze_payload(head.packet, head.payload, head.state)
-
-    def _merge_result(self, head: _Pending, result: WorkResult) -> list[Alert]:
-        self.stats.frames_extracted += result.frames_extracted
-        self.stats.frames_analyzed += result.frames_analyzed
-        self.stats.frame_cache_hits += result.cache_hits
-        self.stats.frame_cache_misses += result.cache_misses
-        if result.metrics is not None:
-            # Live worker result: fold its registry delta (stage timings,
-            # extraction counters) into the parent registry — the stats
-            # stage-timer views pick the numbers up from there.
-            self.registry.merge_delta(result.metrics)
-        else:
-            # Cache replay / piggyback: no stage work happened anywhere,
-            # but the call counts must match what a serial engine (whose
-            # analyzer replays hits through analyze_frame) would record.
-            self.stats.extraction.calls += 1
-            self.stats.analysis.calls += result.frames_analyzed
-        out: list[Alert] = []
-        for record in result.matches:
-            state = head.state
-            if state is not None and record.template in state.alerted_templates:
-                continue
-            if state is not None:
-                state.alerted_templates.add(record.template)
-            alert = Alert(
-                timestamp=head.timestamp,
-                source=head.source or "?",
-                destination=head.destination or "?",
-                template=record.template,
-                severity=record.severity,
-                frame_origin=record.origin,
-                detail=record.detail,
-                match=None,  # TemplateMatch objects stay in the worker
-            )
-            self.alerts.append(alert)
-            self.stats.alerts += 1
-            if head.source:
-                self.blocklist.block(head.source, head.timestamp)
-            out.append(alert)
-        # Worker-contained stage faults: run them through the parent's
-        # firewall (count + quarantine) and emit the degraded alert the
-        # serial engine would have — identical template/detail strings, so
-        # serial/parallel alert parity holds under faults too.
-        for fault in result.faults:
-            template = DEADLINE_TEMPLATE if fault.deadline else FAULT_TEMPLATE
-            detail = f"{fault.exc_type}: {fault.message}"
-            stage = self.firewall.contain_record(
-                fault.stage, reason=template, detail=detail,
-                pkt=head.packet, payload=head.payload)
-            out.extend(self._degradation_alert(
-                stage, template, detail, head.timestamp, head.source,
-                head.destination, head.state))
-        return out
 
     # -- failure handling ---------------------------------------------------
 
@@ -691,8 +508,4 @@ class ParallelSemanticNids(SemanticNids):
             old.shutdown(wait=False, cancel_futures=True)
         except Exception:  # noqa: BLE001 — already-broken pools may throw
             pass
-        self._pools[shard] = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_init_worker,
-            initargs=self._initargs,
-        )
+        self._pools[shard] = self._spawn_pool()

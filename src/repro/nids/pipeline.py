@@ -6,7 +6,10 @@ Packet in → (a) traffic classifier → (b) binary detection & extraction →
 Stages (c)-(e) live in :class:`repro.core.SemanticAnalyzer`; this module
 owns the plumbing: per-packet classification, TCP stream reassembly with
 incremental re-analysis, per-stream alert deduplication, and the response
-blocklist.
+blocklist.  Stages (b)-(e) over one payload are :func:`analyze_payload`,
+a pure function of its arguments: the serial engine calls it in-process
+and the parallel engine's workers call the same function, and both hand
+its :class:`PayloadResult` to :meth:`SemanticNids._merge`.
 
 Every stage runs behind the :class:`~repro.resilience.StageFirewall`
 (docs/robustness.md): an exception escaping a stage is counted,
@@ -25,7 +28,7 @@ from ..classify.darkspace import DarkSpaceMonitor
 from ..classify.fanout import SmtpFanoutMonitor
 from ..classify.honeypot import HoneypotRegistry
 from ..core.analyzer import SemanticAnalyzer
-from ..core.template import Template
+from ..core.template import Template, TemplateMatch
 from ..errors import DeadlineExceeded
 from ..extract.frames import BinaryExtractor
 from ..net.defrag import IpDefragmenter
@@ -51,6 +54,78 @@ class _StreamState:
     alerted_templates: set[str] = field(default_factory=set)
 
 
+@dataclass
+class FrameEntry:
+    """One thing a payload's analysis produced: a template match, or
+    (``fault=True``) a contained stage fault, flattened to the strings
+    its alert carries — ``origin`` is then the faulting stage."""
+
+    template: str
+    severity: str
+    origin: str
+    detail: str
+    match: TemplateMatch | None = None
+    fault: bool = False
+
+
+@dataclass
+class PayloadResult:
+    """Outcome of stages (b)-(e) on one payload; ``entries`` are in
+    frame order."""
+
+    entries: list[FrameEntry] = field(default_factory=list)
+    frames_extracted: int = 0
+    frames_analyzed: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
+def _fault_entry(site: str, exc: Exception) -> FrameEntry:
+    return FrameEntry(template=StageFirewall.template_for(exc),
+                      severity=DEGRADED_SEVERITY,
+                      origin=StageFirewall.stage_for(site, exc),
+                      detail=f"{type(exc).__name__}: {exc}", fault=True)
+
+
+def analyze_payload(extractor: BinaryExtractor, analyzer: SemanticAnalyzer,
+                    payload: bytes,
+                    deadline_units: int | None) -> PayloadResult:
+    """Stages (b)-(e) on one payload: extract frames, analyze each.
+
+    Stage faults are contained here — recorded as entries rather than
+    raised — so an exception in extraction or analysis costs one degraded
+    alert, never the caller (a worker process, or the sensor itself).
+    """
+    result = PayloadResult()
+    try:
+        frames = extractor.extract(payload)
+    except Exception as exc:  # noqa: BLE001 — firewall: contain, don't crash
+        result.entries.append(_fault_entry("extract", exc))
+        return result
+    result.frames_extracted = len(frames)
+    deadline = Deadline(deadline_units) if deadline_units else None
+    for frame in frames:
+        try:
+            analysis = analyzer.analyze_frame(frame.data, deadline=deadline)
+        except Exception as exc:  # noqa: BLE001 — contain per-frame faults
+            result.entries.append(_fault_entry("analyze", exc))
+            if isinstance(exc, DeadlineExceeded):
+                break  # the budget is per-payload: remaining frames forfeit
+            continue
+        result.frames_analyzed += 1
+        if analyzer.frame_cache is not None:
+            if analysis.cached:
+                result.cache_hits += 1
+            else:
+                result.cache_misses += 1
+        for match in analysis.matches:
+            result.entries.append(FrameEntry(
+                template=match.template.name,
+                severity=match.template.severity,
+                origin=frame.origin, detail=match.summary(), match=match))
+    return result
+
+
 class SemanticNids:
     """The complete NIDS.
 
@@ -67,7 +142,8 @@ class SemanticNids:
     max_rounds_per_stream:
         Cap on incremental re-analyses of one growing stream.
     frame_cache_size:
-        Bound on the analyzer's content-hash frame cache; 0 disables it.
+        Bound on the analyzer's content-hash frame cache — the pipeline's
+        one analysis cache; 0 disables it.
     reanalysis_overlap:
         When a grown stream is re-analyzed, only the new suffix plus this
         many already-analyzed bytes are re-extracted (the window covers any
@@ -92,10 +168,6 @@ class SemanticNids:
         the analyzer.  Anchors are necessary conditions, so the alert
         stream is byte-identical with it off (``--no-fastpath``) — it
         only skips provably fruitless work.  Default on.
-    ir_cache_size:
-        Bound on the analyzer's lifted-IR memoization cache, keyed by
-        frame content digest.  ``None`` inherits ``frame_cache_size``;
-        0 disables it.
     """
 
     def __init__(
@@ -118,7 +190,6 @@ class SemanticNids:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         fastpath: bool = True,
-        ir_cache_size: int | None = None,
     ) -> None:
         #: one registry per sensor: every component registers its metrics
         #: here, and ``--metrics-out`` snapshots it.  The stage timers in
@@ -146,10 +217,8 @@ class SemanticNids:
         self.analyzer = SemanticAnalyzer(templates=templates,
                                          frame_cache_size=frame_cache_size,
                                          fastpath=fastpath,
-                                         ir_cache_size=ir_cache_size,
                                          **obs)
         self.fastpath = fastpath
-        self.ir_cache_size = ir_cache_size
         self.blocklist = BlockList()
         self.firewall = StageFirewall(self.registry, quarantine=quarantine)
         self.analysis_deadline_ms = analysis_deadline_ms
@@ -221,16 +290,7 @@ class SemanticNids:
                 )
             )
             if should:
-                state.analysis_rounds += 1
-                data = stream.data()
-                if self.reanalysis_overlap is not None:
-                    # Incremental re-analysis: the already-analyzed prefix
-                    # is skipped except for a fixed overlap window sized to
-                    # cover any frame/sled straddling the old boundary.
-                    window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
-                    data = data[window_start:]
-                state.analyzed_len = contiguous
-                new_alerts = self._analyze_payload(pkt, data, state)
+                new_alerts = self._reanalyze(pkt, stream, state, contiguous)
         elif pkt.payload:
             new_alerts = self._analyze_payload(pkt, pkt.payload, None)
         return new_alerts
@@ -269,18 +329,26 @@ class SemanticNids:
             if (grown <= 0
                     or state.analysis_rounds >= self.max_rounds_per_stream):
                 continue
-            state.analysis_rounds += 1
-            data = stream.data()
-            if self.reanalysis_overlap is not None:
-                window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
-                data = data[window_start:]
-            state.analyzed_len = contiguous
             # Attribution context: the stream's sender, stamped with its
             # last activity (there is no "current packet" at flush time).
             pkt = Packet(ip=Ipv4(src=stream.key.src, dst=stream.key.dst,
                                  proto=stream.key.proto),
                          timestamp=stream.stats.last_seen)
-            self._analyze_payload(pkt, data, state)
+            self._reanalyze(pkt, stream, state, contiguous)
+
+    def _reanalyze(self, pkt: Packet, stream, state: _StreamState,
+                   contiguous: int) -> list[Alert]:
+        """One re-analysis round of a grown stream, attributed to ``pkt``."""
+        state.analysis_rounds += 1
+        data = stream.data()
+        if self.reanalysis_overlap is not None:
+            # Incremental re-analysis: the already-analyzed prefix is
+            # skipped except for a fixed overlap window sized to cover
+            # any frame/sled straddling the old boundary.
+            window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
+            data = data[window_start:]
+        state.analyzed_len = contiguous
+        return self._analyze_payload(pkt, data, state)
 
     def _on_stream_evicted(self, key: FlowKey) -> None:
         """Reassembler eviction hook: drop the matching analysis state so
@@ -319,9 +387,9 @@ class SemanticNids:
         scanner records, SMTP fan-out records), the IP defragmentation
         buffers, TCP streams with their per-stream analysis state, and
         the blocklist — everything whose loss would change future
-        alerts.  Analyzer caches (frame cache, IR cache) are *not*
-        captured: they are performance-only and rebuilt on demand, and
-        the parity suites pin that they never change the alert stream.
+        alerts.  The analyzer's frame cache is *not* captured: it is
+        performance-only and rebuilt on demand, and the parity suites
+        pin that it never changes the alert stream.
         Engine stat counters are likewise left to the metrics layer.
         """
         fanout = self.classifier.fanout
@@ -406,108 +474,62 @@ class SemanticNids:
         self, pkt: Packet, payload: bytes, state: _StreamState | None
     ) -> list[Alert]:
         self.stats.payloads_analyzed += 1
-        try:
-            frames = self.extractor.extract(payload)
-        except Exception as exc:
-            return self._contain_payload_fault("extract", pkt, payload,
-                                               state, exc)
-        self.stats.frames_extracted += len(frames)
+        return self._merge(pkt, payload, state, analyze_payload(
+            self.extractor, self.analyzer, payload, self._deadline_units))
+
+    def _merge(self, pkt: Packet, payload: bytes,
+               state: _StreamState | None,
+               result: PayloadResult) -> list[Alert]:
+        """Fold one payload's result into the sensor, in frame order:
+        per-stream dedup, alerts, blocklist, fault containment, stats.
+        The one merge routine — for a result computed in-process or
+        shipped back from a worker."""
+        self.stats.frames_extracted += result.frames_extracted
+        self.stats.frames_analyzed += result.frames_analyzed
+        self.stats.frame_cache_hits += result.cache_hits
+        self.stats.frame_cache_misses += result.cache_misses
         out: list[Alert] = []
-        deadline = (Deadline(self._deadline_units)
-                    if self._deadline_units else None)
-        for frame in frames:
-            try:
-                result = self.analyzer.analyze_frame(frame.data,
-                                                     deadline=deadline)
-            except DeadlineExceeded as exc:
-                # The budget is per-payload: nothing is left for the
-                # remaining frames either.
-                out.extend(self._contain_payload_fault(
-                    "analyze", pkt, payload, state, exc))
-                break
-            except Exception as exc:
-                out.extend(self._contain_payload_fault(
-                    "analyze", pkt, payload, state, exc))
-                continue
-            self.stats.frames_analyzed += 1
-            if self.analyzer.frame_cache is not None:
-                if result.cached:
-                    self.stats.frame_cache_hits += 1
-                else:
-                    self.stats.frame_cache_misses += 1
-            for match in result.matches:
-                name = match.template.name
-                if state is not None and name in state.alerted_templates:
-                    continue
-                if state is not None:
-                    state.alerted_templates.add(name)
-                alert = Alert(
-                    timestamp=pkt.timestamp,
-                    source=pkt.src or "?",
-                    destination=pkt.dst or "?",
-                    template=name,
-                    severity=match.template.severity,
-                    frame_origin=frame.origin,
-                    detail=match.summary(),
-                    match=match,
-                )
-                self.alerts.append(alert)
-                self.stats.alerts += 1
-                if pkt.src:
-                    self.blocklist.block(pkt.src, pkt.timestamp)
-                out.append(alert)
+        for entry in result.entries:
+            out.extend(self._raise(entry, pkt, payload, state))
         return out
 
-    # -- fault containment -------------------------------------------------------
+    def _raise(self, entry: FrameEntry, pkt: Packet, payload: bytes | None,
+               state: _StreamState | None) -> list[Alert]:
+        """One entry's alert, deduplicated per stream.  A fault is first
+        counted and its input quarantined (containment is visible, never
+        silent); a match additionally blocks its sender."""
+        if entry.fault:
+            self.firewall.contain_record(
+                entry.origin, reason=entry.template, detail=entry.detail,
+                pkt=pkt, payload=payload)
+        if state is not None:
+            if entry.template in state.alerted_templates:
+                return []
+            state.alerted_templates.add(entry.template)
+        alert = Alert(
+            timestamp=pkt.timestamp,
+            source=pkt.src or "?",
+            destination=pkt.dst or "?",
+            template=entry.template,
+            severity=entry.severity,
+            frame_origin=entry.origin,
+            detail=entry.detail,
+            match=entry.match,
+        )
+        self.alerts.append(alert)
+        self.stats.alerts += 1
+        # Faults deliberately do NOT block: they can be provoked by
+        # spoofed traffic, and auto-blocking on them would hand attackers
+        # a denial-of-service primitive.
+        if pkt.src and not entry.fault:
+            self.blocklist.block(pkt.src, pkt.timestamp)
+        return [alert]
 
     def _contain_packet_fault(self, site: str, pkt: Packet,
                               exc: Exception) -> list[Alert]:
         """A per-packet stage threw: count, quarantine, alert degraded."""
-        stage = self.firewall.contain(site, exc, pkt=pkt,
-                                      payload=pkt.payload or None)
-        return self._degradation_alert(
-            stage, self.firewall.template_for(exc),
-            f"{type(exc).__name__}: {exc}",
-            pkt.timestamp, pkt.src, pkt.dst, None)
-
-    def _contain_payload_fault(self, site: str, pkt: Packet, payload: bytes,
-                               state: _StreamState | None,
-                               exc: Exception) -> list[Alert]:
-        """Extraction/analysis threw on a payload: same containment, but
-        the quarantined evidence is the (possibly reassembled) payload and
-        the degraded alert dedups per stream like any template alert."""
-        stage = self.firewall.contain(site, exc, pkt=pkt, payload=payload)
-        return self._degradation_alert(
-            stage, self.firewall.template_for(exc),
-            f"{type(exc).__name__}: {exc}",
-            pkt.timestamp, pkt.src, pkt.dst, state)
-
-    def _degradation_alert(self, stage: str, template: str, detail: str,
-                        timestamp: float, source: str | None,
-                        destination: str | None,
-                        state: _StreamState | None) -> list[Alert]:
-        """Containment is visible: emit the degraded-mode alert.
-
-        Deliberately NOT a blocklist trigger — faults can be provoked by
-        spoofed traffic, and auto-blocking on them would hand attackers a
-        denial-of-service primitive.
-        """
-        if state is not None:
-            if template in state.alerted_templates:
-                return []
-            state.alerted_templates.add(template)
-        alert = Alert(
-            timestamp=timestamp,
-            source=source or "?",
-            destination=destination or "?",
-            template=template,
-            severity=DEGRADED_SEVERITY,
-            frame_origin=stage,
-            detail=detail,
-        )
-        self.alerts.append(alert)
-        self.stats.alerts += 1
-        return [alert]
+        return self._raise(_fault_entry(site, exc), pkt,
+                           pkt.payload or None, None)
 
     # -- reporting ----------------------------------------------------------------
 

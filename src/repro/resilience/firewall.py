@@ -79,18 +79,11 @@ class StageFirewall:
             return DEADLINE_TEMPLATE
         return FAULT_TEMPLATE
 
-    def contain(self, site: str, exc: BaseException, pkt=None,
-                payload: bytes | None = None) -> str:
-        """Record one contained fault; returns the resolved stage."""
-        stage = self.stage_for(site, exc)
-        return self.contain_record(
-            stage, reason=self.template_for(exc),
-            detail=f"{type(exc).__name__}: {exc}", pkt=pkt, payload=payload)
-
     def contain_record(self, stage: str, reason: str, detail: str = "",
                        pkt=None, payload: bytes | None = None) -> str:
-        """Record a contained fault already flattened to strings (the
-        parallel engine's worker faults arrive this way)."""
+        """Record one contained fault, flattened to strings (``stage``
+        from :meth:`stage_for`, ``reason`` from :meth:`template_for`) so
+        a worker's fault crosses the pickle boundary unchanged."""
         counter = self._fault_counters.get(stage)
         if counter is None:  # unknown stage: keep the schema fixed
             counter = self._fault_counters["analyze"]

@@ -102,6 +102,28 @@ class TestAccounting:
         assert stats.processed == 1
         assert nids.firewall.faults_by_stage().get("deliver") == 1
 
+    def test_broken_alert_callback_is_counted_under_a_fleet_engine(self):
+        """Regression: a fleet has no ``firewall`` attribute, and the
+        daemon used to swallow the sink's exception with no count at
+        all.  Never silent — same ``deliver`` series as the serial
+        engine, on the registry the daemon reports from."""
+        from repro.nids import SensorFleet
+
+        def explode(alert):
+            raise RuntimeError("operator bug")
+
+        fleet = SensorFleet(
+            workers=1, nids_options={"classification_enabled": False})
+        try:
+            stats = _daemon([_execve_packet()], nids=fleet,
+                            on_alert=explode).run()  # must not raise
+        finally:
+            fleet.close()
+        assert stats.processed == 1 and stats.alerts == 1
+        faults = fleet.registry.get("repro_stage_faults_total",
+                                    {"stage": "deliver"})
+        assert faults is not None and faults.value == 1
+
 
 class TestPeriodicDuties:
     def test_heartbeat_fires_on_the_deadline_grid(self):

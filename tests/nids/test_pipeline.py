@@ -1,5 +1,7 @@
 """Tests for the five-stage NIDS pipeline."""
 
+import multiprocessing
+
 import pytest
 
 from repro.engines.codered import CodeRedHost
@@ -198,3 +200,109 @@ class TestBoundedStreamState:
     def test_max_streams_reaches_reassembler(self):
         nids = SemanticNids(max_streams=7)
         assert nids.reassembler.max_streams == 7
+
+
+class TestSharedPayloadCore:
+    """Stages (b)-(e) exist once (``analyze_payload``) and so does the
+    merge: a fault between two matching frames surfaces *between* their
+    alerts, on every engine."""
+
+    @staticmethod
+    def three_attachment_mail() -> bytes:
+        """An SMTP DATA payload with three base64 attachments, i.e. three
+        frames: execve shellcode, a marked junk frame, a bind shell."""
+        import base64
+
+        from repro.engines import get_shellcode
+
+        def attachment(code: bytes) -> str:
+            body = base64.encodebytes(bytes([0x90]) * 48 + code).decode()
+            return ("--BOUND\r\nContent-Type: application/octet-stream\r\n"
+                    "Content-Transfer-Encoding: base64\r\n\r\n"
+                    + body.replace("\n", "\r\n") + "\r\n")
+
+        return ("From: a@b\r\nTo: c@d\r\nSubject: x\r\nMIME-Version: 1.0\r\n"
+                "Content-Type: multipart/mixed; boundary=BOUND\r\n\r\n"
+                + attachment(get_shellcode("classic-execve").assemble())
+                + attachment(b"\xcc" * 8 + b"POISON" + b"\xcc" * 40)
+                + attachment(get_shellcode("bind-4444-execve").assemble())
+                + "--BOUND--\r\n.\r\n").encode()
+
+    def test_core_reports_entries_in_frame_order(self):
+        from types import SimpleNamespace
+
+        from repro.extract.frames import BinaryFrame
+        from repro.nids.pipeline import analyze_payload
+
+        def match(name):
+            return SimpleNamespace(
+                template=SimpleNamespace(name=name, severity="high"),
+                summary=lambda: f"{name} matched")
+
+        class StubExtractor:
+            def extract(self, payload):
+                return [BinaryFrame(data=payload[i:i + 1], origin=f"f{i}",
+                                    offset=i) for i in range(3)]
+
+        class StubAnalyzer:
+            frame_cache = None
+
+            def analyze_frame(self, data, deadline=None):
+                if data == b"b":
+                    raise RuntimeError("poisoned frame")
+                return SimpleNamespace(
+                    cached=False,
+                    matches=[match("first")] if data == b"a"
+                    else [match("third")])
+
+        result = analyze_payload(StubExtractor(), StubAnalyzer(), b"abc",
+                                 None)
+        assert [(e.template, e.origin, e.fault) for e in result.entries] == [
+            ("first", "f0", False),
+            ("resilience.stage-fault", "analyze", True),
+            ("third", "f2", False),
+        ]
+        assert result.entries[1].detail == "RuntimeError: poisoned frame"
+        assert result.entries[2].match is not None  # live object in-process
+        assert (result.frames_extracted, result.frames_analyzed) == (3, 2)
+        assert (result.cache_hits, result.cache_misses) == (0, 0)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the poisoned analyzer only through fork")
+    def test_serial_and_workers_emit_the_same_ordered_alerts(
+            self, monkeypatch):
+        from repro.core.analyzer import SemanticAnalyzer
+        from repro.nids import ParallelSemanticNids
+
+        real = SemanticAnalyzer.analyze_frame
+
+        def poisoned(self, data, base=0, deadline=None):
+            if b"POISON" in data:
+                raise RuntimeError("poisoned frame")
+            return real(self, data, base, deadline=deadline)
+
+        # Patched on the class before any pool spawns, so the forked
+        # workers fault on the same frame the serial engine does.
+        monkeypatch.setattr(SemanticAnalyzer, "analyze_frame", poisoned)
+        pkt = udp_packet("6.6.6.6", "10.10.0.3", 1000, 25,
+                         self.three_attachment_mail())
+
+        def ordered(nids):
+            try:
+                nids.process_packet(pkt)
+                nids.flush()
+            finally:
+                nids.close()
+            return [(a.template, a.frame_origin, a.detail)
+                    for a in nids.alerts]
+
+        serial = ordered(SemanticNids(classification_enabled=False))
+        engine = ParallelSemanticNids(workers=2,
+                                      classification_enabled=False)
+        parallel = ordered(engine)
+        assert engine.stats.payloads_offloaded == 1  # a worker did it
+        assert [t for t, _origin, _detail in serial] == [
+            "linux_shell_spawn", "resilience.stage-fault",
+            "linux_shell_spawn", "port_bind_shell"]
+        assert parallel == serial

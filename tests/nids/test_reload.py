@@ -73,17 +73,23 @@ class TestSerialReload:
         alerts = nids.process_packet(_execve_packet())
         assert [a.template for a in alerts] == ["linux_shell_spawn"]
 
-    def test_ir_cache_survives_reload_by_design(self):
-        """Lifted IR is template-independent (keyed by frame content),
-        so the reload deliberately keeps it — and the new library still
-        matches against replayed IR."""
+    def test_first_post_reload_analysis_is_a_miss_that_matches(self):
+        """Nothing analysis-derived survives a reload: the frame cache is
+        empty, and a frame seen before the swap is disassembled, lifted
+        and matched afresh — one counted miss, the right verdict."""
         nids = _serial("xor-only", fastpath=False)
         nids.process_packet(_execve_packet(sport=1000))
-        ir_before = len(nids.analyzer.ir_cache)
-        assert ir_before > 0
+        nids.process_packet(_execve_packet(sport=1001))
+        assert nids.stats.frame_cache_hits > 0  # the frame is resident
         nids.reload_templates(resolve_template_set("paper"))
-        assert len(nids.analyzer.ir_cache) == ir_before
-        alerts = nids.process_packet(_execve_packet(sport=1001))
+        assert len(nids.analyzer.frame_cache) == 0
+        hits, misses = (nids.stats.frame_cache_hits,
+                        nids.stats.frame_cache_misses)
+        lifts = nids.analyzer.lift_timer.calls
+        alerts = nids.process_packet(_execve_packet(sport=1002))
+        assert nids.stats.frame_cache_hits == hits
+        assert nids.stats.frame_cache_misses > misses
+        assert nids.analyzer.lift_timer.calls > lifts  # re-lifted
         assert [a.template for a in alerts] == ["linux_shell_spawn"]
 
 

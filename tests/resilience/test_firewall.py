@@ -2,7 +2,7 @@
 
 import json
 
-from repro.errors import DeadlineExceeded, DecodeError, ExtractionError
+from repro.errors import DeadlineExceeded, DecodeError
 from repro.net.packet import tcp_packet
 from repro.net.pcap import read_pcap
 from repro.obs import MetricsRegistry
@@ -24,9 +24,9 @@ class TestStageFirewall:
     def test_contain_counts_by_stage(self):
         registry = MetricsRegistry()
         fw = StageFirewall(registry)
-        fw.contain("extract", ExtractionError("boom"))
-        fw.contain("extract", ExtractionError("boom again"))
-        fw.contain("analyze", RuntimeError("x"))
+        fw.contain_record("extract", reason=FAULT_TEMPLATE)
+        fw.contain_record("extract", reason=FAULT_TEMPLATE)
+        fw.contain_record("analyze", reason=FAULT_TEMPLATE)
         assert fw.faults_by_stage() == {"extract": 2, "analyze": 1}
         assert fw.total_faults == 3
         counter = registry.get("repro_stage_faults_total",
@@ -43,8 +43,10 @@ class TestStageFirewall:
 
     def test_decode_error_attributed_to_decode_stage(self):
         fw = StageFirewall(MetricsRegistry())
-        stage = fw.contain("classify", DecodeError("bad header"))
+        stage = fw.stage_for("classify", DecodeError("bad header"))
         assert stage == "decode"
+        assert fw.stage_for("classify", RuntimeError("x")) == "classify"
+        fw.contain_record(stage, reason=FAULT_TEMPLATE)
         assert fw.faults_by_stage() == {"decode": 1}
 
     def test_unknown_stage_falls_back_to_analyze(self):
@@ -61,7 +63,8 @@ class TestStageFirewall:
         registry = MetricsRegistry()
         q = QuarantineWriter(tmp_path / "q.pcap")
         fw = StageFirewall(registry, quarantine=q)
-        fw.contain("extract", ExtractionError("boom"), pkt=sample_packet())
+        fw.contain_record("extract", reason=FAULT_TEMPLATE,
+                          detail="ExtractionError: boom", pkt=sample_packet())
         q.close()
         assert fw.quarantined == 1
         assert registry.get("repro_quarantined_total").value == 1

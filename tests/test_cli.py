@@ -245,3 +245,20 @@ class TestSensord:
                           "--checkpoint-dir", str(tmp_path / "state")])
         assert exc.value.code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("transport", ["pickle", "offset"])
+    def test_fleet_writes_metrics_out(self, attack_pcap, tmp_path, capsys,
+                                      transport):
+        """The fleet engine has no ``sync_frontend_stats``; the snapshot
+        must be written for it all the same."""
+        import json
+
+        from repro.cli import sensord_main
+        out = tmp_path / "metrics.json"
+        rc = sensord_main([str(attack_pcap), "--honeypot", "10.10.0.250",
+                           "--fleet-workers", "2",
+                           "--fleet-transport", transport,
+                           "--metrics-out", str(out)])
+        assert rc == 1
+        assert "linux_shell_spawn" in capsys.readouterr().out
+        assert json.loads(out.read_text())["schema"] == "repro.obs/v1"
