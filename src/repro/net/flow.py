@@ -10,6 +10,7 @@ segments the way a first-writer-wins IDS reassembler does.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -63,49 +64,55 @@ class FlowStats:
 
 @dataclass
 class Stream:
-    """One direction of a TCP conversation, reassembled.
+    """One direction of a TCP conversation, reassembled and *consumed*.
 
     Segments are merged first-writer-wins: bytes already present at a stream
     offset are never overwritten by retransmissions or overlaps, matching
-    common IDS reassembly policy.  ``data()`` returns the longest contiguous
-    prefix assembled so far.
+    common IDS reassembly policy.  The stream keeps only its analysis
+    window — the contiguous bytes from ``released`` up to the frontier —
+    plus out-of-order segments waiting above the frontier for a hole to
+    fill.  An in-order segment is copied once onto the window; everything
+    below the frontier is known-present, so trimming a retransmission
+    needs the frontier offset, not the bytes, and :meth:`release` can drop
+    an analysed prefix for good.
     """
 
     key: FlowKey
     base_seq: int | None = None
-    #: offset → segment bytes; zero-copy ``memoryview`` slices land here
-    #: as-is and are only realized when the assembled prefix is built.
-    segments: dict[int, bytes | memoryview] = field(default_factory=dict)
+    #: stream offset → bytes of an out-of-order segment above the
+    #: contiguous frontier; moved onto the window when the hole fills.
+    segments: dict[int, bytes] = field(default_factory=dict)
     fin_seen: bool = False
     stats: FlowStats = field(default_factory=FlowStats)
-    #: bytes currently buffered across all segments, kept incrementally so
-    #: memory accounting never walks the segment dict.
+    #: bytes currently held (window + pending segments), kept
+    #: incrementally so memory accounting never walks the stream.
     buffered: int = 0
-    #: incremental-assembly cache: the contiguous prefix assembled so far.
-    #: Segments are immutable once inserted (first writer wins), so the
-    #: prefix only ever grows — ``data()`` extends it instead of rebuilding
-    #: the whole byte string on every call (the old O(n^2) per-packet cost).
-    _assembled: bytearray = field(default_factory=bytearray, repr=False)
-    _dirty: bool = False
+    #: stream offset of the window's first byte: everything below it was
+    #: handed to analysis and dropped.
+    released: int = 0
+    #: segments refused because they fall outside what the stream can
+    #: still place (see :meth:`add`).
+    out_of_window: int = 0
+    _window: bytearray = field(default_factory=bytearray, repr=False)
     _data_cache: bytes | None = field(default=None, repr=False)
 
     MAX_BUFFER = 4 * 1024 * 1024  # per-stream cap, mirrors real IDS limits
 
     def __getstate__(self) -> dict:
-        # Checkpoint support: memoryview slices from the zero-copy front
-        # end cannot be pickled — materialize segments on the way out.
+        # Checkpoint support: the cached copy of the window is rebuilt on
+        # demand, so it never rides along.
         state = self.__dict__.copy()
-        state["segments"] = {
-            off: bytes(seg) for off, seg in self.segments.items()
-        }
-        state["_assembled"] = bytearray(self._assembled)
+        state["_data_cache"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def add(self, pkt: Packet) -> int:
-        """Merge one segment; returns the bytes trimmed by overlap."""
+        """Merge one segment; returns the bytes trimmed by overlap.
+
+        A segment the stream cannot place — at or beyond ``MAX_BUFFER``,
+        more than ``MAX_BUFFER`` before the base, or before the base once
+        a prefix has been released (the offsets can no longer shift) — is
+        dropped and counted in ``out_of_window``.
+        """
         tcp = pkt.l4
         assert isinstance(tcp, Tcp)
         self.stats.update(pkt)
@@ -120,77 +127,91 @@ class Stream:
         offset = (tcp.seq - self.base_seq) & 0xFFFFFFFF
         if offset >= 1 << 31:  # segment precedes the current base: rebase
             delta = (1 << 32) - offset
-            if delta >= self.MAX_BUFFER:
+            if delta >= self.MAX_BUFFER or self.released:
+                self.out_of_window += 1
                 return 0
-            self.segments = {off + delta: seg for off, seg in self.segments.items()}
+            # Every offset shifts up by ``delta``; the window no longer
+            # starts at the frontier, so it waits as a pending segment.
+            self.segments = {off + delta: seg
+                             for off, seg in self.segments.items()}
+            if self._window:
+                self.segments[delta] = bytes(self._window)
+                self._window = bytearray()
+                self._data_cache = None
             self.base_seq = tcp.seq
             offset = 0
-            # Every cached offset shifted: the assembled prefix is void.
-            self._assembled = bytearray()
-            self._data_cache = None
-            self._dirty = True
         if offset >= self.MAX_BUFFER:
+            self.out_of_window += 1
             return 0
         return self._insert(offset, pkt.payload[: self.MAX_BUFFER - offset])
 
-    def _insert(self, offset: int, data: bytes) -> int:
+    def _insert(self, offset: int, data: bytes | memoryview) -> int:
         """First-writer-wins merge; returns the bytes trimmed by overlap."""
-        self._dirty = True  # conservative: extension no-ops if nothing lands
         trimmed = 0
-        # Trim against existing segments (first writer wins).
+        # Per-packet path: the frontier is spelled out here and below
+        # rather than asked of contiguous_length().
+        frontier = self.released + len(self._window)
+        if offset < frontier:  # below the frontier every byte is present
+            trimmed = min(len(data), frontier - offset)
+            offset += trimmed
+            data = data[trimmed:]
+        # Trim against the pending segments (none on the in-order path).
         for seg_off in sorted(self.segments):
-            seg = self.segments[seg_off]
-            seg_end = seg_off + len(seg)
-            if seg_end <= offset or seg_off >= offset + len(data):
+            end = offset + len(data)
+            if seg_off >= end:
+                break
+            seg_end = seg_off + len(self.segments[seg_off])
+            if seg_end <= offset:
                 continue
-            if seg_off <= offset:
-                skip = min(len(data), seg_end - offset)
-                trimmed += skip
-                if skip >= len(data):
-                    return trimmed
-                offset += skip
-                data = data[skip:]
-            else:
-                head = data[: seg_off - offset]
-                if head:
-                    self.segments[offset] = head
-                    self.buffered += len(head)
-                trimmed += min(offset + len(data), seg_end) - seg_off
-                tail_off = seg_end
-                tail = data[tail_off - offset:]
-                offset, data = tail_off, tail
-                if not data:
-                    return trimmed
+            if seg_off > offset:
+                self._land(offset, data[: seg_off - offset])
+            trimmed += min(end, seg_end) - max(offset, seg_off)
+            data = data[seg_end - offset:]
+            offset = seg_end
         if data:
-            self.segments[offset] = data
-            self.buffered += len(data)
+            self._land(offset, data)
+        # Holes filled: pending segments now at the frontier join the window.
+        while self.segments:
+            seg = self.segments.pop(self.released + len(self._window), None)
+            if seg is None:
+                break
+            self._window += seg
         return trimmed
 
-    def _extend_assembled(self) -> None:
-        """Advance the cached contiguous prefix over newly landed segments."""
-        if not self._dirty:
-            return
-        expected = len(self._assembled)
-        for offset in sorted(off for off in self.segments if off >= expected):
-            if offset != expected:
-                break
-            seg = self.segments[offset]
-            self._assembled += seg
-            expected += len(seg)
+    def _land(self, offset: int, piece: bytes | memoryview) -> None:
+        """Keep new bytes: on the window at the frontier, else pending.
+        Either way they are copied, so no view of the packet survives."""
+        self.buffered += len(piece)
+        if offset == self.released + len(self._window):
+            self._window += piece
             self._data_cache = None
-        self._dirty = False
+        else:
+            self.segments[offset] = bytes(piece)
+
+    def release(self, upto: int) -> int:
+        """Drop the window's bytes below stream offset ``upto`` (clamped
+        to the frontier) and the copy ``data()`` made of it; returns how
+        many window bytes were freed."""
+        self._data_cache = None
+        drop = min(upto - self.released, len(self._window))
+        if drop <= 0:
+            return 0
+        del self._window[:drop]
+        self.released += drop
+        self.buffered -= drop
+        return drop
 
     def data(self) -> bytes:
-        """Contiguous stream prefix from offset zero."""
-        self._extend_assembled()
+        """The analysis window: the contiguous bytes from ``released`` up
+        to the frontier (the whole prefix until something is released)."""
         if self._data_cache is None:
-            self._data_cache = bytes(self._assembled)
+            self._data_cache = bytes(self._window)
         return self._data_cache
 
     def contiguous_length(self) -> int:
-        """Length of the contiguous prefix, without materializing bytes."""
-        self._extend_assembled()
-        return len(self._assembled)
+        """Stream offset of the contiguous frontier, released bytes
+        included, without materializing bytes."""
+        return self.released + len(self._window)
 
     def total_buffered(self) -> int:
         return self.buffered
@@ -206,8 +227,8 @@ class StreamReassembler:
 
     Memory is bounded by ``max_streams`` (entry count) and
     ``max_total_bytes`` (aggregate buffered payload, on top of the
-    per-stream ``Stream.MAX_BUFFER``); the least-recently-active stream is
-    evicted first.  ``on_evict`` — called with the evicted stream's
+    per-stream ``Stream.MAX_BUFFER``); both count bytes still held, not
+    bytes ever seen, and the least-recently-fed stream is evicted first.  ``on_evict`` — called with the evicted stream's
     :class:`FlowKey` — lets the pipeline drop its own per-stream state in
     lockstep, so no side table outlives the stream it describes.
     """
@@ -224,9 +245,16 @@ class StreamReassembler:
         "repro_reassembly_overlap_bytes_trimmed_total",
         help="Bytes dropped by first-writer-wins segment trims.",
         unit="bytes")
+    out_of_window_segments = MetricField(
+        "repro_reassembly_out_of_window_segments_total",
+        help="Segments dropped for lying outside what their stream can "
+             "still place (beyond the per-stream cap, or before a base "
+             "that can no longer move).",
+        unit="segments")
     bytes_buffered = MetricField(
         "repro_reassembly_buffered_bytes", kind="gauge",
-        help="Bytes currently buffered across all tracked streams.",
+        help="Bytes currently held across all tracked streams "
+             "(falls when an analysed prefix is released).",
         unit="bytes")
 
     def __init__(self, max_streams: int = 65536,
@@ -234,7 +262,9 @@ class StreamReassembler:
                  on_evict: Callable[[FlowKey], None] | None = None,
                  registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
-        self.streams: dict[FlowKey, Stream] = {}
+        #: in recency order: the stream just fed moves to the back, so
+        #: the front is always the next eviction victim.
+        self.streams: OrderedDict[FlowKey, Stream] = OrderedDict()
         self.max_streams = max_streams
         self.max_total_bytes = max_total_bytes
         self.on_evict = on_evict
@@ -261,27 +291,35 @@ class StreamReassembler:
                 self._evict_oldest()
             stream = Stream(key=key)
             self.streams[key] = stream
+        else:
+            self.streams.move_to_end(key)
         before = stream.buffered
+        refused = stream.out_of_window
         self.overlaps_trimmed += stream.add(pkt)
         self.bytes_buffered += stream.buffered - before
+        if stream.out_of_window != refused:
+            self.out_of_window_segments += 1
         # Keep aggregate memory bounded even against many fat streams; the
-        # stream just fed is spared so an in-progress message survives.
-        # Clamp: once the spared stream alone meets or exceeds the byte
-        # cap, evicting everything else cannot get under it — that would
-        # be pure over-eviction of innocent streams (the spared stream
-        # itself is already bounded by Stream.MAX_BUFFER).
+        # stream just fed sits at the back, so an in-progress message
+        # survives.
+        # Clamp: once that stream alone meets or exceeds the byte cap,
+        # evicting everything else cannot get under it — that would be
+        # pure over-eviction of innocent streams (the stream itself is
+        # already bounded by Stream.MAX_BUFFER).
         while (self.bytes_buffered > self.max_total_bytes
                and len(self.streams) > 1
                and stream.buffered < self.max_total_bytes):
-            self._evict_oldest(spare=key)
+            self._evict_oldest()
         self._active_streams.value = len(self.streams)
         return stream
 
-    def _evict_oldest(self, spare: FlowKey | None = None) -> None:
-        victim = min(
-            (s for s in self.streams.values() if s.key != spare),
-            key=lambda s: s.stats.last_seen)
-        del self.streams[victim.key]
+    def release(self, stream: Stream, upto: int) -> None:
+        """The bytes of ``stream`` below offset ``upto`` have been
+        analysed: drop them, and the budget stops counting them."""
+        self.bytes_buffered -= stream.release(upto)
+
+    def _evict_oldest(self) -> None:
+        _, victim = self.streams.popitem(last=False)
         self.bytes_buffered -= victim.buffered
         self.evicted += 1
         self._active_streams.value = len(self.streams)

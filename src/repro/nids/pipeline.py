@@ -21,6 +21,7 @@ payload can extract from stages (c)-(e).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..classify.classifier import TrafficClassifier
@@ -147,9 +148,8 @@ class SemanticNids:
     reanalysis_overlap:
         When a grown stream is re-analyzed, only the new suffix plus this
         many already-analyzed bytes are re-extracted (the window covers any
-        frame or sled straddling the boundary).  ``None`` restores the old
-        behaviour of re-scanning the entire stream every round, which is
-        quadratic in transfer length.
+        frame or sled straddling the boundary).  Everything older is
+        released from the reassembler as soon as its round is handed on.
     max_streams:
         Bound on concurrently tracked TCP streams.  Evicting a stream also
         drops its per-stream analysis state, so the sensor's memory stays
@@ -183,7 +183,7 @@ class SemanticNids:
         max_rounds_per_stream: int = 64,
         reanalysis_growth: int = 4096,
         frame_cache_size: int = 4096,
-        reanalysis_overlap: int | None = 16384,
+        reanalysis_overlap: int = 16384,
         max_streams: int = 65536,
         analysis_deadline_ms: float | None = None,
         quarantine: QuarantineWriter | None = None,
@@ -279,10 +279,13 @@ class SemanticNids:
             # Growth check via the stream's byte counter: no payload is
             # materialized unless a re-analysis is actually due.
             contiguous = stream.contiguous_length()
+            if state.analysis_rounds >= self.max_rounds_per_stream:
+                # No round will read these bytes: don't hold them.
+                self.reassembler.release(stream, contiguous)
+                return []
             grown = contiguous - state.analyzed_len
             should = (
                 grown > 0
-                and state.analysis_rounds < self.max_rounds_per_stream
                 and (
                     state.analyzed_len == 0          # first payload bytes
                     or grown >= self.reanalysis_growth
@@ -338,17 +341,19 @@ class SemanticNids:
 
     def _reanalyze(self, pkt: Packet, stream, state: _StreamState,
                    contiguous: int) -> list[Alert]:
-        """One re-analysis round of a grown stream, attributed to ``pkt``."""
+        """One re-analysis round of a grown stream, attributed to ``pkt``.
+
+        The stream's window is the grown suffix plus the overlap the last
+        round left behind (sized to cover any frame/sled straddling the
+        old boundary); once it is handed on, all but the next round's
+        overlap is released.
+        """
         state.analysis_rounds += 1
-        data = stream.data()
-        if self.reanalysis_overlap is not None:
-            # Incremental re-analysis: the already-analyzed prefix is
-            # skipped except for a fixed overlap window sized to cover
-            # any frame/sled straddling the old boundary.
-            window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
-            data = data[window_start:]
         state.analyzed_len = contiguous
-        return self._analyze_payload(pkt, data, state)
+        alerts = self._analyze_payload(pkt, stream.data(), state)
+        self.reassembler.release(stream,
+                                 contiguous - self.reanalysis_overlap)
+        return alerts
 
     def _on_stream_evicted(self, key: FlowKey) -> None:
         """Reassembler eviction hook: drop the matching analysis state so
@@ -373,7 +378,9 @@ class SemanticNids:
 
     # -- crash-safe checkpointing --------------------------------------------
 
-    STATE_VERSION = 1
+    #: 2: a ``Stream`` carries its analysis window and ``released``
+    #: offset instead of every segment it ever saw.
+    STATE_VERSION = 2
 
     #: whether :meth:`snapshot_state` captures everything a crash would
     #: lose; :class:`~repro.nids.SensorDaemon` refuses ``checkpoint_dir``
@@ -436,7 +443,7 @@ class SemanticNids:
         self.defragmenter._buffers = dict(state["defrag_buffers"])
         self.defragmenter.bytes_buffered = sum(
             b.buffered for b in self.defragmenter._buffers.values())
-        self.reassembler.streams = dict(state["streams"])
+        self.reassembler.streams = OrderedDict(state["streams"])
         self.reassembler.bytes_buffered = sum(
             s.buffered for s in self.reassembler.streams.values())
         self.reassembler._active_streams.set(len(self.reassembler.streams))

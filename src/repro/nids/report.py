@@ -42,6 +42,7 @@ class AlertReport:
     #: run): see :class:`repro.nids.stats.NidsStats`.
     fragments_dropped: int = 0
     overlaps_trimmed: int = 0
+    out_of_window_segments: int = 0
     datagrams_evicted: int = 0
     streams_evicted: int = 0
     state_evicted: int = 0
@@ -101,6 +102,7 @@ class AlertReport:
             "frontend": {
                 "fragments_dropped": self.fragments_dropped,
                 "overlaps_trimmed": self.overlaps_trimmed,
+                "out_of_window_segments": self.out_of_window_segments,
                 "datagrams_evicted": self.datagrams_evicted,
                 "streams_evicted": self.streams_evicted,
                 "state_evicted": self.state_evicted,
@@ -141,12 +143,15 @@ class AlertReport:
             lines.append(f"    first seen t={first.timestamp:.3f} "
                          f"-> {first.destination} ({first.frame_origin})")
         if (self.fragments_dropped or self.overlaps_trimmed
+                or self.out_of_window_segments
                 or self.datagrams_evicted or self.streams_evicted
                 or self.state_evicted):
             lines.append("")
             lines.append("evasion pressure absorbed:")
             lines.append(f"  fragments dropped    {self.fragments_dropped}")
             lines.append(f"  overlap bytes trimmed {self.overlaps_trimmed}")
+            lines.append("  out-of-window segments "
+                         f"{self.out_of_window_segments}")
             lines.append(f"  evictions: datagrams={self.datagrams_evicted} "
                          f"streams={self.streams_evicted} "
                          f"state={self.state_evicted}")
@@ -199,6 +204,7 @@ def build_report(nids: SemanticNids) -> AlertReport:
         fastpath_starts_pruned=nids.stats.fastpath_starts_pruned,
         fragments_dropped=nids.stats.fragments_dropped,
         overlaps_trimmed=nids.stats.overlaps_trimmed,
+        out_of_window_segments=nids.stats.out_of_window_segments,
         datagrams_evicted=nids.stats.datagrams_evicted,
         streams_evicted=nids.stats.streams_evicted,
         state_evicted=nids.stats.state_evicted,

@@ -98,6 +98,12 @@ class NidsStats:
         "repro_frontend_overlap_bytes_trimmed_total",
         help="Bytes discarded by first-writer-wins trimming "
              "(IP defragmenter + TCP reassembler).", unit="bytes")
+    #: a view over the reassembler's own counter (same registry metric,
+    #: so it needs no syncing).
+    out_of_window_segments = MetricField(
+        "repro_reassembly_out_of_window_segments_total",
+        help="TCP segments dropped as outside their stream's window.",
+        unit="segments")
     datagrams_evicted = MetricField(
         "repro_frontend_datagrams_evicted_total",
         help="Half-reassembled datagrams evicted under memory pressure.",
@@ -243,11 +249,13 @@ class NidsStats:
                 f"closed={self.breaker_closed}"
             )
         if (self.fragments_dropped or self.overlaps_trimmed
+                or self.out_of_window_segments
                 or self.datagrams_evicted or self.streams_evicted
                 or self.state_evicted):
             lines.append(
                 f"front-end: fragments_dropped={self.fragments_dropped} "
                 f"overlaps_trimmed={self.overlaps_trimmed} "
+                f"out_of_window_segments={self.out_of_window_segments} "
                 f"datagrams_evicted={self.datagrams_evicted} "
                 f"streams_evicted={self.streams_evicted} "
                 f"state_evicted={self.state_evicted}"

@@ -265,3 +265,91 @@ class TestReassemblerHardening:
             r.feed(pkt)
         # every eviction the counter reports had a real victim
         assert r.evicted == len(reg_evictions)
+
+
+class TestConsumeAndRelease:
+    """A stream holds its analysis window, not its history."""
+
+    def test_release_drops_prefix_and_lowers_the_gauge(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"0123456789", 100))
+        copy = stream.data()
+        r.release(stream, 6)
+        assert stream.released == 6
+        assert stream.data() == b"6789" and stream.data() is not copy
+        assert stream.contiguous_length() == 10   # the frontier stays put
+        assert stream.buffered == r.bytes_buffered == 4
+        r.release(stream, 3)                      # never moves backwards
+        r.release(stream, 99)                     # clamped to the frontier
+        assert stream.released == 10 and r.bytes_buffered == 0
+
+    def test_released_bytes_still_win_against_retransmission(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"abcdefgh", 100))
+        r.release(stream, 8)
+        r.feed(_seg(b"XXXXXXXXij", 100))  # 8 bytes re-sent, 2 new
+        assert r.overlaps_trimmed == 8
+        assert stream.data() == b"ij"
+        assert stream.contiguous_length() == 10
+
+    def test_only_out_of_order_segments_wait_in_segments(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(memoryview(b"ab"), 100))
+        assert stream.segments == {}
+        r.feed(_seg(memoryview(b"ef"), 104))
+        assert stream.segments == {4: b"ef"}
+        assert type(stream.segments[4]) is bytes  # no view of the packet
+        r.feed(_seg(memoryview(b"cd"), 102))
+        assert stream.segments == {} and stream.data() == b"abcdef"
+
+    def test_pickle_carries_released_and_one_copy(self):
+        import pickle
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"hello world", 100))
+        r.feed(_seg(b"later", 200))
+        r.release(stream, 6)
+        assert stream.data() == b"world"  # materialize the cached copy
+        blob = pickle.dumps(stream)
+        assert blob.count(b"world") == 1
+        back = pickle.loads(blob)
+        assert (back.released, back.data(), back.segments, back.buffered) \
+            == (6, b"world", {100: b"later"}, 10)
+
+
+class TestOutOfWindowIsLoud:
+    """Segments the stream cannot place are counted, not silently lost."""
+
+    def test_beyond_the_cap(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"in-range", 100))
+        r.feed(_seg(b"too-far", 100 + Stream.MAX_BUFFER))
+        assert r.out_of_window_segments == stream.out_of_window == 1
+        assert r.bytes_buffered == len(b"in-range")
+
+    def test_far_before_the_base(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"base", Stream.MAX_BUFFER + 100))
+        r.feed(_seg(b"ancient", 100))
+        assert r.out_of_window_segments == 1
+        assert stream.data() == b"base"
+
+    def test_before_the_base_after_a_release(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"world", 1000))
+        r.release(stream, 3)
+        r.feed(_seg(b"hello", 995))  # would rebase; the prefix is gone
+        assert r.out_of_window_segments == 1
+        assert stream.released == 3 and stream.data() == b"ld"
+        assert stream.contiguous_length() == 5
+
+
+class TestRecencyOrder:
+    def test_refed_stream_moves_behind_newer_ones(self):
+        evicted = []
+        r = StreamReassembler(max_streams=2, on_evict=evicted.append)
+        for t, sport in enumerate([7000, 7001, 7000, 7002]):
+            pkt = _seg(b"x", 100 + t, sport=sport)
+            pkt.timestamp = float(t)
+            r.feed(pkt)
+        assert [k.sport for k in evicted] == [7001]
+        assert [k.sport for k in r.streams] == [7000, 7002]

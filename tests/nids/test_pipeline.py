@@ -201,6 +201,56 @@ class TestBoundedStreamState:
         nids = SemanticNids(max_streams=7)
         assert nids.reassembler.max_streams == 7
 
+    def test_out_of_window_segments_are_reported(self):
+        """A segment the reassembler cannot place is dropped loudly: the
+        one counter shows in NidsStats, the summary and the report."""
+        from repro.net.flow import Stream
+        from repro.nids.report import build_report
+
+        nids = SemanticNids(classification_enabled=False)
+        for seq in (1, 1 + Stream.MAX_BUFFER):
+            nids.process_packet(tcp_packet("10.1.2.3", "10.0.0.1", 1234, 80,
+                                           payload=b"GET / HTTP/1.0\r\n",
+                                           seq=seq))
+        assert nids.stats.out_of_window_segments == 1
+        assert "out_of_window_segments=1" in nids.stats.summary()
+        report = build_report(nids)
+        assert report.to_dict()["frontend"]["out_of_window_segments"] == 1
+
+
+class TestCheckpointState:
+    def test_v1_checkpoint_is_refused(self):
+        """STATE_VERSION 2: a ``Stream`` pickle carries its window and
+        ``released`` offset; a keep-everything (v1) snapshot cannot be
+        resumed and the version check says so."""
+        state = SemanticNids().snapshot_state()
+        assert state["version"] == SemanticNids.STATE_VERSION == 2
+        state["version"] = 1
+        with pytest.raises(ValueError, match="state version 1 != 2"):
+            SemanticNids().restore_state(state)
+
+    def test_restore_keeps_windows_and_recency_order(self):
+        import pickle
+
+        nids = SemanticNids(classification_enabled=False)
+        for i, sport in enumerate([5000, 5001, 5000]):
+            nids.process_packet(tcp_packet(
+                "10.1.2.3", "10.0.0.1", sport, 80, payload=b"A" * 30000,
+                seq=1 + 30000 * (i // 2), timestamp=float(i)))
+        resumed = SemanticNids(classification_enabled=False)
+        resumed.restore_state(pickle.loads(pickle.dumps(
+            nids.snapshot_state())))
+        assert ([k.sport for k in resumed.reassembler.streams]
+                == [k.sport for k in nids.reassembler.streams]
+                == [5001, 5000])
+        assert (resumed.reassembler.bytes_buffered
+                == nids.reassembler.bytes_buffered
+                == 2 * nids.reanalysis_overlap)
+        for key, stream in nids.reassembler.streams.items():
+            twin = resumed.reassembler.streams[key]
+            assert (twin.released, twin.data()) == (stream.released,
+                                                    stream.data())
+
 
 class TestSharedPayloadCore:
     """Stages (b)-(e) exist once (``analyze_payload``) and so does the
