@@ -116,8 +116,10 @@ def sensor_main(argv: list[str] | None = None) -> int:
                              "(fast-path admission); results are identical "
                              "either way — the prefilter only skips work")
     parser.add_argument("--max-streams", type=int, default=65536, metavar="N",
-                        help="bound on concurrently tracked TCP streams "
-                             "(evicted oldest-first; default 65536)")
+                        help="flood bound on live TCP streams, evicted "
+                             "oldest-first (closed and idle streams are "
+                             "reaped, so this is not the steady state; "
+                             "default 65536)")
     parser.add_argument("--analysis-deadline-ms", type=float, default=None,
                         metavar="MS",
                         help="per-payload analysis budget in deterministic "
@@ -477,7 +479,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
         stats_obj = nids.stats
         print(stats_obj.summary() if hasattr(stats_obj, "summary")
               else stats_obj)
-    return 1 if nids.alerts else 0
+    return 1 if stats.alerts else 0
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ class Stream:
     below the frontier is known-present, so trimming a retransmission
     needs the frontier offset, not the bytes, and :meth:`release` can drop
     an analysed prefix for good.
+
+    A FIN/RST closes the stream at the offset it covers; the stream is
+    :meth:`complete` only once the frontier has reached that offset with
+    nothing pending, so a FIN sent ahead of missing data ends nothing.
     """
 
     key: FlowKey
@@ -82,7 +86,9 @@ class Stream:
     #: stream offset → bytes of an out-of-order segment above the
     #: contiguous frontier; moved onto the window when the hole fills.
     segments: dict[int, bytes] = field(default_factory=dict)
-    fin_seen: bool = False
+    #: stream offset the lowest FIN/RST seen so far covers (``None``
+    #: while the stream is open).
+    fin_offset: int | None = None
     stats: FlowStats = field(default_factory=FlowStats)
     #: bytes currently held (window + pending segments), kept
     #: incrementally so memory accounting never walks the stream.
@@ -97,6 +103,13 @@ class Stream:
     _data_cache: bytes | None = field(default=None, repr=False)
 
     MAX_BUFFER = 4 * 1024 * 1024  # per-stream cap, mirrors real IDS limits
+    #: capture-clock seconds without a segment after which a stream is
+    #: given its final round and reaped (Zeek's tcp_inactivity_timeout).
+    IDLE_TIMEOUT = 300.0
+
+    @property
+    def fin_seen(self) -> bool:
+        return self.fin_offset is not None
 
     def __getstate__(self) -> dict:
         # Checkpoint support: the cached copy of the window is rebuilt on
@@ -120,30 +133,35 @@ class Stream:
             # First segment establishes the sequence origin; SYN consumes one
             # sequence number, so payload (if any) starts at seq+1.
             self.base_seq = (tcp.seq + 1) if tcp.flags & TCP_SYN else tcp.seq
-        if tcp.flags & (TCP_FIN | TCP_RST):
-            self.fin_seen = True
-        if not pkt.payload:
-            return 0
         offset = (tcp.seq - self.base_seq) & 0xFFFFFFFF
-        if offset >= 1 << 31:  # segment precedes the current base: rebase
-            delta = (1 << 32) - offset
-            if delta >= self.MAX_BUFFER or self.released:
+        trimmed = 0
+        if pkt.payload:
+            delta = (1 << 32) - offset  # distance *before* the base
+            if delta < self.MAX_BUFFER and not self.released:
+                # Rebase: every offset shifts up by ``delta``; the window
+                # no longer starts at the frontier, so it waits as a
+                # pending segment.
+                self.segments = {off + delta: seg
+                                 for off, seg in self.segments.items()}
+                if self._window:
+                    self.segments[delta] = bytes(self._window)
+                    self._window = bytearray()
+                    self._data_cache = None
+                if self.fin_offset is not None:
+                    self.fin_offset = min(self.fin_offset + delta,
+                                          self.MAX_BUFFER)
+                self.base_seq = tcp.seq
+                offset = 0
+            if offset >= self.MAX_BUFFER:  # incl. any other pre-base offset
                 self.out_of_window += 1
-                return 0
-            # Every offset shifts up by ``delta``; the window no longer
-            # starts at the frontier, so it waits as a pending segment.
-            self.segments = {off + delta: seg
-                             for off, seg in self.segments.items()}
-            if self._window:
-                self.segments[delta] = bytes(self._window)
-                self._window = bytearray()
-                self._data_cache = None
-            self.base_seq = tcp.seq
-            offset = 0
-        if offset >= self.MAX_BUFFER:
-            self.out_of_window += 1
-            return 0
-        return self._insert(offset, pkt.payload[: self.MAX_BUFFER - offset])
+            else:
+                trimmed = self._insert(
+                    offset, pkt.payload[: self.MAX_BUFFER - offset])
+        if tcp.flags & (TCP_FIN | TCP_RST):
+            end = min(offset + len(pkt.payload), self.MAX_BUFFER)
+            if self.fin_offset is None or end < self.fin_offset:
+                self.fin_offset = end
+        return trimmed
 
     def _insert(self, offset: int, data: bytes | memoryview) -> int:
         """First-writer-wins merge; returns the bytes trimmed by overlap."""
@@ -213,6 +231,13 @@ class Stream:
         included, without materializing bytes."""
         return self.released + len(self._window)
 
+    def complete(self) -> bool:
+        """Closed and whole: the frontier has reached the FIN/RST offset
+        and nothing waits out of order.  A FIN ahead of missing data
+        leaves the stream live (the hole, or the short frontier)."""
+        return (self.fin_offset is not None and not self.segments
+                and self.released + len(self._window) >= self.fin_offset)
+
     def total_buffered(self) -> int:
         return self.buffered
 
@@ -225,13 +250,24 @@ class StreamReassembler:
     reassembled message after every segment, which is how the NIDS triggers
     extraction as soon as a request is complete enough to parse.
 
-    Memory is bounded by ``max_streams`` (entry count) and
+    The table holds *live* streams: the caller reaps a stream once it is
+    closed, whole and analysed (:meth:`reap`), and one that went quiet
+    for ``Stream.IDLE_TIMEOUT`` on the capture clock (:meth:`idle`).  A
+    payload-less segment of an unknown flow (a bare ACK, the tail of a
+    reaped close) allocates nothing; payload on a reaped flow opens a
+    new stream and is counted in ``segments_after_close``.
+
+    Against floods, memory is bounded by ``max_streams`` (entry count) and
     ``max_total_bytes`` (aggregate buffered payload, on top of the
     per-stream ``Stream.MAX_BUFFER``); both count bytes still held, not
     bytes ever seen, and the least-recently-fed stream is evicted first.  ``on_evict`` — called with the evicted stream's
     :class:`FlowKey` — lets the pipeline drop its own per-stream state in
     lockstep, so no side table outlives the stream it describes.
     """
+
+    #: reaped flows remembered (as key hashes, oldest forgotten first) so
+    #: payload arriving after a reap can be counted.
+    REAPED_MEMORY = 1024
 
     non_tcp_packets = MetricField(
         "repro_reassembly_non_tcp_packets_total",
@@ -241,6 +277,19 @@ class StreamReassembler:
         "repro_reassembly_streams_evicted_total",
         help="TCP streams evicted under the stream/byte caps.",
         unit="streams")
+    reaped_closed = MetricField(
+        "repro_reassembly_streams_reaped_total", labels={"reason": "closed"},
+        help="TCP streams let go closed, whole and analysed.",
+        unit="streams")
+    reaped_idle = MetricField(
+        "repro_reassembly_streams_reaped_total", labels={"reason": "idle"},
+        help="TCP streams let go idle past Stream.IDLE_TIMEOUT.",
+        unit="streams")
+    segments_after_close = MetricField(
+        "repro_reassembly_segments_after_close_total",
+        help="Payload segments that found their flow already reaped; "
+             "each opens a new stream and is analysed.",
+        unit="segments")
     overlaps_trimmed = MetricField(
         "repro_reassembly_overlap_bytes_trimmed_total",
         help="Bytes dropped by first-writer-wins segment trims.",
@@ -265,13 +314,15 @@ class StreamReassembler:
         #: in recency order: the stream just fed moves to the back, so
         #: the front is always the next eviction victim.
         self.streams: OrderedDict[FlowKey, Stream] = OrderedDict()
+        self._reaped: OrderedDict[int, bool] = OrderedDict()
         self.max_streams = max_streams
         self.max_total_bytes = max_total_bytes
         self.on_evict = on_evict
         reg = bind_metrics(self, registry)
         self._active_streams = reg.gauge(
             "repro_reassembly_active_streams",
-            help="TCP streams currently tracked.", unit="streams")
+            help="Live TCP streams: open, or closed with data still "
+                 "missing or unanalysed.", unit="streams")
         #: shares the "reassemble" stage with the IP defragmenter — the
         #: two components are one front-end in the stage breakdown.
         self.timer = StageTimer("reassemble", registry, tracer)
@@ -283,10 +334,15 @@ class StreamReassembler:
         with self.timer.timed(nbytes=len(pkt.payload)):
             return self._feed_tcp(pkt)
 
-    def _feed_tcp(self, pkt: Packet) -> Stream:
+    def _feed_tcp(self, pkt: Packet) -> Stream | None:
         key = FlowKey.of(pkt)
         stream = self.streams.get(key)
         if stream is None:
+            syn = pkt.l4.flags & TCP_SYN
+            if not pkt.payload and not syn:
+                return None  # nothing to reassemble, nothing to remember
+            if self._reaped.pop(hash(key), False) and not syn:
+                self.segments_after_close += 1
             if len(self.streams) >= self.max_streams:
                 self._evict_oldest()
             stream = Stream(key=key)
@@ -317,6 +373,30 @@ class StreamReassembler:
         """The bytes of ``stream`` below offset ``upto`` have been
         analysed: drop them, and the budget stops counting them."""
         self.bytes_buffered -= stream.release(upto)
+
+    def idle(self, now: float) -> Stream | None:
+        """The least-recently-fed stream, if the capture clock ``now``
+        has left it ``Stream.IDLE_TIMEOUT`` behind."""
+        front = next(iter(self.streams.values()), None)
+        if (front is not None
+                and now - front.stats.last_seen > Stream.IDLE_TIMEOUT):
+            return front
+        return None
+
+    def reap(self, stream: Stream, reason: str) -> None:
+        """End of life (``reason`` is ``"closed"`` or ``"idle"``): the
+        stream leaves the table and the byte budget; only its key's hash
+        is remembered."""
+        del self.streams[stream.key]
+        self.bytes_buffered -= stream.buffered
+        self._active_streams.value = len(self.streams)
+        if reason == "idle":
+            self.reaped_idle += 1
+        else:
+            self.reaped_closed += 1
+        self._reaped[hash(stream.key)] = True
+        if len(self._reaped) > self.REAPED_MEMORY:
+            self._reaped.popitem(last=False)
 
     def _evict_oldest(self) -> None:
         _, victim = self.streams.popitem(last=False)

@@ -453,6 +453,11 @@ class SensorDaemon:
             n += 1
             for alert in alerts:
                 self._emit(alert)
+            if alerts:
+                # Journaled and handed to delivery: a long-running
+                # service must not also keep every alert it ever raised
+                # (``stats.alerts`` keeps the count).
+                self.nids.alerts.clear()
         return n
 
     # -- periodic duties ------------------------------------------------------

@@ -151,9 +151,10 @@ class SemanticNids:
         frame or sled straddling the boundary).  Everything older is
         released from the reassembler as soon as its round is handed on.
     max_streams:
-        Bound on concurrently tracked TCP streams.  Evicting a stream also
-        drops its per-stream analysis state, so the sensor's memory stays
-        bounded under flow-churn floods.
+        Flood bound on live TCP streams (a stream is reaped when it is
+        closed, whole and analysed, or idle for ``Stream.IDLE_TIMEOUT``,
+        so the steady state follows open connections).  Evicting or
+        reaping a stream also drops its per-stream analysis state.
     analysis_deadline_ms:
         Per-payload analysis budget, in deterministic instruction units
         (:data:`repro.resilience.UNITS_PER_MS` per ms).  A payload that
@@ -267,36 +268,44 @@ class SemanticNids:
             return self._contain_packet_fault("classify", pkt, exc)
         if not forward:
             return []
-        new_alerts: list[Alert] = []
         if pkt.is_tcp:
             try:
                 stream = self.reassembler.feed(pkt)
             except Exception as exc:
                 return self._contain_packet_fault("reassemble", pkt, exc)
+            # Idle leg: streams the capture clock has left
+            # ``Stream.IDLE_TIMEOUT`` behind get the round a flush would
+            # have given them and are reaped, so half-open floods drain by
+            # themselves.  Only the front of the table is ever looked at.
+            new_alerts: list[Alert] = []
+            while (idle := self.reassembler.idle(pkt.timestamp)) is not None:
+                new_alerts += self._final_round(idle)
+                self._reap(idle, "idle")
             if stream is None:
-                return []
+                return new_alerts
             state = self._stream_state.setdefault(stream.key, _StreamState())
             # Growth check via the stream's byte counter: no payload is
             # materialized unless a re-analysis is actually due.
             contiguous = stream.contiguous_length()
-            if state.analysis_rounds >= self.max_rounds_per_stream:
+            exhausted = state.analysis_rounds >= self.max_rounds_per_stream
+            grown = contiguous - state.analyzed_len
+            if exhausted:
                 # No round will read these bytes: don't hold them.
                 self.reassembler.release(stream, contiguous)
-                return []
-            grown = contiguous - state.analyzed_len
-            should = (
-                grown > 0
-                and (
+            elif grown > 0 and (
                     state.analyzed_len == 0          # first payload bytes
                     or grown >= self.reanalysis_growth
-                    or stream.fin_seen               # flush at close
-                )
-            )
-            if should:
-                new_alerts = self._reanalyze(pkt, stream, state, contiguous)
-        elif pkt.payload:
-            new_alerts = self._analyze_payload(pkt, pkt.payload, None)
-        return new_alerts
+                    or stream.fin_offset is not None):   # flush at close
+                new_alerts += self._reanalyze(pkt, stream, state, contiguous)
+            # End of life: closed, whole, and the closing round handed on.
+            if (stream.fin_offset is not None
+                    and (exhausted or state.analyzed_len >= contiguous)
+                    and stream.complete()):
+                self._reap(stream, "closed")
+            return new_alerts
+        if pkt.payload:
+            return self._analyze_payload(pkt, pkt.payload, None)
+        return []
 
     def process_trace(self, packets) -> list[Alert]:
         """Feed a whole capture; returns all alerts raised."""
@@ -326,18 +335,26 @@ class SemanticNids:
         new growth.
         """
         for stream in list(self.reassembler.streams.values()):
-            contiguous = stream.contiguous_length()
-            state = self._stream_state.setdefault(stream.key, _StreamState())
-            grown = contiguous - state.analyzed_len
-            if (grown <= 0
-                    or state.analysis_rounds >= self.max_rounds_per_stream):
-                continue
-            # Attribution context: the stream's sender, stamped with its
-            # last activity (there is no "current packet" at flush time).
-            pkt = Packet(ip=Ipv4(src=stream.key.src, dst=stream.key.dst,
-                                 proto=stream.key.proto),
-                         timestamp=stream.stats.last_seen)
-            self._reanalyze(pkt, stream, state, contiguous)
+            self._final_round(stream)
+
+    def _final_round(self, stream) -> list[Alert]:
+        """Analyse a stream's unexamined tail, if it has one."""
+        contiguous = stream.contiguous_length()
+        state = self._stream_state.setdefault(stream.key, _StreamState())
+        if (contiguous <= state.analyzed_len
+                or state.analysis_rounds >= self.max_rounds_per_stream):
+            return []
+        # Attribution context: the stream's sender, stamped with its
+        # last activity (there is no "current packet" for this round).
+        pkt = Packet(ip=Ipv4(src=stream.key.src, dst=stream.key.dst,
+                             proto=stream.key.proto),
+                     timestamp=stream.stats.last_seen)
+        return self._reanalyze(pkt, stream, state, contiguous)
+
+    def _reap(self, stream, reason: str) -> None:
+        """Let a stream go, with its analysis state, in one step."""
+        self.reassembler.reap(stream, reason)
+        self._stream_state.pop(stream.key, None)
 
     def _reanalyze(self, pkt: Packet, stream, state: _StreamState,
                    contiguous: int) -> list[Alert]:
@@ -378,9 +395,9 @@ class SemanticNids:
 
     # -- crash-safe checkpointing --------------------------------------------
 
-    #: 2: a ``Stream`` carries its analysis window and ``released``
-    #: offset instead of every segment it ever saw.
-    STATE_VERSION = 2
+    #: 3: a ``Stream`` carries ``fin_offset`` (2: its analysis window and
+    #: ``released`` offset instead of every segment it ever saw).
+    STATE_VERSION = 3
 
     #: whether :meth:`snapshot_state` captures everything a crash would
     #: lose; :class:`~repro.nids.SensorDaemon` refuses ``checkpoint_dir``

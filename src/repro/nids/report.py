@@ -46,6 +46,10 @@ class AlertReport:
     datagrams_evicted: int = 0
     streams_evicted: int = 0
     state_evicted: int = 0
+    #: stream lifecycle: streams reaped at end of life (closed or idle),
+    #: and payload segments that arrived on a flow already reaped.
+    streams_reaped: int = 0
+    segments_after_close: int = 0
     #: fault containment (docs/robustness.md): stage faults the firewall
     #: absorbed, inputs quarantined, deadline trips, and the parallel
     #: engine's self-healing activity.
@@ -106,6 +110,8 @@ class AlertReport:
                 "datagrams_evicted": self.datagrams_evicted,
                 "streams_evicted": self.streams_evicted,
                 "state_evicted": self.state_evicted,
+                "streams_reaped": self.streams_reaped,
+                "segments_after_close": self.segments_after_close,
             },
         }
 
@@ -145,13 +151,15 @@ class AlertReport:
         if (self.fragments_dropped or self.overlaps_trimmed
                 or self.out_of_window_segments
                 or self.datagrams_evicted or self.streams_evicted
-                or self.state_evicted):
+                or self.state_evicted or self.segments_after_close):
             lines.append("")
             lines.append("evasion pressure absorbed:")
             lines.append(f"  fragments dropped    {self.fragments_dropped}")
             lines.append(f"  overlap bytes trimmed {self.overlaps_trimmed}")
             lines.append("  out-of-window segments "
                          f"{self.out_of_window_segments}")
+            lines.append("  segments after close  "
+                         f"{self.segments_after_close}")
             lines.append(f"  evictions: datagrams={self.datagrams_evicted} "
                          f"streams={self.streams_evicted} "
                          f"state={self.state_evicted}")
@@ -208,6 +216,9 @@ def build_report(nids: SemanticNids) -> AlertReport:
         datagrams_evicted=nids.stats.datagrams_evicted,
         streams_evicted=nids.stats.streams_evicted,
         state_evicted=nids.stats.state_evicted,
+        streams_reaped=(nids.reassembler.reaped_closed
+                        + nids.reassembler.reaped_idle),
+        segments_after_close=nids.reassembler.segments_after_close,
         stage_faults=nids.firewall.faults_by_stage(),
         quarantined=nids.firewall.quarantined,
         deadline_trips=_metric_value(nids, "repro_deadline_exceeded_total"),

@@ -319,15 +319,18 @@ def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
             stack.enter_context(_decode_faults(nids, chaos, spec.seed,
                                                len(packets)))
         if engine.kind == "daemon":
+            # The daemon hands alerts on and the engine lets them go.
+            delivered: list = []
             daemon = SensorDaemon(
                 nids, IterPacketSource(iter(packets)),
                 ring_capacity=engine.daemon.get("ring_capacity", 4096),
                 shed_policy=engine.daemon.get("shed_policy", "block"),
                 batch_size=engine.daemon.get("batch_size", 256),
+                on_alert=delivered.append,
             )
             daemon.run()
-        else:
-            nids.process_trace(packets)
+            return delivered, nids.registry, None
+        nids.process_trace(packets)
     return nids.alerts, nids.registry, None
 
 

@@ -12,6 +12,12 @@ harness (``tests/nids/test_evasion_gauntlet.py``,
 *invariant* under every transform.  A transform that changes the alert
 set has found a reassembly hole.
 
+The exception is marked ``insertion``: the trace gains a forged segment
+the end host drops but the sensor cannot tell from a real one (a bogus
+FIN or RST mid-request).  There the alert set may shrink, and what must
+hold instead is that the sensor analyses what follows and counts it
+(``repro_reassembly_segments_after_close_total``) — never a silent pass.
+
 Transforms never mutate their input packets; every derived packet is a
 fresh object.  All randomness comes from the caller-supplied seed, so an
 evaded trace is exactly reproducible.
@@ -25,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from ..net.defrag import IpDefragmenter
-from ..net.layers import Ipv4, Tcp
+from ..net.layers import TCP_ACK, TCP_FIN, TCP_RST, Ipv4, Tcp
 from ..net.packet import Packet
 
 __all__ = ["EvasionTransform", "EVASIONS", "apply_evasion", "evasion_names"]
@@ -40,6 +46,8 @@ class EvasionTransform:
     name: str
     description: str
     apply: Callable[[Sequence[Packet], random.Random], list[Packet]]
+    #: forges a segment the end host never accepts (see module docstring)
+    insertion: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +248,66 @@ def _tcp_overlap_retransmit(packets: Sequence[Packet],
 
 
 # ---------------------------------------------------------------------------
+# attacks on the close
+# ---------------------------------------------------------------------------
+
+
+def _flow_segments(packets: Sequence[Packet]) -> dict[tuple, list[int]]:
+    """Directed TCP flow -> indices of its segments, in delivery order."""
+    flows: dict[tuple, list[int]] = {}
+    for i, pkt in enumerate(packets):
+        if pkt.is_tcp:
+            flows.setdefault((pkt.src, pkt.dst, pkt.sport, pkt.dport),
+                             []).append(i)
+    return flows
+
+
+def _tcp_fin_before_tail(packets: Sequence[Packet],
+                         rng: random.Random) -> list[Packet]:
+    """Each flow's FIN/RST is delivered ahead of its last two data
+    segments (truthful sequence numbers, so the end host still closes
+    after the tail): a sensor that let a stream go at the first FIN it
+    saw would never analyse the tail."""
+    ahead: dict[int, int] = {}  # index of a data segment -> its flow's FIN
+    for indices in _flow_segments(packets).values():
+        fin = next((i for i in indices
+                    if packets[i].l4.flags & (TCP_FIN | TCP_RST)), None)
+        if fin is None:
+            continue
+        data = [i for i in indices if i < fin and packets[i].payload]
+        if len(data) >= 2:
+            ahead[data[-2]] = fin
+    moved = set(ahead.values())
+    out: list[Packet] = []
+    for i, pkt in enumerate(packets):
+        if i in ahead:  # the FIN travels on this segment's timestamp
+            out.append(replace(packets[ahead[i]], timestamp=pkt.timestamp))
+        if i not in moved:
+            out.append(pkt)
+    return out
+
+
+def _close_mid_request(packets: Sequence[Packet], flags: int) -> list[Packet]:
+    """A forged, payload-less close (``flags``) at the current sequence
+    number lands before the middle data segment of every flow that has
+    at least two; the end host never honours it and keeps reading the
+    request.  An insertion attack: the sensor cannot tell, so what it
+    must do is analyse the remainder and say that it arrived."""
+    middles = set()
+    for indices in _flow_segments(packets).values():
+        data = [i for i in indices if packets[i].payload]
+        if len(data) >= 2:
+            middles.add(data[len(data) // 2])
+    out: list[Packet] = []
+    for i, pkt in enumerate(packets):
+        if i in middles:
+            out.append(replace(pkt, ip=replace(pkt.ip), payload=b"",
+                               l4=replace(pkt.l4, flags=flags)))
+        out.append(pkt)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cross-flow attacks
 # ---------------------------------------------------------------------------
 
@@ -309,6 +377,20 @@ EVASIONS: dict[str, EvasionTransform] = _registry([
         "tcp-overlap-retransmit",
         "out-of-order halves + full overlap + same-seq garbage retransmit",
         _tcp_overlap_retransmit),
+    EvasionTransform(
+        "tcp-fin-before-tail",
+        "FIN/RST delivered ahead of the flow's last two data segments",
+        _tcp_fin_before_tail),
+    EvasionTransform(
+        "tcp-data-after-fin",
+        "bogus FIN mid-request, the remainder follows",
+        lambda packets, rng: _close_mid_request(packets, TCP_FIN | TCP_ACK),
+        insertion=True),
+    EvasionTransform(
+        "tcp-rst-mid-request",
+        "forged RST mid-request, the remainder follows",
+        lambda packets, rng: _close_mid_request(packets, TCP_RST),
+        insertion=True),
     EvasionTransform(
         "interleave-flows",
         "round-robin packets across senders (per-sender order kept)",

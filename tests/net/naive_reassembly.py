@@ -11,12 +11,17 @@ so ``prefix()[released:]`` is what the real stream's window must equal.
 The one rule that depends on it is shared with the real stream — once a
 prefix has been released the base can no longer move, so a pre-base
 segment is refused (and counted) instead of rebasing.
+
+Closes are kept the same way: the offset every FIN/RST covered, as of its
+arrival, moved along whenever the base moves; the stream closes at the
+lowest of them and is ``complete()`` once the prefix reaches that offset
+with no segment left beyond it.
 """
 
 from __future__ import annotations
 
 from repro.net.flow import Stream
-from repro.net.layers import TCP_SYN
+from repro.net.layers import TCP_FIN, TCP_RST, TCP_SYN
 
 
 class NaiveStream:
@@ -27,27 +32,39 @@ class NaiveStream:
         self.segments: dict[int, bytes] = {}
         self.released = 0
         self.out_of_window = 0
+        self.closes: list[int] = []
 
     def add(self, seq: int, payload: bytes, flags: int = 0x18) -> int:
         """Merge one segment; returns the bytes trimmed by overlap."""
         if self.base_seq is None:
             self.base_seq = (seq + 1) if flags & TCP_SYN else seq
+        offset = (seq - self.base_seq) & 0xFFFFFFFF
+        if payload and offset >= 1 << 31:  # segment precedes the base
+            delta = (1 << 32) - offset
+            if delta < self.MAX_BUFFER and not self.released:  # rebase
+                self.segments = {off + delta: seg
+                                 for off, seg in self.segments.items()}
+                self.closes = [end + delta for end in self.closes]
+                self.base_seq = seq
+                offset = 0
+        if flags & (TCP_FIN | TCP_RST):
+            self.closes.append(offset + len(payload))
         if not payload:
             return 0
-        offset = (seq - self.base_seq) & 0xFFFFFFFF
-        if offset >= 1 << 31:  # segment precedes the current base: rebase
-            delta = (1 << 32) - offset
-            if delta >= self.MAX_BUFFER or self.released:
-                self.out_of_window += 1
-                return 0
-            self.segments = {off + delta: seg
-                             for off, seg in self.segments.items()}
-            self.base_seq = seq
-            offset = 0
-        if offset >= self.MAX_BUFFER:
+        if offset >= self.MAX_BUFFER:  # beyond the cap, or before the base
             self.out_of_window += 1
             return 0
         return self._insert(offset, payload[: self.MAX_BUFFER - offset])
+
+    def fin_offset(self) -> int | None:
+        """Where the stream closes: the lowest offset a FIN/RST covered,
+        no further out than the stream can ever reach."""
+        return min(self.closes + [self.MAX_BUFFER]) if self.closes else None
+
+    def complete(self) -> bool:
+        prefix = len(self.prefix())
+        return (bool(self.closes) and prefix >= self.fin_offset()
+                and prefix == sum(len(s) for s in self.segments.values()))
 
     def _insert(self, offset: int, data: bytes) -> int:
         trimmed = 0

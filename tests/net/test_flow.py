@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.flow import FlowKey, Stream, StreamReassembler
-from repro.net.layers import TCP_ACK, TCP_FIN, TCP_SYN
+from repro.net.layers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.net.packet import tcp_packet, udp_packet
 
 
@@ -167,6 +167,122 @@ class TestAssemblyCache:
         r.feed(_seg(b"hello", 995))
         assert stream.data() == b"helloworld"
         assert stream.contiguous_length() == 10
+
+
+class TestBareSegments:
+    """A payload-less, non-SYN segment of an unknown flow (the pure ACKs
+    of a reverse direction, the trailing ACK of a reaped close, a stray
+    FIN or RST) has nothing to reassemble and allocates nothing."""
+
+    @pytest.mark.parametrize("flags", [TCP_ACK, TCP_FIN | TCP_ACK, TCP_RST])
+    def test_unknown_flow_allocates_nothing(self, flags):
+        r = StreamReassembler()
+        assert r.feed(_seg(b"", 100, flags=flags)) is None
+        assert len(r) == 0 and r.non_tcp_packets == 0
+
+    def test_syn_still_opens_a_stream(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"", 99, flags=TCP_SYN))
+        assert stream is not None and stream.base_seq == 100 and len(r) == 1
+
+    @pytest.mark.parametrize("ack_seq", [100, 90, 140])
+    def test_ack_before_data_leaves_the_base_to_the_data(self, ack_seq):
+        """The ACK used to fix the base at *its* sequence number; a stale
+        or advanced one then left a hole before (or lost) the data."""
+        r = StreamReassembler()
+        assert r.feed(_seg(b"", ack_seq, flags=TCP_ACK)) is None
+        stream = r.feed(_seg(b"hello ", 100))
+        assert stream.base_seq == 100 and stream.stats.packets == 1
+        assert r.feed(_seg(b"world", 106)).data() == b"hello world"
+
+    def test_ack_after_data_is_counted_on_its_stream(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"hello", 100))
+        assert r.feed(_seg(b"", 105, flags=TCP_ACK)) is stream
+        assert stream.stats.packets == 2 and stream.stats.bytes == 5
+        assert stream.base_seq == 100 and stream.data() == b"hello"
+        assert not stream.fin_seen
+
+
+class TestStreamLifecycle:
+    """open -> closed -> complete -> reaped, and the idle leg."""
+
+    def test_fin_closes_at_the_offset_it_covers(self):
+        r = StreamReassembler()
+        r.feed(_seg(b"bye", 100))
+        stream = r.feed(_seg(b"!", 103, flags=TCP_FIN | TCP_ACK))
+        assert stream.fin_offset == 4 and stream.complete()
+
+    def test_fin_ahead_of_missing_data_completes_nothing(self):
+        r = StreamReassembler()
+        r.feed(_seg(b"abc", 100))
+        stream = r.feed(_seg(b"", 109, flags=TCP_FIN | TCP_ACK))
+        assert stream.fin_seen and not stream.complete()   # short frontier
+        r.feed(_seg(b"ghi", 106))
+        assert not stream.complete()                       # hole at 103
+        r.feed(_seg(b"def", 103))
+        assert stream.complete() and stream.data() == b"abcdefghi"
+
+    def test_lowest_close_wins_and_moves_with_the_base(self):
+        r = StreamReassembler()
+        r.feed(_seg(b"cd", 102))
+        stream = r.feed(_seg(b"", 105, flags=TCP_RST))     # FIN + 1
+        r.feed(_seg(b"", 104, flags=TCP_FIN | TCP_ACK))
+        assert stream.fin_offset == 2
+        r.feed(_seg(b"ab", 100))                           # rebase by 2
+        assert stream.fin_offset == 4 and stream.complete()
+
+    def test_reap_frees_the_entry_and_the_budget(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"bye", 100, flags=0x18 | TCP_FIN))
+        other = r.feed(_seg(b"stay", 100, sport=1001))
+        r.reap(stream, "closed")
+        assert list(r.streams.values()) == [other]
+        assert r.bytes_buffered == 4
+        assert (r.reaped_closed, r.reaped_idle) == (1, 0)
+
+    def test_payload_after_a_reap_opens_a_new_stream_and_is_counted(self):
+        r = StreamReassembler()
+        r.reap(r.feed(_seg(b"GET /", 100, flags=0x18 | TCP_FIN)), "closed")
+        assert r.feed(_seg(b"", 106, flags=TCP_ACK)) is None   # trailing ACK
+        assert r.segments_after_close == 0
+        late = r.feed(_seg(b"more", 105))
+        assert late.data() == b"more" and late.base_seq == 105
+        assert r.segments_after_close == 1
+        r.feed(_seg(b"!", 109))                # joins the new stream
+        assert r.segments_after_close == 1
+
+    def test_a_new_connection_on_a_reaped_flow_is_not_after_close(self):
+        r = StreamReassembler()
+        r.reap(r.feed(_seg(b"x", 100, flags=0x18 | TCP_FIN)), "closed")
+        r.feed(_seg(b"", 7000, flags=TCP_SYN))
+        r.feed(_seg(b"again", 7001))
+        assert r.segments_after_close == 0
+
+    def test_reaped_flows_are_remembered_up_to_a_bound(self):
+        r = StreamReassembler()
+        for i in range(r.REAPED_MEMORY + 10):
+            r.reap(r.feed(_seg(b"x", 1, sport=i)), "idle")
+        assert len(r._reaped) == r.REAPED_MEMORY
+        r.feed(_seg(b"y", 2, sport=0))         # forgotten: not counted
+        r.feed(_seg(b"y", 2, sport=r.REAPED_MEMORY + 9))
+        assert r.segments_after_close == 1
+
+    def test_idle_looks_at_the_least_recent_stream_only(self):
+        r = StreamReassembler()
+        assert r.idle(1e9) is None
+        for i, sport in enumerate([1000, 1001, 1000]):
+            pkt = _seg(b"x", 100 + i, sport=sport)
+            pkt.timestamp = 10.0 * i
+            r.feed(pkt)
+        # 1001 (fed at t=10) is now the front; 1000 was refreshed at t=20.
+        assert r.idle(10.0 + Stream.IDLE_TIMEOUT) is None
+        front = r.idle(10.5 + Stream.IDLE_TIMEOUT)
+        assert front.key.sport == 1001
+        r.reap(front, "idle")
+        assert r.idle(10.5 + Stream.IDLE_TIMEOUT) is None
+        assert r.idle(20.5 + Stream.IDLE_TIMEOUT).key.sport == 1000
+        assert r.reaped_idle == 1
 
 
 @given(st.binary(min_size=1, max_size=300), st.randoms())

@@ -91,6 +91,19 @@ class TestAccounting:
         daemon.run()
         assert [a.template for a in received] == ["linux_shell_spawn"]
 
+    def test_delivered_alerts_are_not_hoarded_by_the_engine(self):
+        """A long-running service must not keep every ``Alert`` (and its
+        ``TemplateMatch``) it ever raised: once the daemon has taken an
+        alert the engine lets it go, and the count lives in the stats."""
+        received = []
+        packets = [_execve_packet(sport=1000 + i) for i in range(5)]
+        packets[2:2] = _packets(10)
+        nids = SemanticNids(classification_enabled=False)
+        stats = _daemon(packets, nids=nids, batch_size=4,
+                        on_alert=received.append).run()
+        assert len(received) == 5 == stats.alerts == nids.stats.alerts
+        assert nids.alerts == []
+
     def test_broken_alert_callback_is_contained(self):
         def explode(alert):
             raise RuntimeError("operator bug")

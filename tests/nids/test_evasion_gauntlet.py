@@ -8,6 +8,11 @@ the alert set — the (template, source) multiset — must come out identical,
 for the serial AND the parallel engine.  Any divergence means the
 reassembly front-end reconstructs traffic differently from an end host,
 which is precisely the blind spot Ptacek & Newsham's attacks target.
+
+The attacks on the close get their own class: a FIN sent ahead of the
+tail must change nothing, and a forged FIN/RST mid-request (an insertion
+attack, which no sensor can tell from a real close) must either still
+alert or show up in ``repro_reassembly_segments_after_close_total``.
 """
 
 import pytest
@@ -25,12 +30,16 @@ from repro.net.packet import tcp_packet
 from repro.net.pcap import PcapReader, write_pcap
 from repro.net.wire import Wire
 from repro.nids import NidsSensor, ParallelSemanticNids, SemanticNids
-from repro.traffic import apply_evasion, evasion_names
+from repro.traffic import EVASIONS, apply_evasion, evasion_names
 
 HONEYPOT = "10.10.0.250"
 DARK_KW = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
                dark_threshold=5)
 EVASION_SEED = 3
+#: transforms that keep what the sensor can reconstruct equal to what the
+#: end host does: the alert set must be invariant under each
+PRESERVING = [n for n in evasion_names() if not EVASIONS[n].insertion]
+INSERTIONS = [n for n in evasion_names() if EVASIONS[n].insertion]
 
 
 def alert_set(nids):
@@ -134,7 +143,7 @@ class TestSerialEquivalence:
     """Evaded alert set == un-evaded alert set, serial engine."""
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    @pytest.mark.parametrize("transform", evasion_names())
+    @pytest.mark.parametrize("transform", PRESERVING)
     def test_equivalence(self, corpora, corpus, transform):
         packets, kwargs, baseline = corpora[corpus]
         evaded = apply_evasion(transform, packets, seed=EVASION_SEED)
@@ -146,12 +155,51 @@ class TestParallelEquivalence:
     """Evaded alert set == un-evaded alert set, parallel engine."""
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    @pytest.mark.parametrize("transform", evasion_names())
+    @pytest.mark.parametrize("transform", PRESERVING)
     def test_equivalence(self, corpora, corpus, transform):
         packets, kwargs, baseline = corpora[corpus]
         evaded = apply_evasion(transform, packets, seed=EVASION_SEED)
         nids = run_parallel(evaded, kwargs)
         assert alert_set(nids) == baseline
+
+
+class TestAttacksOnTheClose:
+    """Streams are reaped once closed, whole and analysed; none of that
+    may become a way past the sensor.  Every corpus is first re-segmented
+    (``tcp-tiny-segments``) so each request spans many segments and the
+    close lands inside it."""
+
+    @staticmethod
+    def evade(packets, transform):
+        tiny = apply_evasion("tcp-tiny-segments", packets, seed=EVASION_SEED)
+        return apply_evasion(transform, tiny, seed=EVASION_SEED)
+
+    @pytest.mark.parametrize("run", [run_serial, run_parallel])
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_fin_ahead_of_the_tail_completes_nothing(self, corpora, corpus,
+                                                     run):
+        """The hole keeps the stream live: the tail is reassembled and
+        analysed on the same stream, so nothing arrives "after close"."""
+        packets, kwargs, baseline = corpora[corpus]
+        nids = run(self.evade(packets, "tcp-fin-before-tail"), kwargs)
+        assert alert_set(nids) == baseline
+        assert nids.reassembler.segments_after_close == 0
+
+    @pytest.mark.parametrize("run", [run_serial, run_parallel])
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    @pytest.mark.parametrize("transform", INSERTIONS)
+    def test_forged_close_is_never_a_silent_pass(self, corpora, corpus,
+                                                 transform, run):
+        """The remainder of the request is analysed as a new stream and
+        counted; an alert lost to the cut is visible as that count."""
+        packets, kwargs, baseline = corpora[corpus]
+        nids = run(self.evade(packets, transform), kwargs)
+        got = alert_set(nids)
+        assert set(got) <= set(baseline)          # nothing spurious
+        assert nids.reassembler.segments_after_close > 0
+        assert (nids.registry.get(
+            "repro_reassembly_segments_after_close_total").value
+            == nids.reassembler.segments_after_close)
 
 
 class TestCountersEngage:
@@ -253,8 +301,6 @@ class TestMakeTraceEvade:
             apply_evasion("nope", [])
 
     def test_registry_is_consistent(self):
-        from repro.traffic import EVASIONS
-
         assert evasion_names() == sorted(EVASIONS)
         for name, transform in EVASIONS.items():
             assert transform.name == name

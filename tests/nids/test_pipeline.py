@@ -220,14 +220,17 @@ class TestBoundedStreamState:
 
 class TestCheckpointState:
     def test_v1_checkpoint_is_refused(self):
-        """STATE_VERSION 2: a ``Stream`` pickle carries its window and
-        ``released`` offset; a keep-everything (v1) snapshot cannot be
-        resumed and the version check says so."""
+        """STATE_VERSION 3: a ``Stream`` pickle carries its window, its
+        ``released`` offset and ``fin_offset``; a keep-everything (v1) or
+        pre-``fin_offset`` (v2) snapshot cannot be resumed and the
+        version check says so."""
         state = SemanticNids().snapshot_state()
-        assert state["version"] == SemanticNids.STATE_VERSION == 2
-        state["version"] = 1
-        with pytest.raises(ValueError, match="state version 1 != 2"):
-            SemanticNids().restore_state(state)
+        assert state["version"] == SemanticNids.STATE_VERSION == 3
+        for old in (1, 2):
+            state["version"] = old
+            with pytest.raises(ValueError,
+                               match=f"state version {old} != 3"):
+                SemanticNids().restore_state(state)
 
     def test_restore_keeps_windows_and_recency_order(self):
         import pickle

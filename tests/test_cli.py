@@ -168,9 +168,12 @@ class TestSensord:
         from repro.cli import sensord_main
         rc = sensord_main([str(attack_pcap), "--honeypot", "10.10.0.250"])
         captured = capsys.readouterr()
+        # Exit status and status line come from the stats: the engine no
+        # longer holds the alerts the daemon delivered.
         assert rc == 1
         assert "linux_shell_spawn" in captured.out
         assert "uncounted_drops=0" in captured.err
+        assert "alerts=0" not in captured.err
 
     def test_clean_capture_returns_zero(self, tmp_path, capsys):
         from repro.cli import make_trace_main, sensord_main
