@@ -314,15 +314,16 @@ def sensord_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fleet-transport",
                         choices=("pickle", "offset"), default="pickle",
                         help="fleet dispatcher→worker transport: pickle "
-                             "payload triples through the daemon loop, or "
-                             "pcap-offset extent partitioning (offset; the "
-                             "dispatcher reads headers only and the fleet "
-                             "reads the capture itself) — see "
+                             "ships payload triples; offset ships pcap "
+                             "extents (the daemon loop queues record "
+                             "headers only and the workers re-read their "
+                             "slice of the capture) — see "
                              "docs/architecture.md 'Fleet transport'")
     parser.add_argument("--checkpoint-dir", type=Path, metavar="DIR",
-                        help="enable crash safety: keep versioned "
-                             "checkpoints and a write-ahead alert journal "
-                             "under DIR (see docs/operations.md)")
+                        help="enable crash safety for whichever engine "
+                             "runs: keep versioned checkpoints and a "
+                             "write-ahead alert journal under DIR (see "
+                             "docs/operations.md)")
     parser.add_argument("--checkpoint-interval", type=int, default=1000,
                         metavar="N",
                         help="processed packets between checkpoints "
@@ -344,42 +345,24 @@ def sensord_main(argv: list[str] | None = None) -> int:
         parser.error("--fleet-workers (whole-pipeline scale-out) and "
                      "--workers (in-sensor stage parallelism) are mutually "
                      "exclusive")
-    if args.workers > 1 and args.checkpoint_dir is not None:
-        parser.error("--checkpoint-dir cannot checkpoint the --workers "
-                     "engine (payloads in flight to workers would be "
-                     "lost); use the serial engine or --fleet-workers")
-    if args.fleet_workers and args.fleet_transport == "offset":
-        # The offset fleet reads the capture itself and bypasses the
-        # daemon loop, which is what implements these.
-        for flag, given in (
-                ("--template-set-file", args.template_set_file is not None),
-                ("--heartbeat", args.heartbeat > 0),
-                ("--window-secs", args.window_secs > 0)):
-            if given:
-                parser.error(f"{flag} needs the daemon loop, which "
-                             "--fleet-transport offset bypasses; use "
-                             "--fleet-transport pickle")
 
     from .net.pcap import PcapError, PcapReader
     from .nids import ParallelSemanticNids, SemanticNids, SensorDaemon
-    from .nids.daemon import IterPacketSource, TailPacketSource
+    from .nids.daemon import (IterPacketSource, MetaPacketSource,
+                              TailPacketSource)
 
+    # One path for every engine: source → ring → engine → journal →
+    # delivery.  Only the engine and what the source yields differ.
     kwargs = _site_kwargs(args)
-    fleet = None
+    offset_feed = args.fleet_workers >= 1 and args.fleet_transport == "offset"
     if args.fleet_workers >= 1:
         from .nids.fleet import SensorFleet
 
-        # The fleet owns its durability (barrier checkpoints + journal);
-        # the daemon wrapper below must not double-checkpoint it.
-        nids = fleet = SensorFleet(
+        nids = SensorFleet(
             workers=args.fleet_workers,
             template_set=args.template_set,
             nids_options=kwargs,
             transport=args.fleet_transport,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
-            journal_fsync_batch=args.journal_fsync_batch,
-            resume=args.resume,
         )
     elif args.workers > 1:
         nids = ParallelSemanticNids(workers=args.workers,
@@ -387,31 +370,6 @@ def sensord_main(argv: list[str] | None = None) -> int:
     else:
         nids = SemanticNids(
             templates=resolve_template_set(args.template_set), **kwargs)
-
-    if fleet is not None and args.fleet_transport == "offset":
-        # Offset partitioning dispatches capture extents, not packets —
-        # the fleet reads the capture itself (headers only); there is no
-        # ingestion ring to bound, so the daemon wrapper does not apply.
-        try:
-            try:
-                alerts = fleet.process_capture(
-                    args.pcap, follow=args.follow,
-                    idle_timeout=args.idle_timeout,
-                    max_packets=args.max_packets)
-            finally:
-                st = fleet.stats
-                fleet.close()
-        except (FileNotFoundError, PcapError) as exc:
-            return _pcap_error(exc, args.pcap)
-        for alert in alerts:
-            print(alert.format())
-        print(f"sensord: ingested={st.dispatched} processed={st.dispatched} "
-              f"shed=0 queued=0 backpressure=0 alerts={len(fleet.alerts)} "
-              f"reloads=0 uncounted_drops=0", file=sys.stderr)
-        _write_metrics(fleet.registry, args)
-        if args.stats:
-            print(fleet.stats)
-        return 1 if fleet.alerts else 0
 
     template_provider = None
     if args.template_set_file is not None:
@@ -427,19 +385,12 @@ def sensord_main(argv: list[str] | None = None) -> int:
                             registry=nids.registry)
     except (FileNotFoundError, PcapError) as exc:
         return _pcap_error(exc, args.pcap)
-    source = (TailPacketSource(reader) if args.follow
-              else IterPacketSource(iter(reader)))
-    if fleet is not None and fleet.resume_seq:
-        # The fleet checkpointed a dispatch watermark; skip the capture
-        # prefix it already accounted (journaled alerts were restored,
-        # so the re-fed window past the watermark dedupes cleanly).
-        for _ in range(fleet.resume_seq):
-            if source.poll() is None:
-                print("error: capture shorter than the fleet checkpoint "
-                      "watermark; refusing to resume", file=sys.stderr)
-                fleet.close()
-                reader.close()
-                return 2
+    if offset_feed:  # record boundaries; the workers re-read the bodies
+        source = MetaPacketSource(reader)
+    elif args.follow:
+        source = TailPacketSource(reader)
+    else:
+        source = IterPacketSource(iter(reader))
 
     daemon = SensorDaemon(
         nids, source,
@@ -452,13 +403,10 @@ def sensord_main(argv: list[str] | None = None) -> int:
         template_provider=template_provider,
         idle_timeout=args.idle_timeout,
         on_alert=lambda alert: print(alert.format()),
-        # The fleet engine checkpoints itself (barrier checkpoints were
-        # wired into its constructor above); daemon-level checkpointing
-        # is for the serial engine.
-        checkpoint_dir=None if fleet is not None else args.checkpoint_dir,
+        checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         journal_fsync_batch=args.journal_fsync_batch,
-        resume=False if fleet is not None else args.resume,
+        resume=args.resume,
     )
     try:
         stats = daemon.run(max_packets=args.max_packets)

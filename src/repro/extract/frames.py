@@ -202,12 +202,15 @@ class BinaryExtractor:
         regions, plus a body-aligned raw frame for binary downloads (the
         body boundary gives the disassembler a correct starting offset)."""
         frames = self._scan_region(name, base, body)
-        if not frames and binary_fraction(body) >= self.raw_binary_threshold:
+        if frames:
+            return frames
+        fraction = binary_fraction(body)
+        if fraction >= self.raw_binary_threshold:
             frames.append(BinaryFrame(
                 data=body[: min(self.max_frame, self.raw_frame_cap)],
                 origin=f"{name}-body",
                 offset=base,
-                note=f"binary fraction {binary_fraction(body):.2f}",
+                note=f"binary fraction {fraction:.2f}",
             ))
         return frames
 
@@ -248,7 +251,8 @@ class BinaryExtractor:
         if frames:
             return frames
         # No sled: only consider payloads that are substantially binary.
-        if binary_fraction(payload) < self.raw_binary_threshold:
+        fraction = binary_fraction(payload)
+        if fraction < self.raw_binary_threshold:
             return []
         candidate = self._trim_return_block(payload)
         if len(candidate) < self.min_frame:
@@ -257,7 +261,7 @@ class BinaryExtractor:
             data=candidate[: min(self.max_frame, self.raw_frame_cap)],
             origin="raw",
             offset=0,
-            note=f"binary fraction {binary_fraction(payload):.2f}",
+            note=f"binary fraction {fraction:.2f}",
         )]
 
     def _sled_frames(self, name: str, base: int, region: bytes) -> list[BinaryFrame]:

@@ -186,7 +186,10 @@ class VectorScanSet:
             n_hits = int(np.count_nonzero(hit))
             if n_hits:
                 hits += n_hits
-                present.update(np.unique(pids[hit]).tolist())
+                # Distinct ids by histogram, not np.unique: that sorts,
+                # and its first call imports numpy.ma (2.6 MB resident).
+                present.update(
+                    np.flatnonzero(np.bincount(pids[hit])).tolist())
         if self._len3_keys is not None and n > 2:
             triples = ((arr[:-2].astype(np.int64) << 16)
                        | (arr[1:-1].astype(np.int64) << 8)
@@ -197,7 +200,8 @@ class VectorScanSet:
             n_hits = int(np.count_nonzero(hit))
             if n_hits:
                 hits += n_hits
-                present.update(np.unique(self._len3_pids[slots[hit]]).tolist())
+                present.update(np.flatnonzero(
+                    np.bincount(self._len3_pids[slots[hit]])).tolist())
         if self._automaton is not None and n:
             for m in self._automaton.search(arr.tobytes()):
                 present.add(self._long_pids[m.pattern])

@@ -74,6 +74,15 @@ class PcapRecordMeta:
     caplen: int
     #: first ``min(caplen, prefix_len)`` bytes of the record body.
     prefix: bytes
+    #: the capture file the offsets point into (``None`` for a reader
+    #: over a file object) — what a worker opens to re-read the extent.
+    path: str | None = None
+
+    @property
+    def end(self) -> int:
+        """File offset just past this record: the next record's
+        ``offset`` exactly when nothing lies between the two."""
+        return self.offset + _RECORD_HEADER_LEN + self.caplen
 
 
 class PcapWriter:
@@ -170,9 +179,11 @@ class PcapReader:
                 unit="captures")
             if registry is not None else None)
         if hasattr(path, "read"):
+            self.path = None
             self._fh: BinaryIO = path  # type: ignore[assignment]
             self._owns = False
         else:
+            self.path = os.fspath(path)
             self._fh = open(path, "rb")
             self._owns = True
         # Buffered record loop state: records are sliced out of large read
@@ -307,7 +318,7 @@ class PcapReader:
         self._consumed += total
         self.records_read += 1
         return PcapRecordMeta(offset=offset, timestamp=sec + usec / 1_000_000,
-                              caplen=caplen, prefix=prefix)
+                              caplen=caplen, prefix=prefix, path=self.path)
 
     def poll_packet(self) -> Packet | None:
         """Like :meth:`poll`, decoded to a :class:`Packet`."""

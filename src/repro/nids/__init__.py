@@ -7,12 +7,13 @@ from .stats import NidsStats, StageTimer
 from .pipeline import SemanticNids
 from .parallel import ParallelSemanticNids
 from .sensor import NidsSensor
-from .daemon import DaemonStats, IterPacketSource, SensorDaemon, TailPacketSource
+from .daemon import (DaemonStats, IterPacketSource, MetaPacketSource,
+                     SensorDaemon, TailPacketSource)
 from .fleet import FleetStats, SensorFleet
 from .report import AlertReport, build_report
 
 __all__ = ["Alert", "BlockList", "NidsStats", "StageTimer", "SemanticNids",
            "ParallelSemanticNids", "NidsSensor",
            "SensorDaemon", "DaemonStats", "IterPacketSource",
-           "TailPacketSource", "SensorFleet", "FleetStats",
-           "AlertReport", "build_report"]
+           "TailPacketSource", "MetaPacketSource", "SensorFleet",
+           "FleetStats", "AlertReport", "build_report"]

@@ -39,9 +39,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ..core.library import resolve_template_set
 from ..net.packet import Packet
-from ..net.pcap import PcapReader
+from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsWindow, PeriodicSchedule
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.delivery import DurableDelivery
@@ -52,7 +51,7 @@ from .alerts import Alert
 from .pipeline import SemanticNids
 
 __all__ = ["SensorDaemon", "DaemonStats", "IterPacketSource",
-           "TailPacketSource"]
+           "TailPacketSource", "MetaPacketSource"]
 
 
 class IterPacketSource:
@@ -122,6 +121,25 @@ class TailPacketSource:
         self.reader.finalize()
 
 
+class MetaPacketSource(TailPacketSource):
+    """A capture's record *boundaries*
+    (:meth:`~repro.net.pcap.PcapReader.poll_meta`) — the feed of an
+    offset-transport fleet, whose workers re-read the bodies.  The
+    daemon never looks inside a ring item, so it queues, sheds and
+    checkpoints these like packets.  A streaming reader tails; a finite
+    capture is finished at its first miss (:meth:`finalize` then gives
+    the truncation verdict)."""
+
+    def __init__(self, reader: PcapReader) -> None:
+        self.reader = reader
+        self.finished = False
+
+    def poll(self) -> PcapRecordMeta | None:
+        meta = self.reader.poll_meta()
+        self.finished = meta is None and not self.reader.streaming
+        return meta
+
+
 @dataclass
 class DaemonStats:
     """End-of-run accounting; ``uncounted_drops`` must always be zero."""
@@ -152,17 +170,22 @@ class DaemonStats:
 
 
 class SensorDaemon:
-    """Drives a :class:`~repro.nids.SemanticNids` (serial or parallel)
-    as an always-on service over a :class:`PacketSource`.
+    """Drives an engine — :class:`~repro.nids.SemanticNids`,
+    :class:`~repro.nids.ParallelSemanticNids` or
+    :class:`~repro.nids.SensorFleet`, never asking which — as an
+    always-on service over a :class:`PacketSource`, and is the one owner
+    of journal, checkpoints, resume, tailing and the periodic duties.
 
     Parameters
     ----------
     nids:
-        The engine; its registry is where every daemon metric lands.
+        The engine (contract: :mod:`repro.nids.pipeline`); its registry
+        is where every daemon metric lands.
     source:
-        Object with ``poll() -> Packet | None`` and a ``finished``
+        Object with ``poll() -> item | None`` and a ``finished``
         attribute (see :class:`IterPacketSource`,
-        :class:`TailPacketSource`).
+        :class:`TailPacketSource`, :class:`MetaPacketSource`); items are
+        whatever the engine's ``process_packet`` takes.
     ring_capacity / shed_policy:
         The admission ring (see :class:`~repro.resilience.BoundedRing`).
         Under ``"block"`` a refused packet is held and the source is not
@@ -173,7 +196,7 @@ class SensorDaemon:
         Periodic duties, both on drift-free deadline-anchored schedules.
     template_provider:
         Optional zero-argument callable polled once per tick; it returns
-        a template list (serial engine), a template-set name (either
+        a template-set name (any engine), a template list (serial
         engine), or ``None`` for "no opinion".  A changed library digest
         triggers the hot reload.
     idle_timeout:
@@ -188,11 +211,9 @@ class SensorDaemon:
         recovery & durability"): every alert is written ahead to a
         CRC-framed journal under ``<dir>/journal/`` before delivery,
         and every ``checkpoint_interval`` processed packets the daemon
-        atomically checkpoints its capture position, engine state, and
-        accounting to ``<dir>/checkpoint.bin``.  Requires a source with
-        ``tell()`` and an engine that declares itself ``checkpointable``
-        (the serial engine; the parallel engine has payloads in flight
-        to its workers that a snapshot would silently lose).
+        drains the engine (so nothing is in flight) and atomically
+        checkpoints its capture position, engine state, and accounting
+        to ``<dir>/checkpoint.bin``.  Requires a source with ``tell()``.
     resume:
         Rehydrate from ``checkpoint_dir`` instead of starting fresh:
         restore engine state and counters, replay the journaled-but-
@@ -250,11 +271,9 @@ class SensorDaemon:
                                      clock=clock)
                        if window_secs > 0 else None)
         reg = nids.registry
-        #: where ``on_alert`` faults are counted (and quarantine-logged):
-        #: the engine's own firewall, or — a fleet has none in the
-        #: dispatcher process — one on the same registry.
-        self._firewall = (getattr(nids, "firewall", None)
-                          or StageFirewall(reg))
+        #: where ``on_alert`` faults are counted: the ``deliver`` series
+        #: of the engine's registry, whichever engine it is.
+        self._firewall = StageFirewall(reg)
         self._ingested = reg.counter(
             "repro_daemon_ingested_total",
             help="Packets pulled from the capture source.", unit="packets")
@@ -266,6 +285,14 @@ class SensorDaemon:
             "repro_daemon_packet_seconds",
             help="Per-packet pipeline latency (ring take to alerts out).",
             unit="seconds")
+        self._replayed = reg.counter(
+            "repro_alerts_replayed_total",
+            help="Journaled alerts re-offered to the sink after a restart.",
+            unit="alerts")
+        self._deduped = reg.counter(
+            "repro_alerts_deduped_total",
+            help="Duplicate alerts suppressed by delivery-side replay "
+                 "dedupe.", unit="alerts")
         #: under "block", the (packet, origin) pair refused by a full ring
         self._held: tuple | None = None
         self.reloads = 0
@@ -277,11 +304,6 @@ class SensorDaemon:
         self._alert_seq = 0
         self._last_checkpoint_processed = 0
         if checkpoint_dir is not None:
-            if not getattr(nids, "checkpointable", False):
-                raise ValueError(
-                    "checkpointing needs a checkpointable engine; the "
-                    "parallel engine's in-flight payloads would be lost "
-                    "— use the serial engine or SensorFleet")
             if not hasattr(source, "tell"):
                 raise ValueError(
                     "checkpointing needs a source with tell()/seek() "
@@ -340,11 +362,15 @@ class SensorDaemon:
         self.delivery.replay_spool()
 
     def checkpoint(self) -> None:
-        """Atomically persist progress.  The journal is synced first, so
-        every alert below the checkpointed watermark is durable before
-        the checkpoint can claim it was emitted."""
+        """Atomically persist progress: drain → emit → sync → snapshot →
+        save.  After the drain nothing is in flight inside the engine,
+        so its snapshot loses no alert; the journal is synced before
+        the save, so every alert below the checkpointed watermark is
+        durable before the checkpoint can claim it was emitted."""
         if self.checkpoints is None:
             return
+        self.nids.drain()
+        self._hand_over()
         self.journal.sync()
         head = self.ring.peek()
         if head is not None:
@@ -402,6 +428,10 @@ class SensorDaemon:
             if moved:
                 idle_since = None
             else:
+                # Nothing to do: collect what the engine still owes, so
+                # a tailed capture's alerts never wait for more traffic.
+                self.nids.drain()
+                self._hand_over()
                 now = self._clock()
                 if idle_since is None:
                     idle_since = now
@@ -443,22 +473,25 @@ class SensorDaemon:
             item = self.ring.take()
             if item is None:
                 break
-            pkt = item[0]
             t0 = time.perf_counter()
-            # A fleet engine returns None here (its alerts surface at
-            # flush, in deterministic merge order); keep the loop shape.
-            alerts = self.nids.process_packet(pkt) or ()
+            self.nids.process_packet(item[0])
             self._latency.observe(time.perf_counter() - t0)
             self._processed.inc()
             n += 1
+            self._hand_over()
+        return n
+
+    def _hand_over(self) -> None:
+        """Journal and deliver what the engine has handed out since the
+        last call — ``nids.alerts`` holds it in the engine's one order,
+        whichever call raised it — and let the engine forget it: a
+        long-running service must not keep every alert it ever raised
+        (``stats.alerts`` keeps the count)."""
+        alerts = self.nids.alerts
+        if alerts:
             for alert in alerts:
                 self._emit(alert)
-            if alerts:
-                # Journaled and handed to delivery: a long-running
-                # service must not also keep every alert it ever raised
-                # (``stats.alerts`` keeps the count).
-                self.nids.alerts.clear()
-        return n
+            alerts.clear()
 
     # -- periodic duties ------------------------------------------------------
 
@@ -468,15 +501,8 @@ class SensorDaemon:
         spec = self.template_provider()
         if spec is None:
             return
-        if isinstance(spec, str):
-            if hasattr(self.nids, "reload_template_set"):
-                changed = self.nids.reload_template_set(spec)
-            else:
-                changed = self.nids.reload_templates(
-                    resolve_template_set(spec))
-        else:
-            changed = self.nids.reload_templates(spec)
-        if changed:
+        if (self.nids.reload_template_set(spec) if isinstance(spec, str)
+                else self.nids.reload_templates(spec)):
             self.reloads += 1
 
     def _emit_heartbeat(self) -> None:
@@ -516,8 +542,8 @@ class SensorDaemon:
     # -- shutdown -------------------------------------------------------------
 
     def _shutdown(self, started: float) -> DaemonStats:
-        for alert in self.nids.flush():
-            self._emit(alert)
+        self.nids.flush()
+        self._hand_over()
         if self.checkpoints is not None:
             self.checkpoint()
             self.delivery.replay_spool()
@@ -532,24 +558,17 @@ class SensorDaemon:
         return self.stats(duration=self._clock() - started)
 
     def stats(self, duration: float = 0.0) -> DaemonStats:
-        # FleetStats spells the replay counters differently (and keeps
-        # its own checkpoint accounting); normalize here.
-        engine_stats = self.nids.stats
-        replayed = getattr(engine_stats, "alerts_replayed",
-                           getattr(engine_stats, "replayed", 0))
-        deduped = getattr(engine_stats, "alerts_deduped",
-                          getattr(engine_stats, "deduped", 0))
         return DaemonStats(
             ingested=self._ingested.value,
             processed=self._processed.value,
             shed=self.ring.shed_total,
             queued=len(self.ring) + (1 if self._held is not None else 0),
             backpressure_waits=self.ring.backpressure_total,
-            alerts=engine_stats.alerts,
+            alerts=self.nids.stats.alerts,
             reloads=self.reloads,
             windows=len(self.window.windows) if self.window else 0,
             duration=duration,
             checkpoints=self.checkpoints.saves if self.checkpoints else 0,
-            replayed=replayed,
-            deduped=deduped,
+            replayed=self._replayed.value,
+            deduped=self._deduped.value,
         )

@@ -41,16 +41,19 @@ across N sensor processes, the way a capture point outgrows one box:
   fleet-wide stage timings and shed/fault counters read like one
   sensor's.
 
-Crash safety composes with both transports: barrier checkpoints drain
-all in-flight work first, and the replay log keeps the work units
-shipped since the last barrier (triples or extent jobs), so a
-watchdog-respawned shard is re-fed exactly what it lost.
+The fleet is an *engine* (the contract is stated once, in
+:mod:`repro.nids.pipeline`): journal, checkpoints, resume, tailing and
+the periodic duties belong to :class:`~repro.nids.SensorDaemon`, which
+drives it like the other two.  What the fleet keeps is supervision: the
+replay log holds the work units shipped since the last barrier
+(:meth:`SensorFleet.snapshot_state` or :meth:`SensorFleet.flush`;
+triples or extent jobs), so a watchdog-respawned shard is rehydrated
+from its barrier snapshot and re-fed exactly what it lost.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -58,12 +61,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from ..net.packet import Packet
-from ..net.pcap import PcapReader
+from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsRegistry
-from ..resilience.checkpoint import CheckpointStore
-from ..resilience.journal import AlertJournal, alert_to_record, record_to_alert
 from .alerts import Alert
 from ..core.library import library_digest, resolve_template_set
 from .pipeline import SemanticNids
@@ -89,7 +91,7 @@ def _init_fleet_worker(template_set: str, options: dict,
     """Per-process initializer: one complete sensor pipeline.
 
     ``state`` — a :meth:`SemanticNids.snapshot_state` payload from a
-    checkpoint barrier — rehydrates a respawned or resumed worker so
+    snapshot barrier — rehydrates a respawned or resumed worker so
     its per-source classifier memory and half-open streams continue
     where the dead worker stopped.
     """
@@ -108,7 +110,7 @@ def _init_fleet_worker(template_set: str, options: dict,
 
 
 def _fleet_snapshot_worker() -> dict:
-    """Checkpoint barrier: ship this worker's full engine state."""
+    """Snapshot barrier: ship this worker's full engine state."""
     nids: SemanticNids = _FLEET_STATE["nids"]
     return nids.snapshot_state()
 
@@ -190,10 +192,6 @@ class FleetStats:
     batches: int
     alerts: int
     deltas_merged: int
-    #: crash-safety accounting; all zero without ``checkpoint_dir``.
-    checkpoints: int = 0
-    replayed: int = 0
-    deduped: int = 0
     watchdog_restarts: int = 0
     #: transport accounting (docs/architecture.md "Fleet transport").
     transport: str = "pickle"
@@ -231,10 +229,16 @@ class SensorFleet:
         cross-flow classifier state.
     registry:
         The central registry worker deltas fold into.
+    watchdog_timeout:
+        Seconds a blocking wait on one shard may last before the shard
+        is killed, respawned from its last barrier snapshot and re-fed
+        from the replay log.  ``None`` waits forever.
     transport:
-        Dispatcher→worker comms layer: ``"pickle"`` (in-band triples)
-        or ``"offset"`` (capture-extent partitioning; feed via
-        :meth:`process_capture` only).  See the module docstring.
+        Dispatcher→worker comms layer: ``"pickle"`` (in-band triples;
+        :meth:`process_packet` takes decoded packets) or ``"offset"``
+        (capture-extent partitioning; :meth:`process_packet` takes
+        :class:`~repro.net.pcap.PcapRecordMeta` record boundaries).
+        See the module docstring.
     """
 
     def __init__(
@@ -245,10 +249,6 @@ class SensorFleet:
         nids_options: dict | None = None,
         shard_by: str = "source",
         registry: MetricsRegistry | None = None,
-        checkpoint_dir: str | os.PathLike[str] | None = None,
-        checkpoint_interval: int = 1000,
-        journal_fsync_batch: int = 8,
-        resume: bool = False,
         watchdog_timeout: float | None = None,
         transport: str = "pickle",
     ) -> None:
@@ -263,24 +263,28 @@ class SensorFleet:
         self.workers = workers
         self.shard_by = shard_by
         self.template_set = template_set
+        self._digest = library_digest(resolve_template_set(template_set))
         self.batch_size = batch_size
         self.transport = transport
         self.nids_options = dict(nids_options or {})
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: alerts handed out and not yet taken by the owner (the daemon
+        #: empties it as it delivers; ``stats.alerts`` keeps the count).
         self.alerts: list[Alert] = []
+        self._alerts_out = 0
         self._seq = 0
         self._batches_sent = 0
         self._deltas_merged = 0
-        #: pickle: lists of (seq, wire, ts) triples.  offset: lists
-        #: of mutable [seq0, file_offset, count] extent runs.
+        #: pickle: lists of (seq, wire, ts) triples.  offset: lists of
+        #: mutable [seq0, file_offset, count, end_offset] extent runs.
         self._batches: list[list] = [[] for _ in range(workers)]
-        #: offset transport: records (not runs) buffered per shard.
+        #: records (not extent runs) buffered per shard.
         self._batch_counts: list[int] = [0] * workers
         #: the capture the current extent runs point into.
         self._capture_path: str | None = None
         #: per-shard FIFO of (batch_key, future); batch_key = first seq
         self._futures: list[deque] = [deque() for _ in range(workers)]
-        #: (seq, alert) pairs already collected, sorted at merge time
+        #: (seq, alert) pairs folded from the shards and not yet released
         self._collected: list = []
         self._dispatched = self.registry.counter(
             "repro_fleet_dispatched_total",
@@ -300,14 +304,12 @@ class SensorFleet:
             "repro_fleet_ship_seconds",
             help="Dispatcher wall seconds per batch shipped "
                  "(serialize + submit).", unit="seconds")
-        # -- durability / supervision (optional) --
-        self.checkpoint_interval = max(1, checkpoint_interval)
+        # -- supervision --
         self.watchdog_timeout = watchdog_timeout
-        self.checkpoints: CheckpointStore | None = None
-        self.journal: AlertJournal | None = None
-        #: dispatch seq the caller should re-feed from after a resume
-        self.resume_seq = 0
-        self._last_checkpoint_seq = 0
+        #: log shipped work units for replay?  Only a barrier empties the
+        #: log, so it is kept for an owner that asked for the watchdog
+        #: or that takes snapshots.
+        self._track = watchdog_timeout is not None
         #: last barrier snapshot per shard (respawn/resume rehydration)
         self._shard_states: list[dict | None] = [None] * workers
         #: work units shipped since the last barrier, per shard, for
@@ -315,132 +317,70 @@ class SensorFleet:
         self._replay: list[list] = [[] for _ in range(workers)]
         #: batch keys already folded (a replayed batch must not re-emit)
         self._folded: set[int] = set()
-        #: journal keys already emitted into ``alerts`` (replay dedupe)
-        self._emitted_keys: set = set()
         self._watchdog_restarts = self.registry.counter(
             "repro_watchdog_restarts_total",
             help="Fleet shards killed and respawned by the dispatcher "
                  "watchdog after a missed heartbeat.", unit="restarts")
-        self._replayed_counter = self.registry.counter(
-            "repro_alerts_replayed_total",
-            help="Journaled alerts re-offered to the sink after a restart.",
-            unit="alerts")
         self._deduped_counter = self.registry.counter(
             "repro_alerts_deduped_total",
             help="Duplicate alerts suppressed by delivery-side replay "
                  "dedupe.", unit="alerts")
-        if checkpoint_dir is not None:
-            self.checkpoints = CheckpointStore(
-                checkpoint_dir, registry=self.registry)
-            self.journal = AlertJournal(
-                os.path.join(checkpoint_dir, "journal"),
-                fsync_batch=journal_fsync_batch, registry=self.registry)
-            if resume:
-                self._resume()
-            else:
-                self.checkpoints.clear()
-                self.journal.prune(keep_segments=0)
-        elif resume:
-            raise ValueError("resume=True requires checkpoint_dir")
         self._pools = [self._spawn_pool(shard) for shard in range(workers)]
 
     def _spawn_pool(self, shard: int) -> ProcessPoolExecutor:
         """One whole-pipeline worker running the current template set,
         rehydrated from the shard's last barrier snapshot if it has one
-        (first spawn, resume, watchdog respawn, hot reload)."""
+        (first spawn, restore, watchdog respawn, hot reload)."""
         return ProcessPoolExecutor(
             max_workers=1, initializer=_init_fleet_worker,
             initargs=(self.template_set, self.nids_options,
                       self._shard_states[shard]))
 
-    # -- crash recovery ------------------------------------------------------
+    def _respawn(self) -> None:
+        """Replace every worker: ``initargs`` are captured at spawn, so
+        a new template set or restored shard states need new processes.
+        Callers have drained the queues, so ``wait=True`` only reaps —
+        no old worker is orphaned."""
+        for shard, pool in enumerate(self._pools):
+            pool.shutdown(wait=True, cancel_futures=True)
+            self._pools[shard] = self._spawn_pool(shard)
 
-    def _resume(self) -> None:
-        """Rehydrate the aggregator from the checkpoint directory.
+    # -- engine state (checkpointed by the owner) ----------------------------
 
-        The journal holds every barrier-emitted packet alert in global
-        seq order; they are restored into :attr:`alerts` (counted as
-        replayed) and their keys armed for dedupe, so the re-fed window
-        past the checkpoint watermark cannot emit twice.  Entries past
-        the watermark (an aborted barrier whose journal sync completed
-        but whose checkpoint rename did not) restore the same way.
-        """
-        recovery = self.journal.recover()
-        ckpt = self.checkpoints.load()
-        if ckpt is not None:
-            current = library_digest(resolve_template_set(self.template_set))
-            if ckpt["library_digest"] != current:
-                raise ValueError(
-                    "fleet checkpoint was taken under a different template "
-                    "library; refusing to resume")
-            if ckpt["workers"] != self.workers:
-                raise ValueError(
-                    f"fleet checkpoint has {ckpt['workers']} shard "
-                    f"snapshots; cannot resume with {self.workers} workers "
-                    "(flow→shard routing would change)")
-            self._seq = ckpt["watermark"]
-            self.resume_seq = ckpt["watermark"]
-            self._last_checkpoint_seq = ckpt["watermark"]
-            self._shard_states = list(ckpt["shard_states"])
-            self._dispatched.inc(ckpt["watermark"])
-        for key, record in recovery.entries:
-            self._emitted_keys.add(key)
-            self.alerts.append(record_to_alert(record))
-            self._replayed_counter.inc()
-
-    def checkpoint(self) -> None:
-        """Barrier checkpoint: drain every shard, snapshot worker state,
-        journal and emit the collected window, then atomically persist
-        the dispatch watermark + shard snapshots.  The journal is synced
-        before the checkpoint rename, so a checkpointed watermark never
-        points past un-durable alerts."""
-        if self.checkpoints is None:
-            return
-        for shard in range(self.workers):
-            self._ship(shard)
-        self._collect(blocking=True)
-        states = []
-        for shard in range(self.workers):
-            states.append(self._submit_supervised(
-                shard, _fleet_snapshot_worker))
-        window = sorted(self._collected, key=lambda pair: pair[0])
-        self._collected = []
-        self._journal_and_emit(window)
-        self.journal.sync()
-        self.checkpoints.save({
-            "watermark": self._seq,
-            "workers": self.workers,
-            "shard_states": states,
-            "library_digest": library_digest(
-                resolve_template_set(self.template_set)),
-        })
+    def snapshot_state(self) -> dict:
+        """The dispatch watermark plus every worker's engine state,
+        taken behind a :meth:`drain` so the states cover exactly
+        ``watermark`` packets (an owner has drained already and emitted
+        what that handed out).  Also a supervision barrier: respawns
+        rehydrate from these states from now on and the replay log
+        restarts."""
+        self.drain()
+        states = [self._submit_supervised(shard, _fleet_snapshot_worker)
+                  for shard in range(self.workers)]
         self._shard_states = states
-        self._replay = [[] for _ in range(self.workers)]
-        self._folded.clear()
-        self._last_checkpoint_seq = self._seq
+        self._track = True
+        self._reset_replay()
+        return {"watermark": self._seq, "workers": self.workers,
+                "shard_states": states, "library_digest": self._digest}
 
-    def _maybe_checkpoint(self) -> None:
-        if (self.checkpoints is not None
-                and self._seq - self._last_checkpoint_seq
-                >= self.checkpoint_interval):
-            self.checkpoint()
-
-    def _journal_and_emit(self, window: list) -> None:
-        """Append a seq-sorted (seq, alert) window to the journal and to
-        :attr:`alerts`, keyed ``(seq, k)`` (k = index among one packet's
-        alerts) and deduped against anything already emitted."""
-        k, last_seq = 0, None
-        for seq, alert in window:
-            k = k + 1 if seq == last_seq else 0
-            last_seq = seq
-            key = (seq, k)
-            if key in self._emitted_keys:
-                self._deduped_counter.inc()
-                continue
-            self._emitted_keys.add(key)
-            if self.journal is not None:
-                self.journal.append(list(key), alert_to_record(alert))
-            self.alerts.append(alert)
+    def restore_state(self, state: dict) -> None:
+        """Continue a fresh fleet from a :meth:`snapshot_state` payload
+        (workers respawn rehydrated); refuses one taken under another
+        template library or worker count."""
+        if state["library_digest"] != self._digest:
+            raise ValueError(
+                "fleet checkpoint was taken under a different template "
+                "library; refusing to resume")
+        if state["workers"] != self.workers:
+            raise ValueError(
+                f"fleet checkpoint has {state['workers']} shard "
+                f"snapshots; cannot resume with {self.workers} workers "
+                "(flow→shard routing would change)")
+        self._seq = state["watermark"]
+        self._dispatched.inc(state["watermark"])
+        self._shard_states = list(state["shard_states"])
+        self._track = True
+        self._respawn()
 
     def _submit_supervised(self, shard: int, fn, *args):
         """Submit a call to one shard under the watchdog: a missed
@@ -449,16 +389,12 @@ class SensorFleet:
         the watchdog deadline, so a shard whose respawn also hangs
         raises instead of stalling the dispatcher forever."""
         try:
-            future = self._pools[shard].submit(fn, *args)
-            if self.watchdog_timeout is not None:
-                return future.result(timeout=self.watchdog_timeout)
-            return future.result()
+            return self._pools[shard].submit(fn, *args).result(
+                timeout=self.watchdog_timeout)
         except (FutureTimeoutError, BrokenProcessPool):
             self._restart_shard(shard)
-            future = self._pools[shard].submit(fn, *args)
-            if self.watchdog_timeout is not None:
-                return future.result(timeout=self.watchdog_timeout)
-            return future.result()
+            return self._pools[shard].submit(fn, *args).result(
+                timeout=self.watchdog_timeout)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -469,10 +405,9 @@ class SensorFleet:
         self.close()
 
     def close(self) -> None:
-        """Flush, then reap every worker and close the journal — also
-        when the flush raises (a shard that hung twice, a journal write
-        error), so a failed shutdown never orphans processes or the
-        journal fd."""
+        """Flush, then reap every worker — also when the flush raises (a
+        shard that hung twice), so a failed shutdown never orphans
+        processes."""
         pools = self._pools
         try:
             self.flush()
@@ -487,8 +422,6 @@ class SensorFleet:
                 pool.shutdown(wait=True, cancel_futures=True)
         finally:
             self._pools = []
-            if self.journal is not None:
-                self.journal.close()
 
     # -- dispatch ------------------------------------------------------------
 
@@ -501,10 +434,9 @@ class SensorFleet:
         and its scan-count state — stay together); ``"flow"`` mode keys
         on the unordered endpoint pair so both directions of one
         conversation reach the same worker's reassembler.  The fields
-        come either from a decoded :class:`Packet`'s accessors or from
-        :meth:`Packet.peek_flow` over a header prefix — both yield the
-        same values by construction, so every transport shards every
-        packet identically.
+        always come from :meth:`Packet.peek_flow` over a header prefix
+        (which yields what a full decode would), so every transport
+        shards every packet identically.
         """
         if self.shard_by == "source":
             token = src or "?"
@@ -516,52 +448,67 @@ class SensorFleet:
         digest = hashlib.sha1(token.encode()).digest()
         return int.from_bytes(digest[:4], "big") % self.workers
 
-    def _shard_of(self, pkt: Packet) -> int:
-        return self._shard_of_fields(
-            pkt.src, pkt.dst,
-            pkt.ip.proto if pkt.ip is not None else None,
-            pkt.sport, pkt.dport)
+    def process_packet(self, item: Packet | PcapRecordMeta) -> list[Alert]:
+        """Dispatch one input unit to its flow's worker: a decoded
+        packet on the ``pickle`` transport, a record boundary on
+        ``offset`` (the worker re-reads the body from the capture).
 
-    def process_packet(self, pkt: Packet) -> None:
-        """Dispatch one decoded packet to its flow's worker.
-
-        Alerts are not returned here — they surface, in deterministic
-        order, from :meth:`flush` / :meth:`process_trace`; the fleet
-        trades per-packet synchrony for throughput.
+        Returns the alerts every shard has resolved so far, in dispatch
+        order; they trail their packets by up to a batch per shard, and
+        :meth:`drain` is the barrier that collects the rest.
         """
+        if self.transport != "offset":
+            return self.process_raw(item.encode(), item.timestamp)
+        if not isinstance(item, PcapRecordMeta):
+            raise ValueError(
+                "the offset transport dispatches record boundaries "
+                "(PcapRecordMeta), not packets; feed it from a "
+                "MetaPacketSource or via process_capture()")
+        return self._dispatch_meta(item)
+
+    def process_raw(self, raw: bytes, timestamp: float = 0.0) -> list[Alert]:
+        """``pickle`` transport: dispatch one wire-format record, sharded
+        by a bounded header peek (:meth:`Packet.peek_flow`) — a capture
+        record is never decoded or re-encoded by the dispatcher."""
         if self.transport == "offset":
             raise ValueError(
-                "the offset transport dispatches capture extents, not "
-                "packets; feed it via process_capture()")
-        shard = self._shard_of(pkt)
-        self._enqueue(shard, (self._seq, pkt.encode(), pkt.timestamp))
-
-    def process_raw(self, raw: bytes, timestamp: float = 0.0) -> None:
-        """Dispatch one undecoded capture record.
-
-        The record is sharded by a bounded header peek
-        (:meth:`Packet.peek_flow`) — the dispatcher never decodes or
-        re-encodes the payload, which is the point: with the ``pickle``
-        transport this is the cheap way to feed a capture
-        (:meth:`process_capture` uses it).
-        """
-        if self.transport == "offset":
-            raise ValueError(
-                "the offset transport dispatches capture extents, not "
+                "the offset transport dispatches record boundaries, not "
                 "records; feed it via process_capture()")
         if not isinstance(raw, (bytes, bytearray)):
             raw = bytes(raw)  # the replay log needs stable bytes
         shard = self._shard_of_fields(*Packet.peek_flow(raw))
-        self._enqueue(shard, (self._seq, raw, timestamp))
+        self._batches[shard].append((self._seq, raw, timestamp))
+        return self._dispatched_one(shard)
 
-    def _enqueue(self, shard: int, item: tuple) -> None:
-        self._batches[shard].append(item)
+    def _dispatch_meta(self, meta: PcapRecordMeta) -> list[Alert]:
+        """Offset transport: fold one record boundary into its shard's
+        extent runs.  A worker re-reads a run as ``count`` consecutive
+        records, so a run grows only when the record is next in dispatch
+        seq *and* starts where the run ends in the file — the owner's
+        ring may have shed the record in between."""
+        if meta.path != self._capture_path:
+            for shard in range(self.workers):  # one job names one file
+                self._ship(shard)
+            self._capture_path = meta.path
+        shard = self._shard_of_fields(
+            *Packet.peek_flow(meta.prefix, caplen=meta.caplen))
+        runs = self._batches[shard]
+        if (runs and runs[-1][0] + runs[-1][2] == self._seq
+                and runs[-1][3] == meta.offset):
+            runs[-1][2] += 1
+            runs[-1][3] = meta.end
+        else:
+            runs.append([self._seq, meta.offset, 1, meta.end])
+        return self._dispatched_one(shard)
+
+    def _dispatched_one(self, shard: int) -> list[Alert]:
         self._seq += 1
         self._dispatched.inc()
-        if len(self._batches[shard]) >= self.batch_size:
+        self._batch_counts[shard] += 1
+        if self._batch_counts[shard] >= self.batch_size:
             self._ship(shard)
         self._collect(blocking=False)
-        self._maybe_checkpoint()
+        return self._release()
 
     def process_trace(self, packets) -> list[Alert]:
         """Feed a whole capture of decoded packets; returns all alerts,
@@ -572,150 +519,63 @@ class SensorFleet:
         self.flush()
         return self.alerts[before:]
 
-    def process_capture(self, path, *, follow: bool = False,
-                        idle_timeout: float | None = None,
-                        poll_interval: float = 0.02,
-                        max_packets: int | None = None,
-                        stop=None, progress=None) -> list[Alert]:
-        """Feed a capture file through the configured transport.
-
-        - ``offset``: the dispatcher scans record boundaries and ships
-          ``(seq0, offset, count)`` extents — payload bytes are read
-          only by the workers;
-        - ``pickle``: records are read once and dispatched via
-          :meth:`process_raw` (header-peek sharding, no dispatcher
-          decode).
-
-        ``follow`` tails a growing capture (same semantics as the
-        daemon's ``--follow``): exit on ``idle_timeout`` seconds without
-        a new record, ``stop()`` truth, or ``max_packets``.  On a
-        resumed fleet the checkpointed prefix of the capture is skipped
-        and dispatch continues from :attr:`resume_seq`.  ``progress``
-        (if given) is called with the next dispatch seq before each
-        record — the crash-injection hook the resilience harness uses.
-        Returns the alerts emitted by this call's final flush.
-        """
+    def process_capture(self, path) -> list[Alert]:
+        """Feed a finite capture file through the configured transport
+        and flush; returns the alerts of this call.  ``offset`` scans
+        record boundaries only; ``pickle`` reads each record once and
+        shards it by header peek.  (A growing capture, a bounded ring or
+        a checkpoint is :class:`~repro.nids.SensorDaemon` over this
+        engine.)"""
         before = len(self.alerts)
-        self._capture_path = os.fspath(path)
-        reader = PcapReader(self._capture_path, streaming=follow)
-        offset_mode = self.transport == "offset"
-        #: a freshly resumed fleet re-reads the capture from the start
-        #: and must skip the records the checkpoint already accounted.
-        skip = self.resume_seq if self._seq == self.resume_seq else 0
-        cursor = 0
-        dispatched = 0
-        idle_since = None
-        try:
-            while True:
-                if stop is not None and stop():
-                    break
-                if max_packets is not None and dispatched >= max_packets:
-                    break
-                item = reader.poll_meta() if offset_mode else reader.poll()
-                if item is None:
-                    if not follow:
-                        reader.finalize()  # truncation verdict (raises)
-                        break
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    elif (idle_timeout is not None
-                          and now - idle_since >= idle_timeout):
-                        break
-                    time.sleep(poll_interval)
-                    continue
-                idle_since = None
-                if cursor < skip:
-                    cursor += 1
-                    continue
-                if progress is not None:
-                    progress(self._seq)
-                if offset_mode:
-                    self._dispatch_meta(item)
-                else:
-                    self.process_raw(item.data, item.timestamp)
-                cursor += 1
-                dispatched += 1
-        finally:
-            reader.close()
+        with PcapReader(path) as reader:
+            if self.transport == "offset":
+                while (meta := reader.poll_meta()) is not None:
+                    self._dispatch_meta(meta)
+            else:
+                while (rec := reader.poll()) is not None:
+                    self.process_raw(rec.data, rec.timestamp)
+            reader.finalize()  # truncation verdict (raises)
         self.flush()
         return self.alerts[before:]
-
-    def _dispatch_meta(self, meta) -> None:
-        """Offset transport: fold one scanned record boundary into its
-        shard's extent runs.  Consecutive records that hash to the same
-        shard have consecutive seqs *and* are contiguous in the file, so
-        they extend the current ``[seq0, offset, count]`` run instead of
-        adding a descriptor."""
-        fields = Packet.peek_flow(meta.prefix, caplen=meta.caplen)
-        shard = self._shard_of_fields(*fields)
-        runs = self._batches[shard]
-        if runs and runs[-1][0] + runs[-1][2] == self._seq:
-            runs[-1][2] += 1
-        else:
-            runs.append([self._seq, meta.offset, 1])
-        self._batch_counts[shard] += 1
-        self._seq += 1
-        self._dispatched.inc()
-        if self._batch_counts[shard] >= self.batch_size:
-            self._ship(shard)
-        self._collect(blocking=False)
-        self._maybe_checkpoint()
 
     # -- shipping ------------------------------------------------------------
 
     def _ship(self, shard: int) -> None:
-        if self.transport == "offset":
-            self._ship_extents(shard)
-            return
+        """Submit what one shard has buffered as one batch: the triples
+        themselves (``pickle``), or ``(path, [(seq0, offset, count)])``
+        for its extent runs (``offset``)."""
         batch, self._batches[shard] = self._batches[shard], []
+        self._batch_counts[shard] = 0
         if not batch:
             return
         t0 = time.perf_counter()
         key = batch[0][0]  # first dispatch seq: unique, monotonic
-        track = (self.watchdog_timeout is not None
-                 or self.checkpoints is not None)
-        if track:
-            self._replay[shard].append((key, batch))
-        self._ship_bytes.inc(sum(len(raw) for _seq, raw, _ts in batch))
-        self._submit_batch(shard, key, _run_records, batch, track)
-        self._finish_ship(t0)
-
-    def _ship_extents(self, shard: int) -> None:
-        runs, self._batches[shard] = self._batches[shard], []
-        self._batch_counts[shard] = 0
-        if not runs:
-            return
-        t0 = time.perf_counter()
-        key = runs[0][0]
-        job = (self._capture_path, [tuple(run) for run in runs])
-        track = (self.watchdog_timeout is not None
-                 or self.checkpoints is not None)
-        if track:
-            self._replay[shard].append((key, job))
-        self._ship_bytes.inc(len(runs) * _EXTENT_DESCRIPTOR_BYTES)
-        self._submit_batch(shard, key, _fleet_process_extents, job, track)
-        self._finish_ship(t0)
-
-    def _finish_ship(self, t0: float) -> None:
+        if self.transport == "offset":
+            fn = _fleet_process_extents
+            payload = (self._capture_path, [tuple(run[:3]) for run in batch])
+            self._ship_bytes.inc(len(batch) * _EXTENT_DESCRIPTOR_BYTES)
+        else:
+            fn, payload = _run_records, batch
+            self._ship_bytes.inc(sum(len(raw) for _seq, raw, _ts in batch))
+        if self._track:
+            self._replay[shard].append((key, fn, payload))
+        self._submit_batch(shard, key, fn, payload)
         self._batches_sent += 1
         self._batch_counter.inc()
         self._ship_seconds.observe(time.perf_counter() - t0)
 
-    def _submit_batch(self, shard: int, key, fn, payload,
-                      track: bool) -> None:
+    def _submit_batch(self, shard: int, key, fn, payload) -> None:
         try:
             future = self._pools[shard].submit(fn, payload)
         except BrokenProcessPool:
             # The pool died before we could even submit; the restart
             # resubmits the whole replay window (this batch included).
             self._restart_shard(shard)
-            if not track:
-                # No replay log to lean on — resubmit directly.
-                future = self._pools[shard].submit(fn, payload)
-                self._futures[shard].append((key, future))
-        else:
-            self._futures[shard].append((key, future))
+            if self._track:
+                return
+            # No replay log to lean on — resubmit directly.
+            future = self._pools[shard].submit(fn, payload)
+        self._futures[shard].append((key, future))
 
     # -- aggregation ---------------------------------------------------------
 
@@ -735,14 +595,10 @@ class SensorFleet:
     def _fold_one(self, shard: int, blocking: bool) -> None:
         """Fold the head future of one shard (FIFO)."""
         futures = self._futures[shard]
-        if not futures:
-            return
         key, future = futures[0]
         try:
-            if blocking and self.watchdog_timeout is not None:
-                alerts, delta = future.result(timeout=self.watchdog_timeout)
-            else:
-                alerts, delta = future.result()
+            alerts, delta = future.result(
+                timeout=self.watchdog_timeout if blocking else None)
         except (FutureTimeoutError, BrokenProcessPool):
             self._restart_shard(shard)
             return
@@ -765,47 +621,64 @@ class SensorFleet:
         self._watchdog_restarts.inc()
         _kill_pool(self._pools[shard])
         self._pools[shard] = self._spawn_pool(shard)
-        replay_fn = (_fleet_process_extents if self.transport == "offset"
-                     else _run_records)
         self._futures[shard] = deque(
-            (key, self._pools[shard].submit(replay_fn, payload))
-            for key, payload in self._replay[shard])
+            (key, self._pools[shard].submit(fn, payload))
+            for key, fn, payload in self._replay[shard])
 
-    def flush(self) -> list[Alert]:
-        """Ship partial batches, drain every worker, finalize stream
-        tails, and merge: packet alerts sorted by dispatch seq (stable —
-        one packet's alerts keep pipeline order), then each worker's
-        flush-time alerts in worker order."""
-        if not self._pools:
+    def _reset_replay(self) -> None:
+        """A barrier was reached: nothing shipped before it can need
+        replaying (and no folded key can come back)."""
+        self._replay = [[] for _ in range(self.workers)]
+        self._folded.clear()
+
+    def _hand_out(self, alerts: list[Alert]) -> list[Alert]:
+        self.alerts += alerts
+        self._alerts_out += len(alerts)
+        return alerts
+
+    def _release(self) -> list[Alert]:
+        """Hand out, ordered by dispatch seq (a stable sort, so one
+        packet's alerts keep their pipeline order), the collected alerts
+        below the lowest seq any shard has yet to resolve.  Everything
+        released later lies at or above that mark, so the concatenated
+        stream is in dispatch order however the shards interleave."""
+        if not self._collected:
             return []
+        low = min(futures[0][0] if futures else
+                  batch[0][0] if batch else self._seq
+                  for futures, batch in zip(self._futures, self._batches))
+        ready = [pair for pair in self._collected if pair[0] < low]
+        self._collected = [pair for pair in self._collected if pair[0] >= low]
+        ready.sort(key=itemgetter(0))
+        return self._hand_out([alert for _seq, alert in ready])
+
+    def drain(self) -> list[Alert]:
+        """Barrier: ship partial batches and wait for every shard, so
+        each packet dispatched so far is resolved and its alerts handed
+        out; stream tails stay open."""
         for shard in range(self.workers):
             self._ship(shard)
         self._collect(blocking=True)
-        tails: list[list[Alert]] = []
+        return self._release()
+
+    def flush(self) -> list[Alert]:
+        """:meth:`drain`, then finalize every worker's stream tails:
+        packet alerts in dispatch order, then each worker's flush-time
+        alerts in worker order."""
+        if not self._pools:
+            return []
+        out = self.drain()
+        tails: list[Alert] = []
         for shard in range(self.workers):
             alerts, delta = self._submit_supervised(
                 shard, _fleet_flush_worker)
-            tails.append(alerts)
+            tails += alerts
             self.registry.merge_delta(delta)
             self._deltas_merged += 1
-        window = sorted(self._collected, key=lambda pair: pair[0])
-        self._collected = []
-        before = len(self.alerts)
-        self._journal_and_emit(window)
-        if self.journal is not None:
-            self.journal.sync()
-        # Flush-time stream tails are emitted once, by the incarnation
-        # that actually finishes the capture; they carry no dispatch seq
-        # and are not journaled (a crash *during* final flush re-runs
-        # the flush after resume, regenerating them from the restored
-        # stream state).
-        self.alerts.extend(tail_alert for tail in tails
-                           for tail_alert in tail)
-        # Everything shipped so far is folded and emitted; the replay
-        # window (bounded otherwise only by checkpoint barriers) resets.
-        self._replay = [[] for _ in range(self.workers)]
-        self._folded.clear()
-        return self.alerts[before:]
+        # Everything shipped so far is folded and handed out; the replay
+        # window (bounded otherwise only by snapshots) resets.
+        self._reset_replay()
+        return out + self._hand_out(tails)
 
     # -- hot template reload -------------------------------------------------
 
@@ -814,21 +687,15 @@ class SensorFleet:
         semantics as the single-sensor engines: in-flight batches drain
         under the old library, then every worker is respawned with the
         new set in its initargs."""
-        new = library_digest(resolve_template_set(template_set))
-        old = library_digest(resolve_template_set(self.template_set))
-        if new == old:
+        digest = library_digest(resolve_template_set(template_set))
+        if digest == self._digest:
             return False
         self.flush()
-        self.template_set = template_set
+        self.template_set, self._digest = template_set, digest
         # Snapshots taken under the old library cannot rehydrate workers
         # running the new one (restore_state refuses digest mismatches).
         self._shard_states = [None] * self.workers
-        for shard, pool in enumerate(self._pools):
-            # wait=True: the old worker must be reaped, not orphaned —
-            # flush() already drained its queue, so there is no work to
-            # wait on, only process teardown.
-            pool.shutdown(wait=True, cancel_futures=True)
-            self._pools[shard] = self._spawn_pool(shard)
+        self._respawn()
         return True
 
     # -- reporting -----------------------------------------------------------
@@ -839,12 +706,8 @@ class SensorFleet:
             workers=self.workers,
             dispatched=self._seq,
             batches=self._batches_sent,
-            alerts=len(self.alerts),
+            alerts=self._alerts_out,
             deltas_merged=self._deltas_merged,
-            checkpoints=(self.checkpoints.saves
-                         if self.checkpoints is not None else 0),
-            replayed=int(self._replayed_counter.value),
-            deduped=int(self._deduped_counter.value),
             watchdog_restarts=int(self._watchdog_restarts.value),
             transport=self.transport,
             ship_bytes=int(self._ship_bytes.value),

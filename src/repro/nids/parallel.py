@@ -167,11 +167,6 @@ class ParallelSemanticNids(SemanticNids):
         Injectable monotonic clock for the breakers (tests).
     """
 
-    #: the inherited snapshot marks payloads still in ``_pending`` as
-    #: analyzed (``analyzed_len`` already covers them), so a crash after
-    #: a checkpoint would lose their alerts.
-    checkpointable = False
-
     def __init__(
         self,
         workers: int | None = None,
@@ -236,11 +231,18 @@ class ParallelSemanticNids(SemanticNids):
                       self.analyzer.min_instructions, self._deadline_units,
                       self.fastpath))
 
+    def drain(self) -> list[Alert]:
+        """Block until every payload in flight to a worker is merged.
+        The inherited snapshot marks such payloads as analyzed
+        (``analyzed_len`` already covers them), so it is complete only
+        after this."""
+        return self._drain(blocking=True)
+
     def flush(self) -> list[Alert]:
         """Finalize unexamined stream tails, then drain every pending
         worker result; returns the alerts raised."""
         self._finalize_streams()
-        out = self._drain(blocking=True)
+        out = self.drain()
         self.sync_frontend_stats()
         return out
 

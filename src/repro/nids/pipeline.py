@@ -17,6 +17,34 @@ optionally quarantined, and surfaced as a degraded-mode alert — the
 sensor keeps processing the next packet instead of dying on hostile
 input.  ``analysis_deadline_ms`` additionally bounds the work any one
 payload can extract from stages (c)-(e).
+
+The engine contract
+-------------------
+:class:`SemanticNids`, :class:`~repro.nids.ParallelSemanticNids` and
+:class:`~repro.nids.SensorFleet` are three *engines*: anything that
+drives one — :class:`~repro.nids.SensorDaemon` above all, which alone
+owns the journal, checkpoints, resume, tailing and the periodic duties —
+relies on these members and on nothing else:
+
+- ``process_packet(item) -> alerts`` — feed one input unit (a decoded
+  :class:`~repro.net.packet.Packet`; the offset fleet takes a
+  :class:`~repro.net.pcap.PcapRecordMeta`).  Alerts may trail the packet
+  that caused them, but they always come out in one deterministic order,
+  whatever the process scheduling.
+- ``drain() -> alerts`` — a barrier: everything owed for the input
+  handed in so far, without finalising any stream.  Afterwards nothing
+  is in flight, which is what makes ``snapshot_state()`` complete.  The
+  serial engine owes nothing and returns ``[]``.
+- ``flush() -> alerts`` — ``drain()`` plus the unexamined stream tails.
+- ``alerts`` — every alert handed out (also by the drain inside a
+  reload) is appended here first, in that same order; a long-running
+  owner empties the list as it delivers; ``stats.alerts`` keeps count.
+- ``snapshot_state() -> dict`` / ``restore_state(dict)`` — picklable
+  detection state, taken after a ``drain()``; restoring raises
+  :class:`ValueError` for a snapshot this engine must not continue
+  from (other template library, other shard layout).
+- ``reload_template_set(name) -> bool`` — digest-keyed hot swap.
+- ``close()``, ``registry`` and ``stats``.
 """
 
 from __future__ import annotations
@@ -29,6 +57,7 @@ from ..classify.darkspace import DarkSpaceMonitor
 from ..classify.fanout import SmtpFanoutMonitor
 from ..classify.honeypot import HoneypotRegistry
 from ..core.analyzer import SemanticAnalyzer
+from ..core.library import library_digest, resolve_template_set
 from ..core.template import Template, TemplateMatch
 from ..errors import DeadlineExceeded
 from ..extract.frames import BinaryExtractor
@@ -315,6 +344,11 @@ class SemanticNids:
         self.flush()
         return self.alerts[before:]
 
+    def drain(self) -> list[Alert]:
+        """Everything owed for the packets fed so far — nothing: this
+        engine resolves each packet before ``process_packet`` returns."""
+        return []
+
     def flush(self) -> list[Alert]:
         """Complete any deferred analysis: streams with buffered growth
         that never crossed a re-analysis trigger get one final pass (the
@@ -399,11 +433,6 @@ class SemanticNids:
     #: ``released`` offset instead of every segment it ever saw).
     STATE_VERSION = 3
 
-    #: whether :meth:`snapshot_state` captures everything a crash would
-    #: lose; :class:`~repro.nids.SensorDaemon` refuses ``checkpoint_dir``
-    #: for an engine that says no.
-    checkpointable = True
-
     def snapshot_state(self) -> dict:
         """Picklable snapshot of all detection-relevant mutable state.
 
@@ -471,8 +500,6 @@ class SemanticNids:
 
     def library_digest(self) -> bytes:
         """Digest of the currently loaded template library."""
-        from ..core.library import library_digest
-
         return library_digest(self.analyzer.templates)
 
     def reload_templates(self, templates: list[Template]) -> bool:
@@ -484,13 +511,16 @@ class SemanticNids:
         :meth:`~repro.core.analyzer.SemanticAnalyzer.set_templates`) —
         and counts ``repro_template_reloads_total``.
         """
-        from ..core.library import library_digest
-
         if library_digest(templates) == self.library_digest():
             return False
         self.analyzer.set_templates(templates)
         self._template_reloads.inc()
         return True
+
+    def reload_template_set(self, template_set: str) -> bool:
+        """:meth:`reload_templates` by set name — the form every engine
+        takes (worker processes can rebuild a set from its name only)."""
+        return self.reload_templates(resolve_template_set(template_set))
 
     # -- stages (b)-(e) ---------------------------------------------------------
 

@@ -245,13 +245,15 @@ class FaultInjector:
         self.injected.append(InjectedFault(
             "crash", torn_bytes, detail="mid-journal-write"))
 
-    def kill_fleet(self, fleet) -> int:
-        """Hard-kill a fleet "process tree": terminate and reap every
-        shard worker, then drop the broken pools without flushing —
-        in-flight batches and collected-but-unemitted alerts are lost,
-        as in a real dispatcher death.  Returns processes killed."""
+    def kill_workers(self, engine) -> int:
+        """Hard-kill an engine's "process tree" (the parallel engine's
+        or the fleet's worker pools; the serial engine has none):
+        terminate and reap every worker, then drop the broken pools
+        without flushing — in-flight work and collected-but-unemitted
+        alerts are lost, as in a real process death.  Returns processes
+        killed."""
         killed = 0
-        for pool in fleet._pools:
+        for pool in getattr(engine, "_pools", ()):
             procs = list(getattr(pool, "_processes", {}).values())
             for proc in procs:
                 proc.terminate()
@@ -259,9 +261,10 @@ class FaultInjector:
                 proc.join(timeout=10)
                 killed += 1
             pool.shutdown(wait=False, cancel_futures=True)
-        fleet._pools = []
-        self.injected.append(InjectedFault(
-            "crash", killed, detail="fleet-kill"))
+        if killed:
+            engine._pools = []
+            self.injected.append(InjectedFault(
+                "crash", killed, detail="worker-kill"))
         return killed
 
     @contextmanager

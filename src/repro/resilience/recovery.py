@@ -10,12 +10,16 @@ module is the harness that proves it — shared by the differential tests
 ``chaos.crash`` path, and the CI kill-matrix tool
 (``tools/crash_matrix.py``).
 
-One run is a loop of *incarnations*: build a fresh sensor over the same
-capture and the same checkpoint directory, arm the next kill from the
-schedule, run until the kill fires (the incarnation is then abandoned
-exactly as a dead process would be — no clean-shutdown path executes,
-and the journal's userspace write buffer is discarded), and resume the
-next incarnation from the checkpoints.  Kills land at three seams:
+There is one orchestrator for every engine, because there is one
+durability layer (:class:`~repro.nids.SensorDaemon`): callers hand it an
+engine factory (serial, parallel or fleet) and a source factory
+(:func:`capture_sources`).  One run is a loop of *incarnations*: build a
+fresh daemon over the same capture and the same checkpoint directory,
+arm the next kill from the schedule, run until the kill fires (the
+incarnation is then abandoned exactly as a dead process would be — no
+clean-shutdown path executes, and the journal's userspace write buffer
+is discarded), and resume the next incarnation from the checkpoints.
+Kills land at three seams:
 
 - ``mid-batch`` — between two packets of a processing batch;
 - ``mid-checkpoint`` — after the checkpoint temp file is durable but
@@ -31,14 +35,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..net.packet import Packet
 from .chaos import FaultInjector, InjectedFault, SimulatedCrash
 from .delivery import DurableDelivery
 from .journal import AlertJournal
 
-__all__ = ["KILL_KINDS", "RecoveryReport", "run_daemon_reference",
-           "run_daemon_with_crashes", "run_fleet_reference",
-           "run_fleet_with_crashes"]
+__all__ = ["KILL_KINDS", "RecoveryReport", "capture_sources",
+           "run_daemon_reference", "run_daemon_with_crashes"]
 
 #: The three seams a kill can land on (see module docstring).
 KILL_KINDS = ("mid-batch", "mid-checkpoint", "mid-journal-write")
@@ -115,20 +117,14 @@ def _abandon_journal(journal: AlertJournal | None) -> None:
 
 @contextmanager
 def _arm_kill(injector: FaultInjector, kill_kind: str, kill_at: int | None,
-              *, progress: Callable[[], int], daemon=None, store=None,
-              journal=None):
-    """Install the seam for one kill; always restored on exit.
-
-    ``progress()`` is the global mark (packets processed for the daemon,
-    packets dispatched for the fleet) the kill waits for.
-    """
+              daemon):
+    """Install the seam for one kill (``kill_at`` is a global
+    processed-packet mark); always restored on exit."""
+    store, journal = daemon.checkpoints, daemon.journal
     if kill_at is None:
         yield
         return
     if kill_kind == "mid-batch":
-        if daemon is None:  # fleet: the feed loop raises the kill itself
-            yield
-            return
         with injector.crash_on_processed(daemon, kill_at):
             yield
         return
@@ -136,7 +132,7 @@ def _arm_kill(injector: FaultInjector, kill_kind: str, kill_at: int | None,
         previous = store.pre_rename
 
         def explode(tmp_path):
-            if progress() >= kill_at:
+            if daemon._processed.value >= kill_at:
                 injector.injected.append(InjectedFault(
                     "crash", kill_at, detail="mid-checkpoint"))
                 raise SimulatedCrash(
@@ -154,7 +150,7 @@ def _arm_kill(injector: FaultInjector, kill_kind: str, kill_at: int | None,
         original = journal.append
 
         def tearing(key, alert):
-            if (progress() >= kill_at
+            if (daemon._processed.value >= kill_at
                     and journal._tear_after_bytes is None):
                 injector.crash_on_journal_write(journal)
             return original(key, alert)
@@ -184,12 +180,31 @@ def _dedupe_stream(delivered: list[tuple]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Daemon orchestration
+# Orchestration
 # ---------------------------------------------------------------------------
 
 
+def capture_sources(packets, capture_path, *, meta: bool = False) -> Callable:
+    """Write ``packets`` to ``capture_path`` once and return a factory
+    of fresh daemon sources over that file — decoded packets, or record
+    boundaries (``meta``, the offset fleet's feed).  Every incarnation
+    and the reference then read the identical bytes: pcap rounds
+    timestamps to microseconds, so feeding some runs from memory and
+    others from disk would break byte-parity for reasons that have
+    nothing to do with crash recovery."""
+    from ..net.pcap import PcapReader, read_pcap, write_pcap
+    from ..nids.daemon import IterPacketSource, MetaPacketSource
+
+    capture_path = os.fspath(capture_path)
+    write_pcap(capture_path, packets)
+    if meta:
+        return lambda: MetaPacketSource(PcapReader(capture_path))
+    decoded = read_pcap(capture_path)
+    return lambda: IterPacketSource(decoded)
+
+
 def run_daemon_reference(
-    packets: Sequence[Packet],
+    source_factory: Callable,
     *,
     nids_factory: Callable,
     daemon_options: dict | None = None,
@@ -198,18 +213,21 @@ def run_daemon_reference(
 
     Returns ``(alert_lines, stats)``.
     """
-    from ..nids.daemon import IterPacketSource, SensorDaemon
+    from ..nids.daemon import SensorDaemon
 
     collected = []
-    daemon = SensorDaemon(
-        nids_factory(), IterPacketSource(packets), shed_policy="block",
-        on_alert=collected.append, **(daemon_options or {}))
-    stats = daemon.run()
+    nids = nids_factory()
+    try:
+        stats = SensorDaemon(
+            nids, source_factory(), shed_policy="block",
+            on_alert=collected.append, **(daemon_options or {})).run()
+    finally:
+        nids.close()
     return [alert.format() for alert in collected], stats
 
 
 def run_daemon_with_crashes(
-    packets: Sequence[Packet],
+    source_factory: Callable,
     *,
     nids_factory: Callable,
     checkpoint_dir,
@@ -220,17 +238,20 @@ def run_daemon_with_crashes(
     daemon_options: dict | None = None,
     injector: FaultInjector | None = None,
     max_incarnations: int = 32,
+    engine: str = "daemon",
 ) -> RecoveryReport:
-    """Run the daemon under a kill schedule; every crash abandons the
-    incarnation (no shutdown path) and the next one resumes from the
-    checkpoint directory.  ``kills`` are global processed-packet marks.
+    """Run the daemon — over whichever engine ``nids_factory`` builds —
+    under a kill schedule; every crash abandons the incarnation (no
+    shutdown path; worker processes are killed) and the next one resumes
+    from the checkpoint directory.  ``kills`` are global
+    processed-packet marks; ``engine`` only labels the report.
     """
-    from ..nids.daemon import IterPacketSource, SensorDaemon
+    from ..nids.daemon import SensorDaemon
 
     injector = injector if injector is not None else FaultInjector()
     pending = sorted(kills)
     delivered: list[tuple] = []
-    report = RecoveryReport(engine="daemon", kill_kind=kill_kind,
+    report = RecoveryReport(engine=engine, kill_kind=kill_kind,
                             kills=list(pending))
     resume = False
     while report.incarnations < max_incarnations:
@@ -240,7 +261,7 @@ def run_daemon_with_crashes(
             lambda key, alert: delivered.append((key, alert)),
             registry=nids.registry)
         daemon = SensorDaemon(
-            nids, IterPacketSource(packets), shed_policy="block",
+            nids, source_factory(), shed_policy="block",
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,
             journal_fsync_batch=journal_fsync_batch,
@@ -249,158 +270,26 @@ def run_daemon_with_crashes(
         kill_at = pending[0] if pending else None
         completed = False
         try:
-            with _arm_kill(injector, kill_kind, kill_at,
-                           progress=lambda: daemon._processed.value,
-                           daemon=daemon, store=daemon.checkpoints,
-                           journal=daemon.journal):
+            with _arm_kill(injector, kill_kind, kill_at, daemon):
                 stats = daemon.run()
             completed = True
+            nids.close()
             if pending:  # armed but the run outlived the kill point
                 pending.pop(0)
         except (SimulatedCrash, OSError):
             report.crashes += 1
             pending.pop(0)
             _abandon_journal(daemon.journal)
-        report.checkpoints += daemon.checkpoints.saves
-        report.replayed += nids.stats.alerts_replayed
-        report.deduped += nids.stats.alerts_deduped
+            injector.kill_workers(nids)
+        totals = daemon.stats()
+        report.checkpoints += totals.checkpoints
+        report.replayed += totals.replayed
+        report.deduped += totals.deduped
+        report.watchdog_restarts += nids.stats.watchdog_restarts
         if completed:
             report.uncounted_drops = stats.uncounted_drops
             report.registry = nids.registry
             break
     report.alerts = _dedupe_stream(delivered)
-    report.alert_lines = [alert.format() for alert in report.alerts]
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Fleet orchestration
-# ---------------------------------------------------------------------------
-
-
-def _materialize_capture(packets: Sequence[Packet], capture_path) -> str:
-    """Write the trace to a capture file once, so every incarnation (and
-    the reference) reads the identical bytes — pcap rounds timestamps to
-    microseconds, so feeding some runs from memory and others from disk
-    would break byte-parity for reasons that have nothing to do with
-    crash recovery."""
-    from ..net.pcap import write_pcap
-
-    capture_path = os.fspath(capture_path)
-    write_pcap(capture_path, packets)
-    return capture_path
-
-
-def run_fleet_reference(
-    packets: Sequence[Packet],
-    *,
-    fleet_options: dict | None = None,
-    capture_path=None,
-):
-    """The uninterrupted fleet run.  Returns ``(alert_lines, stats)``.
-
-    ``capture_path`` feeds the fleet from a pcap written once from
-    ``packets`` (required for ``transport="offset"``, which dispatches
-    file extents; valid for every transport and what the transport
-    parity suite uses).
-    """
-    from ..nids.fleet import SensorFleet
-
-    if capture_path is not None:
-        capture_path = _materialize_capture(packets, capture_path)
-    with SensorFleet(**(fleet_options or {})) as fleet:
-        if capture_path is not None:
-            fleet.process_capture(capture_path)
-        else:
-            fleet.process_trace(packets)
-        stats = fleet.stats
-        lines = [alert.format() for alert in fleet.alerts]
-    return lines, stats
-
-
-def run_fleet_with_crashes(
-    packets: Sequence[Packet],
-    *,
-    checkpoint_dir,
-    kills: Sequence[int],
-    kill_kind: str = "mid-batch",
-    checkpoint_interval: int = 100,
-    journal_fsync_batch: int = 4,
-    fleet_options: dict | None = None,
-    injector: FaultInjector | None = None,
-    max_incarnations: int = 32,
-    capture_path=None,
-) -> RecoveryReport:
-    """Run the fleet under a kill schedule.  ``kills`` are global
-    dispatch-sequence marks; every crash hard-kills the whole "process
-    tree" (dispatcher and workers) and the next incarnation resumes —
-    restoring the emitted stream from the journal and re-feeding the
-    capture from :attr:`SensorFleet.resume_seq`.
-
-    ``capture_path`` feeds every incarnation from a pcap written once
-    from ``packets`` (required for ``transport="offset"``); mid-batch
-    kills then fire through :meth:`SensorFleet.process_capture`'s
-    ``progress`` hook instead of the in-memory feed loop.
-    """
-    from ..nids.fleet import SensorFleet
-
-    if capture_path is not None:
-        capture_path = _materialize_capture(packets, capture_path)
-    injector = injector if injector is not None else FaultInjector()
-    pending = sorted(kills)
-    report = RecoveryReport(engine="fleet", kill_kind=kill_kind,
-                            kills=list(pending))
-    resume = False
-    while report.incarnations < max_incarnations:
-        report.incarnations += 1
-        fleet = SensorFleet(
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            journal_fsync_batch=journal_fsync_batch,
-            resume=resume, **(fleet_options or {}))
-        resume = True
-        kill_at = pending[0] if pending else None
-        completed = False
-        try:
-            def feed_kill(seq, _kill_at=kill_at):
-                if (kill_kind == "mid-batch" and _kill_at is not None
-                        and seq >= _kill_at):
-                    injector.injected.append(InjectedFault(
-                        "crash", _kill_at, detail="mid-batch"))
-                    raise SimulatedCrash(
-                        f"chaos: fleet killed at dispatch {_kill_at}")
-
-            with _arm_kill(injector, kill_kind, kill_at,
-                           progress=lambda: fleet._seq,
-                           store=fleet.checkpoints, journal=fleet.journal):
-                if capture_path is not None:
-                    fleet.process_capture(capture_path, progress=feed_kill)
-                else:
-                    for index in range(fleet.resume_seq, len(packets)):
-                        feed_kill(index)
-                        fleet.process_packet(packets[index])
-                    fleet.flush()
-            completed = True
-            if pending:
-                pending.pop(0)
-        except (SimulatedCrash, OSError):
-            report.crashes += 1
-            pending.pop(0)
-            _abandon_journal(fleet.journal)
-            injector.kill_fleet(fleet)
-        stats = fleet.stats
-        report.checkpoints += stats.checkpoints
-        report.replayed += stats.replayed
-        report.deduped += stats.deduped
-        report.watchdog_restarts += stats.watchdog_restarts
-        if completed:
-            report.alerts = list(fleet.alerts)
-            # dispatched == emitted-or-deduped for a completed fleet run;
-            # the ring accounting invariant is the daemon's — report 0
-            # unless the final incarnation lost something silently.
-            report.uncounted_drops = 0
-            report.registry = fleet.registry
-            fleet.close()
-            break
     report.alert_lines = [alert.format() for alert in report.alerts]
     return report

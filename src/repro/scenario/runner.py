@@ -274,6 +274,25 @@ def _truncated_roundtrip(packets: list[Packet], drop: int) -> list[Packet]:
 # ---------------------------------------------------------------------------
 
 
+def _build_engine(engine: EngineSpec):
+    """The engine a scenario names; ``daemon`` is the serial engine
+    under :class:`~repro.nids.SensorDaemon`."""
+    from ..nids import ParallelSemanticNids, SemanticNids, SensorFleet
+    from ..core.library import resolve_template_set
+
+    options = dict(engine.options)
+    if engine.kind == "fleet":
+        return SensorFleet(workers=engine.workers,
+                           template_set=engine.template_set,
+                           nids_options=options)
+    if engine.kind == "parallel":
+        return ParallelSemanticNids(workers=engine.workers,
+                                    template_set=engine.template_set,
+                                    **options)
+    return SemanticNids(
+        templates=resolve_template_set(engine.template_set), **options)
+
+
 def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
     """Process ``packets`` through the configured engine.
 
@@ -281,41 +300,20 @@ def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
     ``None`` unless a ``crash`` chaos entry routed the run through the
     crash/restart harness.
     """
-    from ..nids import (
-        ParallelSemanticNids, SemanticNids, SensorDaemon, SensorFleet,
-    )
+    from ..nids import SensorDaemon
     from ..nids.daemon import IterPacketSource
-    from ..core.library import resolve_template_set
 
     engine: EngineSpec = spec.engine
-    options = dict(engine.options)
     fault_chaos = [c for c in spec.chaos if c.kind == "decode-faults"]
     crash_chaos = [c for c in spec.chaos if c.kind == "crash"]
 
     if crash_chaos:
         return _run_crash_engine(spec, packets, crash_chaos[0])
 
-    if engine.kind == "fleet":
-        fleet = SensorFleet(workers=engine.workers,
-                            template_set=engine.template_set,
-                            nids_options=options)
-        try:
-            fleet.process_trace(packets)
-        finally:
-            fleet.close()
-        return fleet.alerts, fleet.registry, None
-
-    if engine.kind == "parallel":
-        nids = ParallelSemanticNids(workers=engine.workers,
-                                    template_set=engine.template_set,
-                                    **options)
-    else:
-        nids = SemanticNids(
-            templates=resolve_template_set(engine.template_set), **options)
-
+    nids = _build_engine(engine)
     with ExitStack() as stack:
         stack.callback(nids.close)
-        for chaos in fault_chaos:
+        for chaos in fault_chaos:  # validation keeps these off a fleet
             stack.enter_context(_decode_faults(nids, chaos, spec.seed,
                                                len(packets)))
         if engine.kind == "daemon":
@@ -339,48 +337,33 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     """Route a ``crash`` scenario through the crash/restart harness
     (:mod:`repro.resilience.recovery`): a reference run pins the
     uninterrupted stream, then the kill schedule runs against a fresh
-    checkpoint directory and the recovered stream is compared."""
-    from ..nids import SemanticNids
-    from ..core.library import resolve_template_set
+    checkpoint directory and the recovered stream is compared.  Both
+    engine kinds validation allows here (daemon, fleet) run under the
+    daemon, the one durability layer."""
+    from ..nids.daemon import IterPacketSource
     from ..resilience.recovery import (
         run_daemon_reference, run_daemon_with_crashes,
-        run_fleet_reference, run_fleet_with_crashes,
     )
 
     engine: EngineSpec = spec.engine
     opts = chaos.options
-    with tempfile.TemporaryDirectory() as tmp:
-        if engine.kind == "daemon":
-            def factory():
-                return SemanticNids(
-                    templates=resolve_template_set(engine.template_set),
-                    **dict(engine.options))
+    run = dict(
+        nids_factory=lambda: _build_engine(engine),
+        daemon_options={
+            "ring_capacity": engine.daemon.get("ring_capacity", 4096),
+            "batch_size": engine.daemon.get("batch_size", 256),
+        })
 
-            daemon_options = {
-                "ring_capacity": engine.daemon.get("ring_capacity", 4096),
-                "batch_size": engine.daemon.get("batch_size", 256),
-            }
-            reference, _ = run_daemon_reference(
-                packets, nids_factory=factory,
-                daemon_options=daemon_options)
-            report = run_daemon_with_crashes(
-                packets, nids_factory=factory, checkpoint_dir=tmp,
-                kills=opts["kills"], kill_kind=opts["kill_kind"],
-                checkpoint_interval=opts["checkpoint_interval"],
-                daemon_options=daemon_options)
-        else:  # fleet (validation pins crash to daemon/fleet)
-            fleet_options = {
-                "workers": engine.workers,
-                "template_set": engine.template_set,
-                "nids_options": dict(engine.options),
-            }
-            reference, _ = run_fleet_reference(
-                packets, fleet_options=fleet_options)
-            report = run_fleet_with_crashes(
-                packets, checkpoint_dir=tmp,
-                kills=opts["kills"], kill_kind=opts["kill_kind"],
-                checkpoint_interval=opts["checkpoint_interval"],
-                fleet_options=fleet_options)
+    def source():
+        return IterPacketSource(packets)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reference, _ = run_daemon_reference(source, **run)
+        report = run_daemon_with_crashes(
+            source, checkpoint_dir=tmp, kills=opts["kills"],
+            kill_kind=opts["kill_kind"],
+            checkpoint_interval=opts["checkpoint_interval"],
+            engine=engine.kind, **run)
         report.reference_lines = reference
     return report.alerts, report.registry, report
 

@@ -193,17 +193,16 @@ SCHEMA: list[SchemaKey] = [
               "written capture (the run then goes through a real pcap "
               "round-trip with salvage).", ">= 1"),
     SchemaKey("chaos[].kills", "list[int]", "—",
-              "crash only: global packet marks (processed count for the "
-              "daemon, dispatch seq for the fleet) where the process is "
-              "killed; each kill abandons the incarnation and the next "
-              "one resumes from the checkpoints.",
+              "crash only: global processed-packet marks where the "
+              "process is killed; each kill abandons the incarnation "
+              "and the next one resumes from the checkpoints.",
               "required for crash; each >= 0"),
     SchemaKey("chaos[].kill_kind", "str", '"mid-batch"',
               "crash only: the seam the kill lands on.",
               "one of: " + ", ".join(KILL_KINDS)),
     SchemaKey("chaos[].checkpoint_interval", "int", "100",
-              "crash only: processed/dispatched packets between "
-              "checkpoints.", ">= 1"),
+              "crash only: processed packets between checkpoints.",
+              ">= 1"),
     SchemaKey("engine", "map", "serial defaults",
               "Which analysis engine runs the trace."),
     SchemaKey("engine.kind", "str", '"serial"',

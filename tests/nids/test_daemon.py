@@ -6,13 +6,21 @@ import pytest
 from repro.core.library import resolve_template_set
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
+from repro.net.pcap import PcapReader, read_pcap, write_pcap
 from repro.nids import (
     IterPacketSource,
+    MetaPacketSource,
     ParallelSemanticNids,
     SemanticNids,
     SensorDaemon,
+    SensorFleet,
+)
+from repro.resilience.recovery import (
+    run_daemon_reference,
+    run_daemon_with_crashes,
 )
 from repro.traffic.mix import BenignMixGenerator
+from repro.traffic.traces import build_table3_trace
 
 
 class FakeClock:
@@ -254,25 +262,111 @@ class TestHotReload:
 
 
 class TestCheckpointGate:
-    def test_parallel_engine_is_refused(self, tmp_path):
-        """Regression: the gate was ``hasattr(nids, "snapshot_state")``,
-        which the parallel engine inherits — so it was checkpointed
-        with payloads still in flight to its workers, and a crash after
-        that checkpoint silently lost their alerts."""
-        with ParallelSemanticNids(workers=2,
-                                  classification_enabled=False) as nids:
-            assert not nids.checkpointable
-            with pytest.raises(ValueError, match="checkpointable"):
-                SensorDaemon(nids, IterPacketSource(iter([])),
-                             checkpoint_dir=tmp_path / "state")
-        assert not (tmp_path / "state").exists()
+    def test_parallel_engine_checkpoints_and_resumes_with_replay_parity(
+            self, tmp_path):
+        """The gate is gone: the daemon drains an engine before it
+        snapshots it, so the parallel engine — whose inherited snapshot
+        counts payloads still in flight to workers as analyzed — is
+        checkpointed like the serial one, and a killed run replays to
+        the uninterrupted stream."""
+        def factory():
+            return ParallelSemanticNids(workers=2,
+                                        classification_enabled=False)
+
+        packets = _packets(150)
+        for i, at in enumerate(range(20, 150, 25)):
+            packets[at] = _execve_packet(sport=5000 + i)
+
+        def source():
+            return IterPacketSource(packets)
+
+        reference, _ = run_daemon_reference(source, nids_factory=factory)
+        assert len(reference) == 6
+        report = run_daemon_with_crashes(
+            source, nids_factory=factory, checkpoint_dir=tmp_path / "state",
+            kills=[50, 110], checkpoint_interval=30, engine="parallel")
+        assert report.crashes == 2 and report.checkpoints >= 2
+        assert report.alert_lines == reference
+        assert report.uncounted_drops == 0
+        offloaded = report.registry.get("repro_payloads_offloaded_total")
+        assert offloaded.value > 0  # the workers really were in the loop
 
     def test_serial_engine_is_accepted(self, tmp_path):
         nids = SemanticNids(classification_enabled=False)
-        assert nids.checkpointable
         daemon = SensorDaemon(nids, IterPacketSource(iter([])),
                               checkpoint_dir=tmp_path / "state")
         assert daemon.checkpoints is not None
+
+
+DARK = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"])
+
+ENGINES = {
+    "serial": lambda: SemanticNids(**DARK),
+    "parallel": lambda: ParallelSemanticNids(workers=2, **DARK),
+    "fleet-pickle": lambda: SensorFleet(workers=2, nids_options=DARK),
+    "fleet-offset": lambda: SensorFleet(workers=2, transport="offset",
+                                        nids_options=DARK),
+}
+
+
+class QuietSpell:
+    """A source that goes quiet for a few polls mid-capture, the way a
+    tailed file does between bursts."""
+
+    def __init__(self, inner, after, polls=3):
+        self.inner, self.after, self.polls = inner, after, polls
+        self.served = 0
+
+    @property
+    def finished(self):
+        return self.inner.finished
+
+    def poll(self):
+        if self.served == self.after and self.polls:
+            self.polls -= 1
+            return None
+        item = self.inner.poll()
+        self.served += item is not None
+        return item
+
+
+class TestEveryEngineUnderTheDaemon:
+    @pytest.fixture(scope="class")
+    def capture(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("daemon") / "table3.pcap"
+        write_pcap(path, build_table3_trace(2, target_packets=2500,
+                                            seed=1000).packets)
+        return str(path)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_alerts_flow_and_nothing_is_hoarded(self, capture, engine):
+        """Alerts reach the sink while the capture is still being fed —
+        at the latest on the next idle tick, not at shutdown — and once
+        delivered (shutdown flush included) no engine keeps them."""
+        serial = SemanticNids(**DARK)
+        expected = [a.format() for a in serial.process_trace(read_pcap(capture))]
+        total = serial.stats.packets
+        assert len(expected) == 4
+
+        nids = ENGINES[engine]()
+        delivered = []
+        with PcapReader(capture) as reader:
+            inner = (MetaPacketSource(reader) if engine == "fleet-offset"
+                     else IterPacketSource(iter(reader)))
+            daemon = SensorDaemon(
+                nids, QuietSpell(inner, after=total - 300),
+                sleep=lambda secs: None,
+                on_alert=lambda alert: delivered.append(
+                    (daemon._processed.value, alert.format())))
+            try:
+                stats = daemon.run()
+            finally:
+                nids.close()
+        assert stats.processed == total and stats.alerts == 4
+        assert sorted(line for _at, line in delivered) == sorted(expected)
+        assert delivered[0][0] <= total - 300 < total
+        assert nids.alerts == []
+        assert getattr(nids, "_collected", []) == []
 
 
 class TestStatsInvariant:

@@ -363,3 +363,36 @@ class TestAnchorCompilation:
                 b"ASCII text only, no opcodes here...")
             assert result.instruction_count == 0
             assert not result.matches
+
+
+class TestImportFootprint:
+    def test_a_default_sensor_never_imports_numpy_ma(self):
+        """``np.unique`` imports ``numpy.ma`` on first use: a 12 ms
+        stall on the first scanned frame and 2.6 MB resident in every
+        sensor, fleet worker and parallel worker, for a sort whose
+        result went into a ``set``.  Checked in a fresh interpreter —
+        this one has long since imported it."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.engines import EXPLOITS, ExploitGenerator\n"
+            "from repro.net.wire import Wire\n"
+            "from repro.nids import SemanticNids\n"
+            "wire, packets = Wire(), []\n"
+            "wire.attach(packets.append)\n"
+            "ExploitGenerator(wire).fire(EXPLOITS[0], '10.10.0.250', seed=1)\n"
+            "nids = SemanticNids(honeypots=['10.10.0.250'])\n"
+            "alerts = nids.process_trace(packets)\n"
+            "assert alerts and nids.stats.fastpath_anchor_hits > 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr or "numpy.ma was imported"

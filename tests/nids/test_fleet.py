@@ -49,9 +49,7 @@ class TestParity:
         classifier state (darkspace scan counts) on one worker."""
         assert len(serial_alerts) > 0  # the trace must actually alert
         with SensorFleet(workers=3, batch_size=32, nids_options=DARK) as fleet:
-            for pkt in trace:
-                fleet.process_packet(pkt)
-            fleet_alerts = fleet.flush()
+            fleet_alerts = fleet.process_trace(trace)
         assert sorted(map(_alert_key, fleet_alerts)) == \
             sorted(map(_alert_key, serial_alerts))
 
@@ -59,11 +57,39 @@ class TestParity:
         def run():
             with SensorFleet(workers=3, batch_size=16,
                              nids_options=DARK) as fleet:
-                for pkt in trace[:1200]:
-                    fleet.process_packet(pkt)
-                return [_alert_key(a) for a in fleet.flush()]
+                return [_alert_key(a)
+                        for a in fleet.process_trace(trace[:1200])]
 
         assert run() == run()
+
+    def test_alerts_flow_before_the_flush_in_dispatch_order(self, trace,
+                                                            serial_alerts):
+        """The engine contract: ``process_packet`` hands out what every
+        shard has resolved so far — alerts trail their packets by about
+        a batch instead of waiting for the flush — and the pieces
+        concatenate to the one deterministic stream."""
+        from concurrent.futures import wait
+
+        pieces = []
+        with SensorFleet(workers=3, batch_size=16, nids_options=DARK) as fleet:
+            for pkt in trace[:-100]:
+                pieces += fleet.process_packet(pkt)
+            # Every shipped batch resolved (only partial batches are still
+            # buffered): the next packet must bring their alerts along.
+            wait([f for queue in fleet._futures for _key, f in queue],
+                 timeout=60)
+            pieces += fleet.process_packet(trace[-100])
+            early = len(pieces)
+            for pkt in trace[-99:]:
+                pieces += fleet.process_packet(pkt)
+            pieces += fleet.drain()
+            assert fleet._collected == [] and not any(fleet._futures)
+            assert fleet.stats.alerts == len(pieces) == len(serial_alerts)
+            pieces += fleet.flush()
+            assert pieces == fleet.alerts
+        assert 0 < early
+        assert [_alert_key(a) for a in pieces] == \
+            [_alert_key(a) for a in serial_alerts]
 
 
 class TestMetricsAggregation:
@@ -71,9 +97,7 @@ class TestMetricsAggregation:
         packets = [_execve_packet(sport=7000 + i) for i in range(6)]
         opts = dict(classification_enabled=False)
         with SensorFleet(workers=2, batch_size=2, nids_options=opts) as fleet:
-            for pkt in packets:
-                fleet.process_packet(pkt)
-            alerts = fleet.flush()
+            alerts = fleet.process_trace(packets)
             reg = fleet.registry
             stats = fleet.stats
         assert len(alerts) == 6
@@ -103,11 +127,11 @@ class TestReload:
         with SensorFleet(workers=2, batch_size=1, template_set="xor-only",
                          nids_options=dict(classification_enabled=False)) \
                 as fleet:
-            fleet.process_packet(_execve_packet(sport=7200))
+            assert fleet.process_packet(_execve_packet(sport=7200)) == []
             assert fleet.flush() == []
             assert fleet.reload_template_set("paper") is True
-            fleet.process_packet(_execve_packet(sport=7201))
-            alerts = fleet.flush()
+            alerts = fleet.process_packet(_execve_packet(sport=7201))
+            alerts += fleet.flush()
         assert [a.template for a in alerts] == ["linux_shell_spawn"]
 
     def test_same_set_reload_is_noop(self):

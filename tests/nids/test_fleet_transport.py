@@ -18,12 +18,13 @@ import pytest
 
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
-from repro.net.pcap import read_pcap, write_pcap
-from repro.nids import SemanticNids
+from repro.net.pcap import PcapReader, read_pcap, write_pcap
+from repro.nids import MetaPacketSource, SemanticNids, SensorDaemon
 from repro.nids.fleet import FLEET_TRANSPORTS, SensorFleet
 from repro.resilience.recovery import (
-    run_fleet_reference,
-    run_fleet_with_crashes,
+    capture_sources,
+    run_daemon_reference,
+    run_daemon_with_crashes,
 )
 from repro.traffic import apply_evasion
 from repro.traffic.traces import build_table3_trace
@@ -123,41 +124,108 @@ class TestTransportParity:
         assert not spawned
 
 
+class TestOffsetFeedTakesBoundariesOnly:
+    def test_packets_and_raw_records_are_refused(self, trace):
+        """An offset fleet queues extent runs; a decoded packet or a raw
+        record slipped into them would be shipped as garbage."""
+        fleet = SensorFleet(workers=1, transport="offset")
+        try:
+            with pytest.raises(ValueError, match="PcapRecordMeta"):
+                fleet.process_packet(trace[0])
+            with pytest.raises(ValueError, match="process_capture"):
+                fleet.process_raw(trace[0].encode())
+            assert fleet.stats.dispatched == 0
+        finally:
+            fleet.close()
+
+
 class TestCrashSeamMatrix:
-    """Kill matrix × transports: mid-batch dispatcher death at seeded
-    marks, then restart-and-resume; parity and accounting must hold."""
+    """Kill matrix × transports, the fleet driven by the daemon (the one
+    durability layer): mid-batch death at seeded marks, then
+    restart-and-resume; parity and accounting must hold."""
+
+    @staticmethod
+    def _factory(transport):
+        return lambda: SensorFleet(workers=2, transport=transport,
+                                   nids_options=DARK)
 
     @pytest.mark.parametrize("transport", FLEET_TRANSPORTS)
     def test_killed_fleet_replays_to_parity(self, trace, tmp_path,
                                             transport):
-        options = dict(workers=2, transport=transport, nids_options=DARK)
-        reference, _ = run_fleet_reference(
-            trace, fleet_options=options,
-            capture_path=tmp_path / "reference.pcap")
+        feed = capture_sources(trace, tmp_path / "trace.pcap",
+                               meta=transport == "offset")
+        reference, _ = run_daemon_reference(
+            feed, nids_factory=self._factory(transport))
         assert reference
 
-        report = run_fleet_with_crashes(
-            trace, checkpoint_dir=tmp_path / "state",
+        report = run_daemon_with_crashes(
+            feed, nids_factory=self._factory(transport),
+            checkpoint_dir=tmp_path / "state",
             kills=[len(trace) // 3, (2 * len(trace)) // 3],
-            checkpoint_interval=60, fleet_options=options,
-            capture_path=tmp_path / "crash.pcap")
+            checkpoint_interval=60, engine=f"fleet-{transport}")
         assert report.crashes == 2
         assert report.alert_lines == reference
         assert report.uncounted_drops == 0
         assert report.checkpoints >= 1
         assert report.replayed >= 0 and report.deduped >= 0
 
-    def test_reference_runs_agree_across_transports(self, trace, tmp_path):
+    def test_reference_runs_agree_across_transports(self, trace, tmp_path,
+                                                    reference):
         """The recovery harness's own baseline is transport-invariant
-        too (it is what every crash assertion compares against)."""
-        lines = {}
+        too (it is what every crash assertion compares against), and it
+        is the serial stream."""
         for transport in FLEET_TRANSPORTS:
-            lines[transport], stats = run_fleet_reference(
-                trace, fleet_options=dict(workers=2, transport=transport,
-                                          nids_options=DARK),
-                capture_path=tmp_path / f"{transport}.pcap")
-            assert stats.transport == transport
-        assert lines["pickle"] == lines["offset"]
+            lines, stats = run_daemon_reference(
+                capture_sources(trace, tmp_path / f"{transport}.pcap",
+                                meta=transport == "offset"),
+                nids_factory=self._factory(transport))
+            assert lines == reference
+            assert stats.processed == len(trace)
+
+
+class TestOffsetFeedUnderASheddingRing:
+    def test_workers_decode_exactly_the_processed_records(self, capture):
+        """The daemon's ring may shed a record between two that hash to
+        one shard: they are consecutive in dispatch seq but not in the
+        file, so they must not share an extent run (a worker re-reads a
+        run as consecutive records and would analyze the shed one)."""
+        fleet = SensorFleet(workers=2, transport="offset", nids_options=DARK)
+        offsets = []
+        feed = fleet.process_packet
+
+        def recording(meta):
+            offsets.append(meta.offset)
+            return feed(meta)
+
+        fleet.process_packet = recording
+        delivered = []
+        try:
+            with PcapReader(capture) as reader:
+                stats = SensorDaemon(
+                    fleet, MetaPacketSource(reader), ring_capacity=64,
+                    shed_policy="newest", on_alert=delivered.append).run()
+            decoded = fleet.registry.get("repro_packets_total").value
+            payload = fleet.registry.get("repro_payload_bytes_total").value
+        finally:
+            fleet.close()
+        assert stats.shed > 0
+        assert stats.ingested == stats.processed + stats.shed + stats.queued
+        assert stats.processed == len(offsets) == decoded
+
+        # Ground truth: a serial engine over exactly the kept records.
+        kept = set(offsets)
+        nids = SemanticNids(**DARK)
+        with PcapReader(capture) as reader:
+            while True:
+                at, pkt = reader.tell(), reader.poll_packet()
+                if pkt is None:
+                    break
+                if at in kept:
+                    nids.process_packet(pkt)
+        nids.flush()
+        assert payload == nids.stats.payload_bytes
+        assert delivered and sorted(a.format() for a in delivered) == \
+            sorted(a.format() for a in nids.alerts)
 
 
 class TestSupervisedRetryTimeout:
@@ -202,13 +270,11 @@ class TestSupervisedRetryTimeout:
 
 
 class TestCloseAfterFailedFlush:
-    def test_workers_and_journal_are_released_when_flush_raises(
-            self, tmp_path):
+    def test_workers_are_released_when_flush_raises(self):
         """Regression: ``close()`` ran ``flush()`` outside any
         ``try``/``finally``, so a flush that raised (second watchdog
-        timeout, journal write error) orphaned every worker process and
-        left the journal open."""
-        fleet = SensorFleet(workers=2, checkpoint_dir=tmp_path / "state",
+        timeout) orphaned every worker process."""
+        fleet = SensorFleet(workers=2,
                             nids_options={"classification_enabled": False})
         fleet.flush()  # a real flush reaches every shard: workers are up
         procs = [proc for pool in fleet._pools
@@ -216,13 +282,12 @@ class TestCloseAfterFailedFlush:
         assert len(procs) == 2
 
         def broken_flush():
-            raise OSError("journal write failed")
+            raise OSError("shard hung twice")
 
         fleet.flush = broken_flush
-        with pytest.raises(OSError, match="journal write failed"):
+        with pytest.raises(OSError, match="shard hung twice"):
             fleet.close()
         for proc in procs:
             proc.join(timeout=10)
             assert not proc.is_alive()
         assert fleet._pools == []
-        assert fleet.journal._fh is None

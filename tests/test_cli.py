@@ -224,30 +224,48 @@ class TestSensord:
         rc = sensord_main(["/nonexistent/file.pcap"])
         assert rc == 2
 
-    @pytest.mark.parametrize("extra", [
-        ["--template-set-file", "set.txt"],
-        ["--heartbeat", "1"],
-        ["--window-secs", "5"],
-    ])
-    def test_offset_fleet_rejects_daemon_loop_flags(self, attack_pcap,
-                                                    capsys, extra):
-        """The offset fleet bypasses the daemon loop that implements
-        these; silently ignoring them would be the quiet failure."""
+    def test_offset_fleet_accepts_daemon_loop_flags(self, attack_pcap,
+                                                    tmp_path, capsys):
+        """The offset fleet runs under the daemon loop like every other
+        engine, so the loop's duties apply to it (these flags used to be
+        rejected: the offset path bypassed the daemon)."""
         from repro.cli import sensord_main
-        with pytest.raises(SystemExit) as exc:
-            sensord_main([str(attack_pcap), "--fleet-workers", "2",
-                          "--fleet-transport", "offset", *extra])
-        assert exc.value.code == 2
-        assert extra[0] in capsys.readouterr().err
+        spec = tmp_path / "set.txt"
+        spec.write_text("paper\n")
+        rc = sensord_main([str(attack_pcap), "--honeypot", "10.10.0.250",
+                           "--fleet-workers", "2",
+                           "--fleet-transport", "offset",
+                           "--template-set", "xor-only",
+                           "--template-set-file", str(spec),
+                           "--heartbeat", "0.1", "--window-secs", "5",
+                           "--ring-capacity", "64",
+                           "--shed-policy", "block"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "linux_shell_spawn" in captured.out
+        assert "heartbeat:" in captured.err
+        assert "reloads=1" in captured.err
+        assert "uncounted_drops=0" in captured.err
 
-    def test_workers_with_checkpoint_dir_is_rejected(self, attack_pcap,
-                                                     tmp_path, capsys):
+    def test_workers_with_checkpoint_dir_checkpoints_and_resumes(
+            self, attack_pcap, tmp_path, capsys):
+        """``--workers`` + ``--checkpoint-dir`` used to be a usage
+        error; the parallel engine now checkpoints like the others, and
+        a resume over the finished capture re-delivers nothing new."""
         from repro.cli import sensord_main
-        with pytest.raises(SystemExit) as exc:
-            sensord_main([str(attack_pcap), "--workers", "2",
-                          "--checkpoint-dir", str(tmp_path / "state")])
-        assert exc.value.code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        state = tmp_path / "state"
+        argv = [str(attack_pcap), "--honeypot", "10.10.0.250",
+                "--workers", "2", "--checkpoint-dir", str(state),
+                "--checkpoint-interval", "2"]
+        assert sensord_main(argv) == 1
+        first = capsys.readouterr()
+        assert "linux_shell_spawn" in first.out
+        assert (state / "checkpoint.bin").exists()
+        assert list((state / "journal").glob("seg-*.wal"))
+        sensord_main(argv + ["--resume"])
+        resumed = capsys.readouterr()
+        assert "processed=6 " in resumed.err  # restored, nothing re-read
+        assert "uncounted_drops=0" in resumed.err
 
     @pytest.mark.parametrize("transport", ["pickle", "offset"])
     def test_fleet_writes_metrics_out(self, attack_pcap, tmp_path, capsys,
@@ -265,3 +283,51 @@ class TestSensord:
         assert rc == 1
         assert "linux_shell_spawn" in capsys.readouterr().out
         assert json.loads(out.read_text())["schema"] == "repro.obs/v1"
+
+
+class TestSensordEngineMatrix:
+    """One daemon path for every engine: the index-2 evaluation trace
+    (4 Code Red II instances) prints the same four alert lines and
+    ``alerts=4`` whichever engine runs it, checkpointing or not."""
+
+    SITE = ["--dark-net", "10.0.0.0/8", "--dark-exclude", "10.10.0.0/24"]
+    ENGINES = {
+        "serial": [],
+        "workers": ["--workers", "2"],
+        "fleet-pickle": ["--fleet-workers", "2"],
+        "fleet-offset": ["--fleet-workers", "2",
+                         "--fleet-transport", "offset"],
+    }
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("matrix") / "t.pcap"
+        assert make_trace_main([str(path), "--index", "2",
+                                "--packets", "6000"]) == 0
+        return path
+
+    @pytest.fixture(scope="class")
+    def serial_lines(self, trace):
+        from repro.net.pcap import read_pcap
+        from repro.nids import SemanticNids
+        nids = SemanticNids(dark_networks=["10.0.0.0/8"],
+                            dark_exclude=["10.10.0.0/24"])
+        lines = sorted(a.format() for a in nids.process_trace(read_pcap(trace)))
+        assert len(lines) == 4
+        return lines
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_same_four_alert_lines(self, trace, serial_lines, tmp_path,
+                                   capsys, engine, checkpoint):
+        from repro.cli import sensord_main
+        capsys.readouterr()
+        argv = [str(trace), *self.SITE, *self.ENGINES[engine]]
+        if checkpoint:
+            argv += ["--checkpoint-dir", str(tmp_path / "state"),
+                     "--checkpoint-interval", "500"]
+        assert sensord_main(argv) == 1
+        captured = capsys.readouterr()
+        assert sorted(captured.out.splitlines()) == serial_lines
+        assert " alerts=4 " in captured.err
+        assert "uncounted_drops=0" in captured.err

@@ -4,12 +4,14 @@
 Runs the differential crash/restart harness
 (``repro.resilience.recovery``) over the full matrix of
 
-    engine   x  kill seam        x  seed
-    daemon      mid-batch           CHAOS_SEEDS (default 0,1,2)
-    fleet       mid-checkpoint
-                mid-journal-write
+    engine        x  kill seam        x  seed
+    serial           mid-batch           CHAOS_SEEDS (default 0,1,2)
+    parallel         mid-checkpoint
+    fleet-pickle     mid-journal-write
+    fleet-offset
 
-and writes one JSON report per cell (plus a summary) so CI can archive
+— every engine under the one durability layer (``SensorDaemon``),
+through the one orchestrator, fed from one capture file — and writes one JSON report per cell (plus a summary) so CI can archive
 the evidence.  A cell fails when the recovered post-dedupe alert stream
 is not byte-identical to the uninterrupted run, when a schedule never
 actually crashed, or when the accounting identity leaks
@@ -36,17 +38,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engines.shellcode import get_shellcode  # noqa: E402
 from repro.net.packet import udp_packet  # noqa: E402
-from repro.nids import SemanticNids  # noqa: E402
+from repro.nids import (  # noqa: E402
+    ParallelSemanticNids, SemanticNids, SensorFleet,
+)
 from repro.resilience.recovery import (  # noqa: E402
     KILL_KINDS,
+    capture_sources,
     run_daemon_reference,
     run_daemon_with_crashes,
-    run_fleet_reference,
-    run_fleet_with_crashes,
 )
 from repro.traffic.mix import BenignMixGenerator  # noqa: E402
 
-ENGINES = ("daemon", "fleet")
+_OPTIONS = {"classification_enabled": False}
+
+#: name -> (engine factory, fed record boundaries instead of packets?)
+ENGINES = {
+    "serial": (lambda: SemanticNids(**_OPTIONS), False),
+    "parallel": (lambda: ParallelSemanticNids(workers=2, **_OPTIONS), False),
+    "fleet-pickle": (lambda: SensorFleet(workers=2, nids_options=_OPTIONS),
+                     False),
+    "fleet-offset": (lambda: SensorFleet(workers=2, transport="offset",
+                                         nids_options=_OPTIONS), True),
+}
 
 
 def crash_trace(n, seed, attacks=6):
@@ -68,24 +81,16 @@ def kill_schedule(seed, n, kills):
 
 
 def run_cell(engine, kill_kind, seed, packets, kills):
-    with tempfile.TemporaryDirectory(prefix="crash-matrix-") as ckpt:
-        if engine == "daemon":
-            factory = lambda: SemanticNids(classification_enabled=False)
-            reference, _ = run_daemon_reference(packets,
-                                                nids_factory=factory)
-            report = run_daemon_with_crashes(
-                packets, nids_factory=factory, checkpoint_dir=ckpt,
-                kills=kills, kill_kind=kill_kind, checkpoint_interval=40,
-                journal_fsync_batch=4)
-        else:
-            options = dict(workers=2,
-                           nids_options={"classification_enabled": False})
-            reference, _ = run_fleet_reference(packets,
-                                               fleet_options=options)
-            report = run_fleet_with_crashes(
-                packets, checkpoint_dir=ckpt, kills=kills,
-                kill_kind=kill_kind, checkpoint_interval=60,
-                fleet_options=options)
+    factory, meta = ENGINES[engine]
+    with tempfile.TemporaryDirectory(prefix="crash-matrix-") as tmp:
+        sources = capture_sources(packets, Path(tmp) / "trace.pcap",
+                                  meta=meta)
+        reference, _ = run_daemon_reference(sources, nids_factory=factory)
+        report = run_daemon_with_crashes(
+            sources, nids_factory=factory,
+            checkpoint_dir=Path(tmp) / "state", kills=kills,
+            kill_kind=kill_kind, checkpoint_interval=40,
+            journal_fsync_batch=4, engine=engine)
     report.reference_lines = reference
     cell = report.as_dict()
     cell["seed"] = seed
@@ -101,7 +106,8 @@ def main(argv=None):
         "CHAOS_SEEDS", "0,1,2"),
         help="comma-separated seeds (default $CHAOS_SEEDS or 0,1,2)")
     parser.add_argument("--engines", default=",".join(ENGINES),
-                        help="comma-separated subset of: daemon,fleet")
+                        help="comma-separated subset of: "
+                             + ",".join(ENGINES))
     parser.add_argument("--packets", type=int, default=220,
                         help="trace length per cell (default 220)")
     parser.add_argument("--kills", type=int, default=2,
@@ -125,7 +131,7 @@ def main(argv=None):
                 cell = run_cell(engine, kill_kind, seed, packets, kills)
                 cells.append(cell)
                 status = "ok" if cell["ok"] else "FAIL"
-                print(f"{status:4s} {engine:6s} {kill_kind:17s} "
+                print(f"{status:4s} {engine:12s} {kill_kind:17s} "
                       f"seed={seed} crashes={cell['crashes']} "
                       f"alerts={cell['alerts']} "
                       f"replayed={cell['replayed']} "
