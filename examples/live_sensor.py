@@ -13,7 +13,7 @@ import argparse
 
 from repro.engines import EXPLOITS, ExploitGenerator
 from repro.net.wire import Host, Wire
-from repro.nids import NidsSensor, ParallelSemanticNids, SemanticNids
+from repro.nids import NidsSensor, SensorOptions, build_engine
 from repro.traffic import BenignMixGenerator
 
 HONEYPOT = "10.10.0.250"
@@ -29,17 +29,16 @@ def main(argv: list[str] | None = None) -> None:
 
     wire = Wire()
 
-    kwargs = dict(
+    options = SensorOptions(
         honeypots=[HONEYPOT],
         dark_networks=["10.0.0.0/8"],
         dark_exclude=["10.10.0.0/24"],
         dark_threshold=5,
     )
+    nids = build_engine("parallel" if args.workers > 1 else "serial",
+                        options, workers=args.workers)
     if args.workers > 1:
-        nids = ParallelSemanticNids(workers=args.workers, **kwargs)
         print(f"parallel engine: {args.workers} flow-sharded workers")
-    else:
-        nids = SemanticNids(**kwargs)
     sensor = NidsSensor(nids, on_alert=lambda a: print("  ALERT", a.format()))
     sensor.attach(wire)
     print(f"sensor attached; honeypot at {HONEYPOT}\n")

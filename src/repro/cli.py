@@ -21,6 +21,7 @@ compose in shell pipelines like ``grep``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,24 +34,35 @@ __all__ = ["sensor_main", "sensord_main", "analyze_main", "asm_main",
 # ---------------------------------------------------------------------------
 
 
-def _add_site_options(parser: argparse.ArgumentParser, *, metrics_out: str,
-                      metrics_format: str, stats: str, heartbeat: str) -> None:
-    """The monitored site's address plan, the engine choice and the
-    reporting switches — the same flags on both sensor commands; the
-    keyword arguments are the help strings whose wording differs."""
-    parser.add_argument("--honeypot", action="append", default=[],
-                        metavar="IP", help="decoy address (repeatable)")
-    parser.add_argument("--dark-net", action="append", default=[],
-                        metavar="CIDR", help="unused address space (repeatable)")
-    parser.add_argument("--dark-exclude", action="append", default=[],
-                        metavar="CIDR", help="used subnets carved out of dark space")
-    parser.add_argument("--threshold", type=int, default=5,
-                        help="dark-space scan threshold t (default 5)")
-    parser.add_argument("--no-classify", action="store_true",
-                        help="analyze every payload (the §5.4 mode)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="analysis worker processes, sharded by flow "
-                             "(0/1 = serial; default 0)")
+def _add_engine_options(parser: argparse.ArgumentParser, *, metrics_out: str,
+                        metrics_format: str, stats: str,
+                        heartbeat: str) -> None:
+    """One flag per :class:`~repro.nids.SensorOptions` field that names
+    one, the engine choice and the reporting switches — the same on both
+    sensor commands, bar the help strings passed as keywords."""
+    from .nids import SensorOptions
+
+    group = parser.add_argument_group("engine options")
+    for field in dataclasses.fields(SensorOptions):
+        if field.metadata["flag"] is None:
+            continue
+        kind = field.type.partition(" | ")[0]
+        if kind == "bool":  # the flags negate: --no-classify
+            how = dict(action="store_true")
+        elif kind.startswith("tuple"):
+            how = dict(action="append", default=[])
+        else:
+            how = dict(type={"int": int, "float": float}.get(kind),
+                       default=field.default)
+        group.add_argument(field.metadata["flag"], **how,
+                           **field.metadata["cli"])
+    group.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="analysis worker processes, sharded by flow "
+                            "(0/1 = serial; default 0)")
+    group.add_argument("--breaker-threshold", type=int, default=3,
+                       metavar="N",
+                       help="consecutive worker-pool failures before a "
+                            "shard's circuit breaker opens (default 3)")
     parser.add_argument("--metrics-out", type=Path, metavar="FILE",
                         help=metrics_out)
     parser.add_argument("--metrics-format", choices=("json", "prom"),
@@ -60,15 +72,41 @@ def _add_site_options(parser: argparse.ArgumentParser, *, metrics_out: str,
                         metavar="SECS", help=heartbeat)
 
 
-def _site_kwargs(args: argparse.Namespace) -> dict:
-    """``SemanticNids`` keyword arguments from :func:`_add_site_options`."""
-    return dict(
-        honeypots=args.honeypot,
-        dark_networks=args.dark_net or None,
-        dark_exclude=args.dark_exclude or None,
-        dark_threshold=args.threshold,
-        classification_enabled=not args.no_classify,
-    )
+def _engine_options(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace):
+    """The :class:`~repro.nids.SensorOptions` the engine flags spell; a
+    value the record refuses is a usage error (exit status 2)."""
+    from .nids import SensorOptions
+
+    values = {}
+    for field in dataclasses.fields(SensorOptions):
+        if field.metadata["flag"] is None:
+            continue
+        value = getattr(args, field.metadata["flag"][2:].replace("-", "_"))
+        if field.type == "bool":  # the flag negates
+            value = not value
+        elif isinstance(value, list):  # never given: the default
+            value = value or field.default
+        values[field.name] = value
+    try:
+        return SensorOptions(**values)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
+
+
+def _build_engine(args: argparse.Namespace, options, **engine_kwargs):
+    """The engine the flags choose: a fleet (``repro-sensord`` only),
+    the parallel engine for ``--workers`` above 1, else the serial one."""
+    from .nids import build_engine
+
+    if getattr(args, "fleet_workers", 0):
+        return build_engine("fleet", options, workers=args.fleet_workers,
+                            transport=args.fleet_transport)
+    if args.workers > 1:
+        return build_engine("parallel", options, workers=args.workers,
+                            breaker_threshold=args.breaker_threshold,
+                            **engine_kwargs)
+    return build_engine("serial", options, **engine_kwargs)
 
 
 def _write_metrics(registry, args: argparse.Namespace) -> None:
@@ -100,7 +138,7 @@ def sensor_main(argv: list[str] | None = None) -> int:
         description="Semantic NIDS over a pcap file (Scheirer & Chuah 2006).",
     )
     parser.add_argument("pcap", type=Path, help="capture to analyze")
-    _add_site_options(
+    _add_engine_options(
         parser,
         metrics_out="write the metrics registry snapshot here when the "
                     "capture has been processed",
@@ -111,28 +149,9 @@ def sensor_main(argv: list[str] | None = None) -> int:
               "frame-cache hit rate)",
         heartbeat="print a progress heartbeat to stderr every SECS seconds "
                   "of wall time (0 = off)")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the template anchor prefilter "
-                             "(fast-path admission); results are identical "
-                             "either way — the prefilter only skips work")
-    parser.add_argument("--max-streams", type=int, default=65536, metavar="N",
-                        help="flood bound on live TCP streams, evicted "
-                             "oldest-first (closed and idle streams are "
-                             "reaped, so this is not the steady state; "
-                             "default 65536)")
-    parser.add_argument("--analysis-deadline-ms", type=float, default=None,
-                        metavar="MS",
-                        help="per-payload analysis budget in deterministic "
-                             "instruction units (10000/ms); payloads that "
-                             "exhaust it get a degraded alert instead of "
-                             "stalling the sensor (default: no budget)")
     parser.add_argument("--quarantine-out", type=Path, metavar="FILE",
                         help="write inputs whose faults the stage firewall "
                              "contained to this pcap (plus FILE.meta.jsonl)")
-    parser.add_argument("--breaker-threshold", type=int, default=3,
-                        metavar="N",
-                        help="consecutive worker-pool failures before a "
-                             "shard's circuit breaker opens (default 3)")
     parser.add_argument("--verify", action="store_true",
                         help="emulate matched frames to confirm behaviour")
     parser.add_argument("--report", action="store_true",
@@ -141,31 +160,17 @@ def sensor_main(argv: list[str] | None = None) -> int:
                         help="stream per-stage spans here as JSON Lines "
                              "(one span per stage invocation)")
     args = parser.parse_args(argv)
+    options = _engine_options(parser, args)
 
     from .core.emuverify import EmulationVerifier
     from .net.pcap import PcapError, PcapReader
-    from .nids import ParallelSemanticNids, SemanticNids
     from .obs import PeriodicSchedule, Tracer
     from .resilience import QuarantineWriter
 
     tracer = Tracer(path=str(args.trace_out)) if args.trace_out else None
     quarantine = (QuarantineWriter(args.quarantine_out)
                   if args.quarantine_out else None)
-    kwargs = dict(
-        **_site_kwargs(args),
-        fastpath=not args.no_fastpath,
-        max_streams=args.max_streams,
-        analysis_deadline_ms=args.analysis_deadline_ms,
-        quarantine=quarantine,
-        tracer=tracer,
-    )
-    if args.workers > 1:
-        nids = ParallelSemanticNids(
-            workers=args.workers,
-            breaker_threshold=args.breaker_threshold,
-            **kwargs)
-    else:
-        nids = SemanticNids(**kwargs)
+    nids = _build_engine(args, options, quarantine=quarantine, tracer=tracer)
     verifier = EmulationVerifier() if args.verify else None
 
     def emit(alert) -> None:
@@ -255,8 +260,6 @@ def _frame_bytes_for(alert) -> bytes | None:
 
 def sensord_main(argv: list[str] | None = None) -> int:
     """Always-on sensor daemon over a (possibly growing) capture."""
-    from .core.library import TEMPLATE_SETS, resolve_template_set
-
     parser = argparse.ArgumentParser(
         prog="repro-sensord",
         description="Always-on semantic NIDS daemon: bounded ingestion, "
@@ -292,14 +295,11 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "run until the source finishes)")
     parser.add_argument("--max-packets", type=int, default=None, metavar="N",
                         help="stop after processing N packets (soak/CI runs)")
-    parser.add_argument("--template-set", default="paper",
-                        choices=tuple(TEMPLATE_SETS),
-                        help="named template set to load (default paper)")
     parser.add_argument("--template-set-file", type=Path, metavar="FILE",
                         help="poll FILE between batches; when its contents "
                              "name a different template set, the library is "
                              "hot-reloaded (digest-keyed, no packets lost)")
-    _add_site_options(
+    _add_engine_options(
         parser,
         metrics_out="write the metrics registry snapshot here at shutdown",
         metrics_format="snapshot format for --metrics-out (default json)",
@@ -337,6 +337,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "restore counters, replay journaled alerts, "
                              "seek the capture to the checkpointed offset")
     args = parser.parse_args(argv)
+    options = _engine_options(parser, args)
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     if args.fleet_workers < 0:
@@ -347,29 +348,14 @@ def sensord_main(argv: list[str] | None = None) -> int:
                      "exclusive")
 
     from .net.pcap import PcapError, PcapReader
-    from .nids import ParallelSemanticNids, SemanticNids, SensorDaemon
+    from .nids import SensorDaemon
     from .nids.daemon import (IterPacketSource, MetaPacketSource,
                               TailPacketSource)
 
     # One path for every engine: source → ring → engine → journal →
     # delivery.  Only the engine and what the source yields differ.
-    kwargs = _site_kwargs(args)
     offset_feed = args.fleet_workers >= 1 and args.fleet_transport == "offset"
-    if args.fleet_workers >= 1:
-        from .nids.fleet import SensorFleet
-
-        nids = SensorFleet(
-            workers=args.fleet_workers,
-            template_set=args.template_set,
-            nids_options=kwargs,
-            transport=args.fleet_transport,
-        )
-    elif args.workers > 1:
-        nids = ParallelSemanticNids(workers=args.workers,
-                                    template_set=args.template_set, **kwargs)
-    else:
-        nids = SemanticNids(
-            templates=resolve_template_set(args.template_set), **kwargs)
+    nids = _build_engine(args, options)
 
     template_provider = None
     if args.template_set_file is not None:
@@ -661,8 +647,6 @@ def scenario_main(argv: list[str] | None = None) -> int:
         return 2 if failures else 0
 
     if args.command == "run":
-        import dataclasses
-
         from .scenario import run_scenario
 
         try:

@@ -227,6 +227,9 @@ class SensorDaemon:
         ``checkpoint_dir`` is set, to one wrapping ``on_alert``.
     """
 
+    #: seconds slept by a tick that moved nothing (an idle tail).
+    POLL_INTERVAL = 0.02
+
     def __init__(
         self,
         nids: SemanticNids,
@@ -241,7 +244,6 @@ class SensorDaemon:
         max_windows: int = 60,
         template_provider: Callable | None = None,
         idle_timeout: float | None = None,
-        poll_interval: float = 0.02,
         on_alert: Callable[[Alert], None] | None = None,
         checkpoint_dir: str | os.PathLike[str] | None = None,
         checkpoint_interval: int = 1000,
@@ -256,7 +258,6 @@ class SensorDaemon:
         self.batch_size = batch_size
         self.template_provider = template_provider
         self.idle_timeout = idle_timeout
-        self.poll_interval = poll_interval
         self.on_alert = on_alert
         self.heartbeat_out = heartbeat_out
         self._clock = clock
@@ -438,7 +439,7 @@ class SensorDaemon:
                 elif (self.idle_timeout is not None
                       and now - idle_since >= self.idle_timeout):
                     break
-                self._sleep(self.poll_interval)
+                self._sleep(self.POLL_INTERVAL)
         return self._shutdown(started)
 
     def _ingest_tick(self) -> int:

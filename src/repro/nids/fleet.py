@@ -6,16 +6,12 @@ The parallel engine (:mod:`repro.nids.parallel`) parallelizes stages
 across N sensor processes, the way a capture point outgrows one box:
 
 - **flow-hash dispatch** — every packet is assigned to a worker by a
-  *stable* digest of its flow (``shard_by="source"``, the default,
-  hashes the sender address; ``"flow"`` hashes the unordered endpoint
-  pair), so each worker's defragmenter, stream reassembler, and
-  per-stream dedup see complete (directional) flows.  Source sharding
-  additionally keeps every *per-source* classifier state — dark-space
-  scan counts, SMTP fan-out — on one worker, which is what makes fleet
+  *stable* digest of its sender address, so each worker's defragmenter,
+  stream reassembler, and per-stream dedup see complete (directional)
+  flows, and every *per-source* classifier state — dark-space scan
+  counts, SMTP fan-out — stays on one worker, which is what makes fleet
   alerts exactly equal to a single batch
-  :class:`~repro.nids.SemanticNids` over the same capture; endpoint
-  sharding balances heavy talkers better but only preserves parity when
-  classification is per-packet (honeypots) or disabled.
+  :class:`~repro.nids.SemanticNids` over the same capture.
 - **one transport per feed** (``transport=``) — how work units reach
   the workers.  ``"pickle"`` is the in-memory feed: it ships ``(seq,
   wire_bytes, timestamp)`` triples through the pool (every payload byte
@@ -68,9 +64,10 @@ from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsRegistry
 from .alerts import Alert
 from ..core.library import library_digest, resolve_template_set
+from .options import SensorOptions
 from .pipeline import SemanticNids
 
-__all__ = ["SensorFleet", "FleetStats", "FLEET_TRANSPORTS"]
+__all__ = ["SensorFleet", "FleetStats", "FLEET_TRANSPORTS", "kill_pool"]
 
 FLEET_TRANSPORTS = ("pickle", "offset")
 
@@ -86,7 +83,7 @@ _EXTENT_DESCRIPTOR_BYTES = 24
 _FLEET_STATE: dict = {}
 
 
-def _init_fleet_worker(template_set: str, options: dict,
+def _init_fleet_worker(options: SensorOptions,
                        state: dict | None = None) -> None:
     """Per-process initializer: one complete sensor pipeline.
 
@@ -97,9 +94,7 @@ def _init_fleet_worker(template_set: str, options: dict,
     """
     registry = MetricsRegistry()
     _FLEET_STATE["registry"] = registry
-    nids = SemanticNids(
-        templates=resolve_template_set(template_set),
-        registry=registry, **options)
+    nids = SemanticNids(options, registry=registry)
     if state is not None:
         nids.restore_state(state)
         # Rehydration counters are not part of the detection state; the
@@ -173,14 +168,19 @@ def _fleet_flush_worker() -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate and reap a pool's worker without waiting on its queue."""
-    procs = list(getattr(pool, "_processes", {}).values())
+def kill_pool(pool: ProcessPoolExecutor, *, discard: bool = True) -> int:
+    """Terminate and reap a pool's workers without waiting on its queue;
+    returns how many died.  The pool is then shut down — unless
+    ``discard=False`` leaves it standing, broken, for its owner to find
+    (what a chaos kill simulates)."""
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     for proc in procs:
         proc.terminate()
     for proc in procs:
         proc.join(timeout=10)
-    pool.shutdown(wait=False, cancel_futures=True)
+    if discard:
+        pool.shutdown(wait=False, cancel_futures=True)
+    return len(procs)
 
 
 @dataclass
@@ -209,24 +209,17 @@ class SensorFleet:
         Sensor processes.  ``1`` still spawns a process — the fleet's
         value is the dispatch/aggregation contract, not a serial
         fallback (use :class:`SemanticNids` directly for that).
-    template_set:
-        Named template set, rebuilt inside each worker (template objects
-        do not pickle).
     batch_size:
         Packets buffered per worker before a batch is shipped; amortizes
         per-submit overhead without reordering anything (per-worker
         batches stay FIFO, and the aggregator orders by global seq
         anyway).
     nids_options:
-        Extra picklable keyword arguments for each worker's
-        :class:`SemanticNids` (e.g. ``classification_enabled``,
-        ``frame_cache_size``, ``analysis_deadline_ms``).
-    shard_by:
-        ``"source"`` (default) routes by sender address — exact alert
-        parity with a batch sensor, because per-source classifier state
-        never splits; ``"flow"`` routes by unordered endpoint pair —
-        better balance under one heavy talker, parity only without
-        cross-flow classifier state.
+        Each worker's :class:`~repro.nids.SensorOptions`: the record, or
+        a mapping of its fields checked here, in the parent — an unknown
+        or out-of-range option raises before any process starts.
+    template_set:
+        Shorthand for — and overrides — that record's ``template_set``.
     registry:
         The central registry worker deltas fold into.
     watchdog_timeout:
@@ -244,29 +237,28 @@ class SensorFleet:
     def __init__(
         self,
         workers: int = 2,
-        template_set: str = "paper",
+        template_set: str | None = None,
         batch_size: int = 64,
-        nids_options: dict | None = None,
-        shard_by: str = "source",
+        nids_options: SensorOptions | dict | None = None,
         registry: MetricsRegistry | None = None,
         watchdog_timeout: float | None = None,
         transport: str = "pickle",
     ) -> None:
         if workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        if shard_by not in ("source", "flow"):
-            raise ValueError(f"unknown shard_by {shard_by!r}; "
-                             "expected 'source' or 'flow'")
         if transport not in FLEET_TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r}; "
                              f"expected one of {FLEET_TRANSPORTS}")
+        options = (nids_options if isinstance(nids_options, SensorOptions)
+                   else SensorOptions(**(nids_options or {})))
+        if template_set is not None:
+            options = replace(options, template_set=template_set)
         self.workers = workers
-        self.shard_by = shard_by
-        self.template_set = template_set
-        self._digest = library_digest(resolve_template_set(template_set))
+        self.options = options
+        self._digest = library_digest(
+            resolve_template_set(options.template_set))
         self.batch_size = batch_size
         self.transport = transport
-        self.nids_options = dict(nids_options or {})
         self.registry = registry if registry is not None else MetricsRegistry()
         #: alerts handed out and not yet taken by the owner (the daemon
         #: empties it as it delivers; ``stats.alerts`` keeps the count).
@@ -333,8 +325,7 @@ class SensorFleet:
         (first spawn, restore, watchdog respawn, hot reload)."""
         return ProcessPoolExecutor(
             max_workers=1, initializer=_init_fleet_worker,
-            initargs=(self.template_set, self.nids_options,
-                      self._shard_states[shard]))
+            initargs=(self.options, self._shard_states[shard]))
 
     def _respawn(self) -> None:
         """Replace every worker: ``initargs`` are captured at spawn, so
@@ -415,7 +406,7 @@ class SensorFleet:
             # Whatever made the flush raise may have left a worker hung;
             # waiting on it would block forever, so kill instead.
             for pool in pools:
-                _kill_pool(pool)
+                kill_pool(pool)
             raise
         else:
             for pool in pools:
@@ -425,27 +416,16 @@ class SensorFleet:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _shard_of_fields(self, src, dst, proto, sport, dport) -> int:
-        """Stable worker index from flow fields.
-
-        Hashed through :mod:`hashlib` rather than :func:`hash` so the
-        assignment is identical across runs and interpreter salts.
-        ``"source"`` mode keys on the sender (all of one host's flows —
-        and its scan-count state — stay together); ``"flow"`` mode keys
-        on the unordered endpoint pair so both directions of one
-        conversation reach the same worker's reassembler.  The fields
-        always come from :meth:`Packet.peek_flow` over a header prefix
-        (which yields what a full decode would), so every transport
-        shards every packet identically.
+    def _shard_of(self, flow: tuple) -> int:
+        """Stable worker index from a :meth:`Packet.peek_flow` result
+        (a header prefix yields what a full decode would, so every
+        transport shards every packet identically): keyed on the sender,
+        so all of one host's flows — and its scan-count state — stay
+        together.  Hashed through :mod:`hashlib` rather than
+        :func:`hash` so the assignment is identical across runs and
+        interpreter salts.
         """
-        if self.shard_by == "source":
-            token = src or "?"
-        elif src is not None and sport is not None:
-            a, b = f"{src}:{sport}", f"{dst}:{dport}"
-            token = "|".join(sorted((a, b))) + f"/{proto}"
-        else:  # no transport flow (e.g. ICMP, fragments, raw eth)
-            token = "|".join(sorted((src or "?", dst or "?")))
-        digest = hashlib.sha1(token.encode()).digest()
+        digest = hashlib.sha1((flow[0] or "?").encode()).digest()
         return int.from_bytes(digest[:4], "big") % self.workers
 
     def process_packet(self, item: Packet | PcapRecordMeta) -> list[Alert]:
@@ -476,7 +456,7 @@ class SensorFleet:
                 "records; feed it via process_capture()")
         if not isinstance(raw, (bytes, bytearray)):
             raw = bytes(raw)  # the replay log needs stable bytes
-        shard = self._shard_of_fields(*Packet.peek_flow(raw))
+        shard = self._shard_of(Packet.peek_flow(raw))
         self._batches[shard].append((self._seq, raw, timestamp))
         return self._dispatched_one(shard)
 
@@ -490,8 +470,8 @@ class SensorFleet:
             for shard in range(self.workers):  # one job names one file
                 self._ship(shard)
             self._capture_path = meta.path
-        shard = self._shard_of_fields(
-            *Packet.peek_flow(meta.prefix, caplen=meta.caplen))
+        shard = self._shard_of(
+            Packet.peek_flow(meta.prefix, caplen=meta.caplen))
         runs = self._batches[shard]
         if (runs and runs[-1][0] + runs[-1][2] == self._seq
                 and runs[-1][3] == meta.offset):
@@ -619,7 +599,7 @@ class SensorFleet:
         resubmit every work unit shipped since that barrier from the
         replay log."""
         self._watchdog_restarts.inc()
-        _kill_pool(self._pools[shard])
+        kill_pool(self._pools[shard])
         self._pools[shard] = self._spawn_pool(shard)
         self._futures[shard] = deque(
             (key, self._pools[shard].submit(fn, payload))
@@ -691,7 +671,8 @@ class SensorFleet:
         if digest == self._digest:
             return False
         self.flush()
-        self.template_set, self._digest = template_set, digest
+        self.options = replace(self.options, template_set=template_set)
+        self._digest = digest
         # Snapshots taken under the old library cannot rehydrate workers
         # running the new one (restore_state refuses digest mismatches).
         self._shard_states = [None] * self.workers

@@ -14,7 +14,8 @@ pools, selected by ``hash(FlowKey) % N``:
   flow's repeated frames;
 - **picklable work units** — workers receive raw payload ``bytes``, never
   live ``Stream``/``Template`` objects (templates hold lambdas and do not
-  pickle; each worker builds its own set from ``template_set`` by name);
+  pickle; each worker builds its stages from the engine's
+  :class:`~repro.nids.SensorOptions` record, template set by name);
 - **deterministic merge** — results are drained in submission order, so
   the alert list, per-stream template dedup, and blocklist updates are
   byte-identical to a serial run over the same capture;
@@ -44,23 +45,21 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from ..core.analyzer import SemanticAnalyzer
 from ..core.library import library_digest, resolve_template_set
 from ..errors import FlowKeyError
-from ..extract.frames import BinaryExtractor
 from ..net.flow import FlowKey
 from ..net.packet import Packet
 from ..obs import MetricsRegistry
 from ..resilience.breaker import CLOSED, HALF_OPEN, CircuitBreaker
 from .alerts import Alert
+from .options import SensorOptions
 from .pipeline import (PayloadResult, SemanticNids, _StreamState,
-                       analyze_payload)
+                       analyze_payload, build_stages)
 
 __all__ = ["ParallelSemanticNids"]
 
@@ -73,31 +72,21 @@ __all__ = ["ParallelSemanticNids"]
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(template_set: str, frame_cache_size: int,
-                 min_instructions: int,
-                 deadline_units: int | None = None,
-                 fastpath: bool = False) -> None:
-    """Per-process initializer: build the stateless stage objects once."""
+def _init_worker(options: SensorOptions) -> None:
+    """Per-process initializer: build the stateless stage objects once
+    (not a whole :class:`SemanticNids`, whose idle reassembly gauges
+    would ride every delta and overwrite the parent's)."""
     registry = MetricsRegistry()
     _WORKER_STATE["registry"] = registry
-    _WORKER_STATE["extractor"] = BinaryExtractor(registry=registry)
-    _WORKER_STATE["analyzer"] = SemanticAnalyzer(
-        templates=resolve_template_set(template_set),
-        min_instructions=min_instructions,
-        frame_cache_size=frame_cache_size,
-        registry=registry,
-        fastpath=fastpath,
-    )
-    _WORKER_STATE["deadline_units"] = deadline_units
+    _WORKER_STATE["stages"] = build_stages(options, registry=registry)
 
 
 def _analyze_in_worker(payload: bytes) -> tuple[PayloadResult, dict]:
     """Stages (b)-(e) on one payload, plus the worker registry's
     picklable delta for it (stage timings, extraction counters — how
     worker-side stage time lands in ``--metrics-out``)."""
-    result = analyze_payload(
-        _WORKER_STATE["extractor"], _WORKER_STATE["analyzer"], payload,
-        _WORKER_STATE["deadline_units"])
+    extractor, analyzer, deadline_units = _WORKER_STATE["stages"]
+    result = analyze_payload(extractor, analyzer, payload, deadline_units)
     # The pickle boundary: TemplateMatch objects hold template
     # predicates (lambdas) and stay in the worker.
     for entry in result.entries:
@@ -137,15 +126,12 @@ class ParallelSemanticNids(SemanticNids):
     """:class:`SemanticNids` with extraction + analysis fanned out across
     worker processes, sharded by flow.
 
-    Parameters (beyond :class:`SemanticNids`):
+    Parameters (beyond :class:`SemanticNids`; the template set is the
+    record's ``template_set`` — named, so workers can rebuild it):
 
     workers:
         Number of worker processes.  ``None`` = ``os.cpu_count()``;
         ``<= 1`` degrades to the fully serial path (no pools spawned).
-    template_set:
-        Name of the template set ("paper", "all", "xor-only", "decoder").
-        Named rather than passed as objects so workers can rebuild it —
-        template predicates are lambdas and do not pickle.
     max_pending:
         Backpressure bound: once this many payloads are in flight, the
         oldest results are drained before new work is submitted.
@@ -159,32 +145,28 @@ class ParallelSemanticNids(SemanticNids):
         Consecutive pool failures on one shard before its breaker opens
         (per-shard breakers + pool rebuilds + retry-once, per the module
         docstring).
-    breaker_backoff / breaker_backoff_cap:
-        Initial and maximum open-state backoff, in seconds (each re-open
-        doubles the wait).  ``breaker_backoff=0`` probes immediately —
-        what the deterministic chaos tests use.
-    breaker_clock:
-        Injectable monotonic clock for the breakers (tests).
+    breaker_backoff:
+        Initial open-state backoff, in seconds (each re-open doubles the
+        wait, up to the breaker's cap).  ``breaker_backoff=0`` probes
+        immediately — what the deterministic chaos tests use.
     """
 
     def __init__(
         self,
+        options: SensorOptions | None = None,
+        *,
         workers: int | None = None,
-        template_set: str = "paper",
         max_pending: int = 256,
         payload_cache_size: int = 2048,
         breaker_threshold: int = 3,
         breaker_backoff: float = 0.5,
-        breaker_backoff_cap: float = 30.0,
-        breaker_clock=None,
         **kwargs,
     ) -> None:
         if "templates" in kwargs:
             raise ValueError(
                 "ParallelSemanticNids takes template_set=<name>, not "
                 "templates=: template objects cannot be shipped to workers")
-        self.template_set = template_set
-        super().__init__(templates=resolve_template_set(template_set), **kwargs)
+        super().__init__(options, **kwargs)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.max_pending = max_pending
         self._pending: deque[_Pending] = deque()
@@ -200,17 +182,15 @@ class ParallelSemanticNids(SemanticNids):
         self._pool_gen: list[int] = []
         if self.workers > 1:
             self._pools = [self._spawn_pool() for _ in range(self.workers)]
-            clock = breaker_clock if breaker_clock is not None else time.monotonic
             self._breakers = [
-                CircuitBreaker(
-                    threshold=breaker_threshold,
-                    backoff_base=breaker_backoff,
-                    backoff_cap=breaker_backoff_cap,
-                    clock=clock,
-                )
-                for _ in range(self.workers)
-            ]
+                CircuitBreaker(threshold=breaker_threshold,
+                               backoff_base=breaker_backoff)
+                for _ in range(self.workers)]
             self._pool_gen = [0] * self.workers
+
+    @property
+    def template_set(self) -> str:
+        return self.options.template_set
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -223,13 +203,8 @@ class ParallelSemanticNids(SemanticNids):
     def _spawn_pool(self) -> ProcessPoolExecutor:
         """One single-process worker pool running the current template
         set (first spawn, rebuild after a worker death, hot reload)."""
-        frame_cache = self.analyzer.frame_cache
-        return ProcessPoolExecutor(
-            max_workers=1, initializer=_init_worker,
-            initargs=(self.template_set,
-                      frame_cache.max_entries if frame_cache is not None else 0,
-                      self.analyzer.min_instructions, self._deadline_units,
-                      self.fastpath))
+        return ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                                   initargs=(self.options,))
 
     def drain(self) -> list[Alert]:
         """Block until every payload in flight to a worker is merged.
@@ -242,9 +217,7 @@ class ParallelSemanticNids(SemanticNids):
         """Finalize unexamined stream tails, then drain every pending
         worker result; returns the alerts raised."""
         self._finalize_streams()
-        out = self.drain()
-        self.sync_frontend_stats()
-        return out
+        return self.drain()
 
     def close(self) -> None:
         """Drain pending work and shut the worker pools down — also when
@@ -282,7 +255,7 @@ class ParallelSemanticNids(SemanticNids):
             return False
         self._drain(blocking=True)
         changed = super(ParallelSemanticNids, self).reload_templates(templates)
-        self.template_set = template_set
+        self.options = replace(self.options, template_set=template_set)
         for shard, old in enumerate(self._pools):
             old.shutdown(wait=False, cancel_futures=True)
             self._pools[shard] = self._spawn_pool()

@@ -50,7 +50,7 @@ relies on these members and on nothing else:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..classify.classifier import TrafficClassifier
 from ..classify.darkspace import DarkSpaceMonitor
@@ -70,6 +70,7 @@ from ..resilience.deadline import Deadline
 from ..resilience.firewall import DEGRADED_SEVERITY, StageFirewall
 from ..resilience.quarantine import QuarantineWriter
 from .alerts import Alert, BlockList
+from .options import SensorOptions
 from .stats import NidsStats
 
 __all__ = ["SemanticNids"]
@@ -156,117 +157,88 @@ def analyze_payload(extractor: BinaryExtractor, analyzer: SemanticAnalyzer,
     return result
 
 
+def build_stages(options: SensorOptions,
+                 templates: list[Template] | None = None, **obs):
+    """Stages (b)-(e) as ``options`` configures them, for one process
+    (the sensor's own, or a parallel worker's): ``(extractor, analyzer,
+    deadline_units)``, what :func:`analyze_payload` takes."""
+    if templates is None:
+        templates = resolve_template_set(options.template_set)
+    units = (Deadline.from_ms(options.analysis_deadline_ms).budget_units
+             if options.analysis_deadline_ms else None)
+    return (BinaryExtractor(**obs),
+            SemanticAnalyzer(templates=templates,
+                             frame_cache_size=options.frame_cache_size,
+                             fastpath=options.fastpath, **obs),
+            units)
+
+
 class SemanticNids:
     """The complete NIDS.
 
-    Parameters
-    ----------
-    honeypots:
-        Decoy addresses; any sender contacting one becomes suspicious.
-    dark_networks / dark_hosts / dark_threshold:
-        Unused address space and the scan count ``t`` of §4.1.
+    Configured by a :class:`~repro.nids.SensorOptions` record: handed
+    over as ``options``, and/or built from the remaining keywords, each
+    a field of the record (``TypeError`` for an unknown one,
+    ``ValueError`` out of range).  Live objects stay ordinary keywords:
+
     templates:
-        Template set for the semantic analyzer (defaults to the paper's).
-    classification_enabled:
-        ``False`` reproduces §5.4: every payload is analyzed.
-    max_rounds_per_stream:
-        Cap on incremental re-analyses of one growing stream.
-    frame_cache_size:
-        Bound on the analyzer's content-hash frame cache — the pipeline's
-        one analysis cache; 0 disables it.
-    reanalysis_overlap:
-        When a grown stream is re-analyzed, only the new suffix plus this
-        many already-analyzed bytes are re-extracted (the window covers any
-        frame or sled straddling the boundary).  Everything older is
-        released from the reassembler as soon as its round is handed on.
-    max_streams:
-        Flood bound on live TCP streams (a stream is reaped when it is
-        closed, whole and analysed, or idle for ``Stream.IDLE_TIMEOUT``,
-        so the steady state follows open connections).  Evicting or
-        reaping a stream also drops its per-stream analysis state.
-    analysis_deadline_ms:
-        Per-payload analysis budget, in deterministic instruction units
-        (:data:`repro.resilience.UNITS_PER_MS` per ms).  A payload that
-        exhausts it is cut off with a ``resilience.deadline-exceeded``
-        degraded alert instead of stalling the sensor.  ``None`` = no
-        budget.
+        Template objects for the semantic analyzer, instead of the
+        record's named ``template_set``.
     quarantine:
         Optional :class:`~repro.resilience.QuarantineWriter`; every input
         whose fault the stage firewall contains is preserved there.
-    fastpath:
-        Enable the template anchor prefilter (:mod:`repro.fastpath`) in
-        the analyzer.  Anchors are necessary conditions, so the alert
-        stream is byte-identical with it off (``--no-fastpath``) — it
-        only skips provably fruitless work.  Default on.
+    registry / tracer:
+        One registry per sensor: every component registers its metrics
+        there, ``self.stats`` is a view over them, and ``--metrics-out``
+        snapshots it.
     """
 
     def __init__(
         self,
-        honeypots: list[str] | None = None,
-        dark_networks: list[str] | None = None,
-        dark_hosts: list[str] | None = None,
-        dark_threshold: int = 5,
-        dark_exclude: list[str] | None = None,
-        smtp_fanout_threshold: int | None = None,
+        options: SensorOptions | None = None,
+        *,
         templates: list[Template] | None = None,
-        classification_enabled: bool = True,
-        max_rounds_per_stream: int = 64,
-        reanalysis_growth: int = 4096,
-        frame_cache_size: int = 4096,
-        reanalysis_overlap: int = 16384,
-        max_streams: int = 65536,
-        analysis_deadline_ms: float | None = None,
         quarantine: QuarantineWriter | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        fastpath: bool = True,
+        **keywords,
     ) -> None:
-        #: one registry per sensor: every component registers its metrics
-        #: here, and ``--metrics-out`` snapshots it.  The stage timers in
-        #: ``self.stats`` are views over the same labeled metrics the
-        #: components time into, so no syncing is ever needed for those.
+        self.options = options = (SensorOptions(**keywords) if options is None
+                                  else replace(options, **keywords))
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NullTracer()
         obs = dict(registry=self.registry, tracer=self.tracer)
         self.classifier = TrafficClassifier(
-            honeypots=HoneypotRegistry.of(honeypots or []),
+            honeypots=HoneypotRegistry.of(options.honeypots),
             darkspace=DarkSpaceMonitor(
-                dark_networks=dark_networks, dark_hosts=dark_hosts,
-                threshold=dark_threshold, exclude=dark_exclude,
+                dark_networks=options.dark_networks,
+                dark_hosts=options.dark_hosts,
+                threshold=options.dark_threshold,
+                exclude=options.dark_exclude,
             ),
-            fanout=(SmtpFanoutMonitor(threshold=smtp_fanout_threshold)
-                    if smtp_fanout_threshold is not None else None),
-            enabled=classification_enabled,
+            fanout=(SmtpFanoutMonitor(threshold=options.smtp_fanout_threshold)
+                    if options.smtp_fanout_threshold is not None else None),
+            enabled=options.classification_enabled,
             **obs,
         )
         self.defragmenter = IpDefragmenter(**obs)
-        self.reassembler = StreamReassembler(max_streams=max_streams,
+        self.reassembler = StreamReassembler(max_streams=options.max_streams,
                                              on_evict=self._on_stream_evicted,
                                              **obs)
-        self.extractor = BinaryExtractor(**obs)
-        self.analyzer = SemanticAnalyzer(templates=templates,
-                                         frame_cache_size=frame_cache_size,
-                                         fastpath=fastpath,
-                                         **obs)
-        self.fastpath = fastpath
+        self.extractor, self.analyzer, self._deadline_units = build_stages(
+            options, templates, **obs)
         self.blocklist = BlockList()
         self.firewall = StageFirewall(self.registry, quarantine=quarantine)
-        self.analysis_deadline_ms = analysis_deadline_ms
-        self._deadline_units = (
-            Deadline.from_ms(analysis_deadline_ms).budget_units
-            if analysis_deadline_ms else None)
         self.stats = NidsStats(self.registry, self.tracer)
         self._template_reloads = self.registry.counter(
             "repro_template_reloads_total",
             help="Hot template-library reloads applied (digest changed).",
             unit="reloads")
         self.alerts: list[Alert] = []
-        self.max_rounds_per_stream = max_rounds_per_stream
-        #: a growing stream is re-analyzed on its first payload bytes, then
-        #: after each additional ``reanalysis_growth`` bytes, and at FIN —
-        #: bounding the quadratic cost of rescanning long transfers.
-        self.reanalysis_growth = reanalysis_growth
-        self.reanalysis_overlap = reanalysis_overlap
+        # Read per packet: plain attributes, not record lookups.
+        self.max_rounds_per_stream = options.max_rounds_per_stream
+        self.reanalysis_growth = options.reanalysis_growth
+        self.reanalysis_overlap = options.reanalysis_overlap
         self._stream_state: dict[FlowKey, _StreamState] = {}
 
     # -- packet path ---------------------------------------------------------
@@ -355,7 +327,6 @@ class SemanticNids:
         parallel engine additionally drains its worker queues here)."""
         before = len(self.alerts)
         self._finalize_streams()
-        self.sync_frontend_stats()
         return self.alerts[before:]
 
     def _finalize_streams(self) -> None:
@@ -411,16 +382,6 @@ class SemanticNids:
         ``_stream_state`` stays bounded by the reassembler's stream cap."""
         if self._stream_state.pop(key, None) is not None:
             self.stats.state_evicted += 1
-
-    def sync_frontend_stats(self) -> None:
-        """Copy the reassembly front-end's counters into :class:`NidsStats`
-        (called at flush and report time; the components own the live
-        values)."""
-        self.stats.fragments_dropped = self.defragmenter.fragments_dropped
-        self.stats.datagrams_evicted = self.defragmenter.datagrams_evicted
-        self.stats.overlaps_trimmed = (self.defragmenter.overlaps_trimmed
-                                       + self.reassembler.overlaps_trimmed)
-        self.stats.streams_evicted = self.reassembler.evicted
 
     def close(self) -> None:
         """Release engine resources (worker pools, for the parallel

@@ -198,7 +198,6 @@ def _metric_value(nids: SemanticNids, name: str) -> int:
 
 def build_report(nids: SemanticNids) -> AlertReport:
     """Summarize a sensor's accumulated alerts."""
-    nids.sync_frontend_stats()
     report = AlertReport(
         total_alerts=len(nids.alerts),
         by_template=nids.alerts_by_template(),

@@ -88,29 +88,16 @@ class NidsStats:
         help="Worker failures survived by degrading to the serial path.",
         unit="failures")
     #: front-end (reassembly) aggregates: evasion pressure the sensor
-    #: absorbed, synced from the defragmenter/reassembler at flush and
-    #: report time (``overlaps_trimmed`` sums both components).
-    fragments_dropped = MetricField(
-        "repro_frontend_fragments_dropped_total",
-        help="Forged/duplicate IP fragments contributing nothing.",
-        unit="fragments")
-    overlaps_trimmed = MetricField(
-        "repro_frontend_overlap_bytes_trimmed_total",
-        help="Bytes discarded by first-writer-wins trimming "
-             "(IP defragmenter + TCP reassembler).", unit="bytes")
-    #: a view over the reassembler's own counter (same registry metric,
-    #: so it needs no syncing).
+    #: absorbed.  Views over the series the defragmenter and the
+    #: reassembler (built first) registered, so they are always live.
+    fragments_dropped = MetricField("repro_defrag_fragments_dropped_total")
+    datagrams_evicted = MetricField("repro_defrag_datagrams_evicted_total")
+    streams_evicted = MetricField("repro_reassembly_streams_evicted_total")
     out_of_window_segments = MetricField(
-        "repro_reassembly_out_of_window_segments_total",
-        help="TCP segments dropped as outside their stream's window.",
-        unit="segments")
-    datagrams_evicted = MetricField(
-        "repro_frontend_datagrams_evicted_total",
-        help="Half-reassembled datagrams evicted under memory pressure.",
-        unit="datagrams")
-    streams_evicted = MetricField(
-        "repro_frontend_streams_evicted_total",
-        help="TCP streams evicted under memory pressure.", unit="streams")
+        "repro_reassembly_out_of_window_segments_total")
+    _defrag_trimmed = MetricField("repro_defrag_overlap_bytes_trimmed_total")
+    _reassembly_trimmed = MetricField(
+        "repro_reassembly_overlap_bytes_trimmed_total")
     state_evicted = MetricField(
         "repro_frontend_state_evicted_total",
         help="Per-stream analysis states dropped with their stream.",
@@ -207,6 +194,11 @@ class NidsStats:
         self.reassembly = StageTimer("reassemble", self.registry, tracer)
         self.extraction = StageTimer("extract", self.registry, tracer)
         self.analysis = StageTimer(ANALYZE_STAGE, self.registry, tracer)
+
+    @property
+    def overlaps_trimmed(self) -> int:
+        """First-writer-wins trim volume, defragmenter + reassembler."""
+        return self._defrag_trimmed + self._reassembly_trimmed
 
     @property
     def frame_cache_hit_rate(self) -> float:

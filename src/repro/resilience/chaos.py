@@ -153,9 +153,10 @@ class FaultInjector:
         many were killed.  The next result drained from that shard raises
         ``BrokenProcessPool``, which is exactly the event the self-healing
         path must absorb."""
+        from ..nids.fleet import kill_pool
+
         pool = engine._pools[shard]
-        procs = list(getattr(pool, "_processes", {}).values())
-        if not procs:
+        if not getattr(pool, "_processes", None):
             # Flow→shard routing is hash-salted per run; a shard that saw
             # no payloads yet has no worker.  Force the spawn so the kill
             # actually lands (a dead pool stays dead: nothing to do).
@@ -163,14 +164,10 @@ class FaultInjector:
                 pool.submit(len, b"probe").result()
             except Exception:
                 pass
-            procs = list(getattr(pool, "_processes", {}).values())
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join(timeout=10)
+        killed = kill_pool(pool, discard=False)
         self.injected.append(InjectedFault(
-            "worker-kill", shard, detail=f"{len(procs)} process(es)"))
-        return len(procs)
+            "worker-kill", shard, detail=f"{killed} process(es)"))
+        return killed
 
     # -- analysis stalls -----------------------------------------------------
 
@@ -252,15 +249,9 @@ class FaultInjector:
         without flushing — in-flight work and collected-but-unemitted
         alerts are lost, as in a real process death.  Returns processes
         killed."""
-        killed = 0
-        for pool in getattr(engine, "_pools", ()):
-            procs = list(getattr(pool, "_processes", {}).values())
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                proc.join(timeout=10)
-                killed += 1
-            pool.shutdown(wait=False, cancel_futures=True)
+        from ..nids.fleet import kill_pool
+
+        killed = sum(kill_pool(pool) for pool in getattr(engine, "_pools", ()))
         if killed:
             engine._pools = []
             self.injected.append(InjectedFault(

@@ -274,23 +274,13 @@ def _truncated_roundtrip(packets: list[Packet], drop: int) -> list[Packet]:
 # ---------------------------------------------------------------------------
 
 
-def _build_engine(engine: EngineSpec):
+def _engine(engine: EngineSpec):
     """The engine a scenario names; ``daemon`` is the serial engine
     under :class:`~repro.nids.SensorDaemon`."""
-    from ..nids import ParallelSemanticNids, SemanticNids, SensorFleet
-    from ..core.library import resolve_template_set
+    from ..nids import build_engine
 
-    options = dict(engine.options)
-    if engine.kind == "fleet":
-        return SensorFleet(workers=engine.workers,
-                           template_set=engine.template_set,
-                           nids_options=options)
-    if engine.kind == "parallel":
-        return ParallelSemanticNids(workers=engine.workers,
-                                    template_set=engine.template_set,
-                                    **options)
-    return SemanticNids(
-        templates=resolve_template_set(engine.template_set), **options)
+    return build_engine("serial" if engine.kind == "daemon" else engine.kind,
+                        engine.options, workers=engine.workers)
 
 
 def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
@@ -310,7 +300,7 @@ def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
     if crash_chaos:
         return _run_crash_engine(spec, packets, crash_chaos[0])
 
-    nids = _build_engine(engine)
+    nids = _engine(engine)
     with ExitStack() as stack:
         stack.callback(nids.close)
         for chaos in fault_chaos:  # validation keeps these off a fleet
@@ -337,9 +327,9 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     """Route a ``crash`` scenario through the crash/restart harness
     (:mod:`repro.resilience.recovery`): a reference run pins the
     uninterrupted stream, then the kill schedule runs against a fresh
-    checkpoint directory and the recovered stream is compared.  Both
-    engine kinds validation allows here (daemon, fleet) run under the
-    daemon, the one durability layer."""
+    checkpoint directory and the recovered stream is compared.  Every
+    engine kind validation allows here (daemon, parallel, fleet) runs
+    under the daemon, the one durability layer."""
     from ..nids.daemon import IterPacketSource
     from ..resilience.recovery import (
         run_daemon_reference, run_daemon_with_crashes,
@@ -348,7 +338,7 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     engine: EngineSpec = spec.engine
     opts = chaos.options
     run = dict(
-        nids_factory=lambda: _build_engine(engine),
+        nids_factory=lambda: _engine(engine),
         daemon_options={
             "ring_capacity": engine.daemon.get("ring_capacity", 4096),
             "batch_size": engine.daemon.get("batch_size", 256),
@@ -526,7 +516,7 @@ class ScenarioResult:
                 "workers": (self.spec.engine.workers
                             if self.spec.engine.kind in ("parallel", "fleet")
                             else 1),
-                "template_set": self.spec.engine.template_set,
+                "template_set": self.spec.engine.options.template_set,
             },
             "packets": self.packets,
             "alerts": {

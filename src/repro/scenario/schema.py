@@ -8,14 +8,15 @@ blocks — benign traffic (:mod:`repro.traffic`), attack campaigns
 — plus an ``expect:`` block asserting what the run must produce.  This
 module owns the *shape* of that mapping: every key, its type, default
 and constraints, declared once in :data:`SCHEMA` and enforced by
-:func:`validate`.
+:func:`validate` — except ``engine.options.*``, whose rows and checks
+are read off :class:`repro.nids.SensorOptions`.
 
 Two consumers read :data:`SCHEMA` besides the validator:
 
 - ``docs/scenarios.md`` documents exactly these keys, and
   ``tools/check_docs.py`` diffs the doc against :func:`schema_keys` in
   both directions, so the DSL reference cannot drift;
-- :func:`describe` renders the same table for ``repro-scenario list``.
+- ``repro-scenario list --keys`` prints the same table.
 
 Validation raises :class:`ScenarioError` with the YAML path of the
 offending key (``campaigns[1].engine: unknown engine 'cletx'``) — one
@@ -24,8 +25,12 @@ actionable line, never a traceback, which is what the CLI prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
+
+from ..core.library import TEMPLATE_SETS, resolve_template_set
+from ..nids.options import SensorOptions
 
 __all__ = [
     "SCHEMA", "SchemaKey", "ScenarioError",
@@ -213,29 +218,16 @@ SCHEMA: list[SchemaKey] = [
               "Named template set every engine kind can rebuild.",
               "a repro.core.library.TEMPLATE_SETS name"),
     SchemaKey("engine.options", "map", "{}",
-              "Engine construction knobs, passed through to "
-              "repro.nids.SemanticNids (validated subset; see below)."),
-    SchemaKey("engine.options.classification_enabled", "bool", "true",
-              "false analyzes every payload (the paper's §5.4 mode)."),
-    SchemaKey("engine.options.honeypots", "list[str]", "[]",
-              "Decoy addresses."),
-    SchemaKey("engine.options.dark_networks", "list[str] | null", "null",
-              "Unused address space (CIDRs)."),
-    SchemaKey("engine.options.dark_exclude", "list[str] | null", "null",
-              "Used subnets carved out of dark space."),
-    SchemaKey("engine.options.dark_threshold", "int", "5",
-              "Dark-space scan threshold t.", ">= 1"),
-    SchemaKey("engine.options.smtp_fanout_threshold", "int | null", "null",
-              "Distinct-relay threshold of the SMTP fan-out monitor "
-              "(null = monitor off)."),
-    SchemaKey("engine.options.analysis_deadline_ms", "float | null", "null",
-              "Per-payload analysis budget in deterministic instruction "
-              "units (10000/ms); null = unbounded.", "> 0"),
-    SchemaKey("engine.options.max_streams", "int", "65536",
-              "Bound on concurrently tracked TCP streams.", ">= 1"),
-    SchemaKey("engine.options.fastpath", "bool", "true",
-              "Template anchor prefilter on/off (alert stream is "
-              "byte-identical either way)."),
+              "Engine construction knobs: the fields of "
+              "repro.nids.SensorOptions a scenario may set, checked by "
+              "the record itself (null = the default)."),
+    # type, default, description and range of each: read off the record
+    *(SchemaKey(f"engine.options.{f.name}",
+                f.type.replace("tuple[str, ...]", "list[str]")
+                      .replace("None", "null"),
+                json.dumps(f.default), f.metadata["doc"],
+                f.metadata["bound"])
+      for f in fields(SensorOptions) if f.metadata["scenario"]),
     SchemaKey("engine.daemon", "map", "{}",
               "daemon kind only: ingestion tuning."),
     SchemaKey("engine.daemon.ring_capacity", "int", "4096",
@@ -286,11 +278,6 @@ SCHEMA: list[SchemaKey] = [
 def schema_keys() -> list[str]:
     """Every documented key path, in declaration order."""
     return [k.path for k in SCHEMA]
-
-
-def describe() -> list[SchemaKey]:
-    """The full key table (for ``repro-scenario list``)."""
-    return list(SCHEMA)
 
 
 def _children(prefix: str) -> set[str]:
@@ -374,8 +361,8 @@ class ChaosSpec:
 class EngineSpec:
     kind: str = "serial"
     workers: int = 2
-    template_set: str = "paper"
-    options: dict[str, Any] = field(default_factory=dict)
+    #: the engine's record: ``engine.options`` plus ``engine.template_set``
+    options: SensorOptions = field(default_factory=SensorOptions)
     daemon: dict[str, Any] = field(default_factory=dict)
 
 
@@ -440,7 +427,6 @@ class _Ctx:
     def __init__(self, data: dict, path: str) -> None:
         self.data = data
         self.path = path
-        self.seen: set[str] = set()
 
     def err(self, key: str, message: str) -> ScenarioError:
         where = f"{self.path}.{key}" if self.path else key
@@ -460,7 +446,6 @@ class _Ctx:
             *, required: bool = False, minimum: float | None = None,
             maximum: float | None = None, choices=None,
             allow_none: bool = False) -> Any:
-        self.seen.add(key)
         if key not in self.data:
             if required:
                 raise self.err(key, "required key is missing")
@@ -653,11 +638,11 @@ def _validate_chaos(ctx: _Ctx, engine_kind: str) -> ChaosSpec:
         options["drop_bytes"] = ctx.get("drop_bytes", (int,), default=8,
                                         minimum=1)
     elif kind == "crash":
-        if engine_kind not in ("daemon", "fleet"):
+        if engine_kind == "serial":
             raise ctx.err("kind",
-                          "crash chaos needs an engine with the "
+                          "crash chaos needs an engine under the "
                           "durability layer (checkpoints + journal); "
-                          "set engine.kind to daemon or fleet")
+                          "set engine.kind to daemon, parallel or fleet")
         kills = ctx.get("kills", (list,), required=True)
         if not kills:
             raise ctx.err("kills", "must name at least one kill mark")
@@ -677,38 +662,7 @@ def _validate_chaos(ctx: _Ctx, engine_kind: str) -> ChaosSpec:
                               if v is not None})
 
 
-def _validate_engine_options(ctx: _Ctx) -> dict[str, Any]:
-    ctx.reject_unknown(_children("engine.options."), "engine.options")
-    options: dict[str, Any] = {}
-
-    def put(key: str, value: Any) -> None:
-        if value is not None:
-            options[key] = value
-
-    put("classification_enabled",
-        ctx.get("classification_enabled", (bool,), default=None,
-                allow_none=True))
-    put("honeypots", ctx.str_list("honeypots"))
-    put("dark_networks", ctx.str_list("dark_networks"))
-    put("dark_exclude", ctx.str_list("dark_exclude"))
-    put("dark_threshold", ctx.get("dark_threshold", (int,), default=None,
-                                  allow_none=True, minimum=1))
-    put("smtp_fanout_threshold",
-        ctx.get("smtp_fanout_threshold", (int,), default=None,
-                allow_none=True, minimum=1))
-    put("analysis_deadline_ms",
-        ctx.get("analysis_deadline_ms", (float,), default=None,
-                allow_none=True, minimum=1e-9))
-    put("max_streams", ctx.get("max_streams", (int,), default=None,
-                               allow_none=True, minimum=1))
-    put("fastpath", ctx.get("fastpath", (bool,), default=None,
-                            allow_none=True))
-    return options
-
-
 def _validate_engine(ctx: _Ctx) -> EngineSpec:
-    from ..core.library import TEMPLATE_SETS
-
     ctx.reject_unknown(_children("engine."), "engine")
     kind = ctx.get("kind", (str,), default="serial",
                    choices=set(ENGINE_KINDS))
@@ -721,12 +675,17 @@ def _validate_engine(ctx: _Ctx) -> EngineSpec:
                       f"kinds")
     template_set = ctx.get("template_set", (str,), default="paper",
                            choices=set(TEMPLATE_SETS))
-    options: dict[str, Any] = {}
+    options = SensorOptions(template_set=template_set)
     if "options" in ctx.data:
-        options = _validate_engine_options(
-            _Ctx(_mapping(ctx.data["options"], f"{ctx.path}.options"),
-                 f"{ctx.path}.options"))
-        ctx.seen.add("options")
+        octx = _Ctx(_mapping(ctx.data["options"], f"{ctx.path}.options"),
+                    f"{ctx.path}.options")
+        octx.reject_unknown(_children("engine.options."), "engine.options")
+        try:
+            options = replace(options, **{
+                k: v for k, v in octx.data.items() if v is not None})
+        except (TypeError, ValueError) as exc:  # "<field>: <problem>"
+            name, _, problem = str(exc).partition(": ")
+            raise octx.err(name, problem) from None
     daemon: dict[str, Any] = {}
     if "daemon" in ctx.data:
         if kind != "daemon":
@@ -744,22 +703,20 @@ def _validate_engine(ctx: _Ctx) -> EngineSpec:
             "batch_size": dctx.get("batch_size", (int,), default=256,
                                    minimum=1),
         }
-    if (kind == "fleet" and
-            options.get("smtp_fanout_threshold") is not None):
+    if kind == "fleet" and options.smtp_fanout_threshold is not None:
         raise ctx.err("options",
                       "smtp_fanout_threshold needs cross-flow classifier "
                       "state, which the fleet engine shards per source; "
                       "use serial, parallel, or daemon")
-    if (options.get("classification_enabled") is False and
-            options.get("smtp_fanout_threshold") is not None):
+    if (not options.classification_enabled
+            and options.smtp_fanout_threshold is not None):
         raise ctx.err("options",
                       "smtp_fanout_threshold is dead weight with "
                       "classification_enabled: false — the fan-out "
                       "monitor lives inside the classifier, which a "
                       "classify-everything run never consults; drop one "
                       "of the two")
-    return EngineSpec(kind=kind, workers=workers or 2,
-                      template_set=template_set, options=options,
+    return EngineSpec(kind=kind, workers=workers or 2, options=options,
                       daemon=daemon)
 
 
@@ -777,14 +734,15 @@ def _validate_expect(ctx: _Ctx, engine: EngineSpec) -> ExpectSpec:
         if "templates" in actx.data:
             tmap = _mapping(actx.data["templates"],
                             f"{actx.path}.templates")
-            known = _known_templates(engine.template_set)
+            template_set = engine.options.template_set
+            known = _known_templates(template_set)
             for name, raw in tmap.items():
                 where = f"{actx.path}.templates.{name}"
                 if name not in known:
                     raise ScenarioError(
                         where,
                         f"template {name!r} is not in template set "
-                        f"{engine.template_set!r} (known: "
+                        f"{template_set!r} (known: "
                         f"{', '.join(sorted(known))})")
                 templates[name] = _bound(raw, where)
         raw_sources = actx.str_list("sources")
@@ -827,8 +785,6 @@ def _validate_expect(ctx: _Ctx, engine: EngineSpec) -> ExpectSpec:
 def _known_templates(template_set: str) -> frozenset[str]:
     """Template names resolvable in ``template_set``, plus the degraded
     templates the firewall can emit (expectable under chaos)."""
-    from ..core.library import resolve_template_set
-
     return (frozenset(t.name for t in resolve_template_set(template_set))
             | DEGRADED_TEMPLATES)
 

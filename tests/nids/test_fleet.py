@@ -140,10 +140,6 @@ class TestReload:
 
 
 class TestConfig:
-    def test_rejects_bad_shard_mode(self):
-        with pytest.raises(ValueError):
-            SensorFleet(workers=2, shard_by="port")
-
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             SensorFleet(workers=0)

@@ -51,7 +51,6 @@ def attack_trace(attackers=3, victims=3, seed=5):
 def run(nids, trace):
     nids.process_trace(trace)
     nids.close()
-    nids.sync_frontend_stats()
     return nids
 
 
@@ -163,9 +162,11 @@ class TestMetricsCli:
             if c["name"] == "repro_stage_calls_total"}
         for stage in PIPELINE_STAGES + (ANALYZE_STAGE,):
             assert stage_calls.get(stage, 0) > 0, stage
-        # the front-end sync ran before the snapshot
+        # the front-end counters are the components' own series
         names = {c["name"] for c in data["counters"]}
-        assert "repro_frontend_fragments_dropped_total" in names
+        assert "repro_defrag_fragments_dropped_total" in names
+        assert not [n for n in names if n.startswith("repro_frontend_")
+                    and n != "repro_frontend_state_evicted_total"]
 
     def test_metrics_out_prometheus(self, tmp_path, capsys):
         out = self._run_sensor(tmp_path, ["--metrics-format", "prom"])

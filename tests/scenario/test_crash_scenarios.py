@@ -99,15 +99,20 @@ class TestEndToEnd:
         assert report["crashes"] == 1
         assert report["engine"] == "daemon"
 
-    def test_fleet_crash_scenario_passes(self):
-        doc = crash_doc(engine={"kind": "fleet", "workers": 2,
+    @pytest.mark.parametrize("kind", ["parallel", "fleet"])
+    def test_worker_engine_crash_scenario_passes(self, kind):
+        """Both engines with worker processes checkpoint under the
+        daemon (the parallel one since the daemon drains before it
+        snapshots)."""
+        doc = crash_doc(engine={"kind": kind, "workers": 2,
                                 "template_set": "all",
                                 "options": {
                                     "classification_enabled": False}})
         doc["chaos"][0]["kill_kind"] = "mid-checkpoint"
         result = run_scenario(validate(doc))
         assert result.passed, [c.as_dict() for c in result.checks]
-        assert result.as_dict()["recovery"]["engine"] == "fleet"
+        recovery = result.as_dict()["recovery"]
+        assert recovery["engine"] == kind and recovery["crashes"] == 1
 
     def test_failed_parity_bound_is_reported(self):
         """An unmeetable restarts bound fails its check without blowing

@@ -270,8 +270,8 @@ class TestSensord:
     @pytest.mark.parametrize("transport", ["pickle", "offset"])
     def test_fleet_writes_metrics_out(self, attack_pcap, tmp_path, capsys,
                                       transport):
-        """The fleet engine has no ``sync_frontend_stats``; the snapshot
-        must be written for it all the same."""
+        """The snapshot is written whichever engine ran (the fleet's
+        registry is the aggregator's)."""
         import json
 
         from repro.cli import sensord_main
@@ -331,3 +331,48 @@ class TestSensordEngineMatrix:
         assert sorted(captured.out.splitlines()) == serial_lines
         assert " alerts=4 " in captured.err
         assert "uncounted_drops=0" in captured.err
+
+
+class TestSharedEngineFlags:
+    """``repro-sensor`` and ``repro-sensord`` take the same engine flags
+    and refuse what the options record refuses, as a usage error."""
+
+    @pytest.fixture()
+    def stall_pcap(self, tmp_path):
+        """The chaos job's stall capture: one datagram that would hold
+        the analyzer for ~60k instructions."""
+        from repro.net.packet import udp_packet
+        from repro.resilience import build_stall_payload
+        path = tmp_path / "stall.pcap"
+        write_pcap(path, [udp_packet(
+            "10.66.6.6", "10.10.0.9", 6000, 69, timestamp=1.0,
+            payload=build_stall_payload(instructions=60_000))])
+        return path
+
+    @pytest.mark.parametrize("command", ["sensor_main", "sensord_main"])
+    def test_out_of_range_option_is_a_usage_error(self, command, attack_pcap,
+                                                  capsys):
+        import repro.cli
+        with pytest.raises(SystemExit) as exit_info:
+            getattr(repro.cli, command)([str(attack_pcap),
+                                         "--max-streams", "0"])
+        assert exit_info.value.code == 2
+        assert "max_streams: must be >= 1" in capsys.readouterr().err
+
+    def test_sensord_honours_the_analysis_deadline(self, stall_pcap, capsys):
+        from repro.cli import sensord_main
+        rc = sensord_main([str(stall_pcap), "--no-classify",
+                           "--analysis-deadline-ms", "5",
+                           "--max-streams", "8", "--no-fastpath",
+                           "--breaker-threshold", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1 and len(lines) == 1
+        assert "resilience.deadline-exceeded" in lines[0]
+
+    def test_sensor_takes_template_set(self, attack_pcap, capsys):
+        rc = sensor_main([str(attack_pcap), "--honeypot", "10.10.0.250",
+                          "--template-set", "all"])
+        assert rc == 1
+        assert "linux_shell_spawn" in capsys.readouterr().out
+        assert sensor_main([str(attack_pcap), "--honeypot", "10.10.0.250",
+                            "--template-set", "xor-only"]) == 0

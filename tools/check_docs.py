@@ -12,8 +12,9 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md, and docs/:
    imported and any remaining components are resolved with getattr, so
    a renamed function or class rots loudly;
 4. every ``--flag`` token names a real option of a CLI tool in
-   ``src/repro/cli.py`` (plus a small allowlist for third-party tools
-   like pytest's ``--benchmark-only``);
+   ``src/repro/cli.py`` — read off the live parsers, so a flag generated
+   from a shared group counts like a hand-written one (plus a small
+   allowlist for third-party tools like pytest's ``--benchmark-only``);
 5. the scenario-DSL reference table in ``docs/scenarios.md`` agrees
    with the live schema (``repro.scenario.schema_keys()``) in both
    directions: a documented key the schema dropped fails, and so does
@@ -26,10 +27,12 @@ docs are honest, 1 with one line per stale reference otherwise.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -62,10 +65,36 @@ def anchors_of(path: Path) -> set[str]:
     return {github_slug(h) for h in HEADING_RE.findall(path.read_text())}
 
 
+def option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of a parser and of its sub-commands."""
+    out: set[str] = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= option_strings(sub)
+    return out
+
+
 def cli_flags() -> set[str]:
-    """Every ``--flag`` literal in the CLI source."""
-    source = (REPO / "src" / "repro" / "cli.py").read_text()
-    return set(re.findall(r'"(--[a-z][a-z0-9-]+)"', source))
+    """Every ``--flag`` of every live parser in ``repro.cli``: each
+    ``*_main`` runs up to its ``parse_args`` call, where the finished
+    parser is read instead of an argv."""
+    import repro.cli
+
+    flags: set[str] = set()
+
+    def harvest(parser, *_args, **_kwargs):
+        flags.update(option_strings(parser))
+        raise SystemExit
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", harvest):
+        for name in repro.cli.__all__:
+            try:
+                getattr(repro.cli, name)([])
+            except SystemExit:
+                pass
+    return {flag for flag in flags if flag.startswith("--")}
 
 
 def check_links(path: Path, text: str, errors: list[str]) -> None:

@@ -38,9 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engines.shellcode import get_shellcode  # noqa: E402
 from repro.net.packet import udp_packet  # noqa: E402
-from repro.nids import (  # noqa: E402
-    ParallelSemanticNids, SemanticNids, SensorFleet,
-)
+from repro.nids import SensorOptions, build_engine  # noqa: E402
 from repro.resilience.recovery import (  # noqa: E402
     KILL_KINDS,
     capture_sources,
@@ -49,16 +47,15 @@ from repro.resilience.recovery import (  # noqa: E402
 )
 from repro.traffic.mix import BenignMixGenerator  # noqa: E402
 
-_OPTIONS = {"classification_enabled": False}
+_OPTIONS = SensorOptions(classification_enabled=False)
 
 #: name -> (engine factory, fed record boundaries instead of packets?)
 ENGINES = {
-    "serial": (lambda: SemanticNids(**_OPTIONS), False),
-    "parallel": (lambda: ParallelSemanticNids(workers=2, **_OPTIONS), False),
-    "fleet-pickle": (lambda: SensorFleet(workers=2, nids_options=_OPTIONS),
-                     False),
-    "fleet-offset": (lambda: SensorFleet(workers=2, transport="offset",
-                                         nids_options=_OPTIONS), True),
+    "serial": (lambda: build_engine("serial", _OPTIONS), False),
+    "parallel": (lambda: build_engine("parallel", _OPTIONS), False),
+    "fleet-pickle": (lambda: build_engine("fleet", _OPTIONS), False),
+    "fleet-offset": (lambda: build_engine("fleet", _OPTIONS,
+                                          transport="offset"), True),
 }
 
 
