@@ -107,10 +107,6 @@ class AhoCorasick:
                 return True
         return False
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
 
 class VectorScanSet:
     """Vectorized presence scan for short byte patterns.

@@ -18,16 +18,17 @@ the pipeline can surface evasion pressure in its statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from ..obs import MetricField, MetricsRegistry, StageTimer, Tracer, bind_metrics
+from .assembler import Assembler
 from .layers import Icmp, PROTO_ICMP, PROTO_TCP, PROTO_UDP, Tcp, Udp
 from .packet import Packet
 
 __all__ = ["IpDefragmenter", "fragment_packet"]
 
 _MF = 0x1  # more-fragments flag (bit 0 of our 3-bit flags field: RFC bit 13)
-_DF = 0x2
 
 #: An IPv4 datagram (header + payload) can never exceed 64 KiB; fragments
 #: claiming bytes beyond this are forged and are dropped outright.
@@ -35,32 +36,15 @@ _MAX_DATAGRAM = 65535
 
 
 @dataclass
-class _FragmentBuffer:
-    """Accumulates the fragments of one datagram.
+class _FragmentBuffer(Assembler):
+    """The fragments of one datagram: an :class:`Assembler` plus the
+    length the first MF=0 fragment claimed."""
 
-    Chunks are kept non-overlapping by construction: each incoming
-    fragment is trimmed first-writer-wins against everything already
-    buffered — its head against chunks that start at or before it, and
-    its tail against chunks it would run into (the case a fragment
-    arrives *before* a later-offset chunk it overlaps).
-    """
-
-    chunks: dict[int, bytes] = field(default_factory=dict)
     total_len: int | None = None  # known once the MF=0 fragment arrives
     first_seen: float = 0.0
-    buffered: int = 0  # bytes currently stored across all chunks
 
-    def __getstate__(self) -> dict:
-        # Checkpoint support: chunks may alias zero-copy memoryviews.
-        state = self.__dict__.copy()
-        state["chunks"] = {off: bytes(c) for off, c in self.chunks.items()}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def add(self, offset: int, data: bytes, last: bool) -> tuple[int, int]:
-        """Insert one fragment; returns ``(stored, trimmed)`` byte counts.
+    def add(self, offset: int, data: bytes, last: bool) -> int:
+        """Place one fragment; returns the bytes trimmed by overlap.
 
         The datagram length claim of an MF=0 fragment is taken from its
         *untrimmed* extent, before any overlap trimming — a retransmitted
@@ -70,51 +54,14 @@ class _FragmentBuffer:
         """
         if last and self.total_len is None:
             self.total_len = offset + len(data)
-        stored = trimmed = 0
-        for seg_off in sorted(self.chunks):
-            seg = self.chunks[seg_off]
-            seg_end = seg_off + len(seg)
-            if seg_end <= offset or seg_off >= offset + len(data):
-                continue
-            if seg_off <= offset:
-                # Existing chunk covers our head: drop the covered bytes.
-                skip = min(len(data), seg_end - offset)
-                trimmed += skip
-                offset += skip
-                data = data[skip:]
-            else:
-                # We start before an existing chunk: keep the fresh head,
-                # drop the covered middle, continue with any tail beyond.
-                head = data[: seg_off - offset]
-                if head:
-                    self.chunks[offset] = head
-                    stored += len(head)
-                trimmed += min(offset + len(data), seg_end) - seg_off
-                data = data[seg_end - offset:]
-                offset = seg_end
-            if not data:
-                break
-        if data:
-            self.chunks[offset] = data
-            stored += len(data)
-        self.buffered += stored
-        return stored, trimmed
+        return self.place(offset, data)
 
     def complete(self) -> bytes | None:
-        if self.total_len is None:
+        """The datagram, once the frontier has reached its claimed length
+        (forged bytes beyond the claimed end are ignored)."""
+        if self.total_len is None or len(self._window) < self.total_len:
             return None
-        out = bytearray()
-        expected = 0
-        for offset in sorted(self.chunks):
-            if expected >= self.total_len:
-                break  # forged bytes beyond the claimed end: ignore
-            if offset != expected:
-                return None  # hole
-            out += self.chunks[offset]
-            expected += len(self.chunks[offset])
-        if expected < self.total_len:
-            return None
-        return bytes(out[: self.total_len])
+        return bytes(self._window[: self.total_len])
 
 
 class IpDefragmenter:
@@ -126,11 +73,17 @@ class IpDefragmenter:
     header re-decoded) is returned.
 
     Memory is bounded twice over: a fragment claiming bytes past the
-    64 KiB datagram limit is dropped, and the aggregate buffered bytes
-    across all half-reassembled datagrams are capped at
-    ``max_total_bytes`` (oldest datagrams evicted first), on top of the
-    ``max_datagrams`` entry cap and the idle ``timeout``.
+    64 KiB datagram limit is dropped, and what all half-reassembled
+    datagrams hold (payload plus the per-piece charge) is capped at
+    ``MAX_TOTAL_BYTES``, on top of the ``MAX_DATAGRAMS`` entry cap and
+    the ``TIMEOUT``.  The table is kept oldest first, so each of the
+    three only ever looks at — and evicts from — its front.
     """
+
+    MAX_DATAGRAMS = 4096
+    #: capture-clock seconds a datagram may wait for its missing bytes.
+    TIMEOUT = 30.0
+    MAX_TOTAL_BYTES = 8 * 1024 * 1024
 
     fragments_seen = MetricField(
         "repro_defrag_fragments_total",
@@ -152,17 +105,14 @@ class IpDefragmenter:
         unit="datagrams")
     bytes_buffered = MetricField(
         "repro_defrag_buffered_bytes", kind="gauge",
-        help="Bytes currently buffered across half-reassembled datagrams.",
+        help="Bytes buffered across half-reassembled datagrams, per-piece "
+             "charge included.",
         unit="bytes")
 
-    def __init__(self, max_datagrams: int = 4096, timeout: float = 30.0,
-                 max_total_bytes: int = 8 * 1024 * 1024,
-                 registry: MetricsRegistry | None = None,
+    def __init__(self, registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
-        self._buffers: dict[tuple, _FragmentBuffer] = {}
-        self.max_datagrams = max_datagrams
-        self.timeout = timeout
-        self.max_total_bytes = max_total_bytes
+        #: in age order: ``first_seen`` never falls from front to back.
+        self._buffers: OrderedDict[tuple, _FragmentBuffer] = OrderedDict()
         bind_metrics(self, registry)
         #: the defragmenter and the TCP reassembler share the "reassemble"
         #: stage: together they are the reassembly front-end.
@@ -191,20 +141,24 @@ class IpDefragmenter:
         key = (pkt.ip.src, pkt.ip.dst, pkt.ip.ident, pkt.ip.proto)
         buffer = self._buffers.get(key)
         if buffer is None:
-            self._evict(pkt.timestamp)
-            buffer = _FragmentBuffer(first_seen=pkt.timestamp)
-            self._buffers[key] = buffer
+            now, held = pkt.timestamp, self._buffers
+            self._evict(now)
+            # Age order survives a capture clock that runs backwards: a
+            # new datagram is never older than the newest one held.
+            newest = held[next(reversed(held))].first_seen if held else now
+            buffer = held[key] = _FragmentBuffer(first_seen=max(now, newest))
 
-        stored, trimmed = buffer.add(offset, raw, last=not (pkt.ip.flags & _MF))
-        self.bytes_buffered += stored
+        before = buffer.buffered
+        trimmed = buffer.add(offset, raw, last=not (pkt.ip.flags & _MF))
+        self.bytes_buffered += buffer.buffered - before
         self.overlaps_trimmed += trimmed
-        if trimmed and not stored:
+        if trimmed and trimmed == len(raw):
             # A duplicate/retransmission contributing nothing new.
             self.fragments_dropped += 1
 
         data = buffer.complete()
         if data is None:
-            if self.bytes_buffered > self.max_total_bytes:
+            if self.bytes_buffered > self.MAX_TOTAL_BYTES:
                 self._evict(pkt.timestamp)
             return None
         self._drop_buffer(key, evicted=False)
@@ -218,16 +172,15 @@ class IpDefragmenter:
             self.datagrams_evicted += 1
 
     def _evict(self, now: float) -> None:
-        stale = [k for k, b in self._buffers.items()
-                 if now - b.first_seen > self.timeout]
-        for k in stale:
-            self._drop_buffer(k, evicted=True)
-        while self._buffers and (
-                len(self._buffers) >= self.max_datagrams
-                or self.bytes_buffered > self.max_total_bytes):
-            oldest = min(self._buffers,
-                         key=lambda k: self._buffers[k].first_seen)
-            self._drop_buffer(oldest, evicted=True)
+        """Drop the oldest datagram while it has timed out, the table is
+        full or the byte cap is exceeded."""
+        while self._buffers:
+            key, oldest = next(iter(self._buffers.items()))
+            if (now - oldest.first_seen <= self.TIMEOUT
+                    and len(self._buffers) < self.MAX_DATAGRAMS
+                    and self.bytes_buffered <= self.MAX_TOTAL_BYTES):
+                break
+            self._drop_buffer(key, evicted=True)
 
     @staticmethod
     def _raw_ip_payload(pkt: Packet) -> bytes:

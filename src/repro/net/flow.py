@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import FlowKeyError
 from ..obs import MetricField, MetricsRegistry, StageTimer, Tracer, bind_metrics
+from .assembler import Assembler
 from .layers import TCP_FIN, TCP_RST, TCP_SYN, Tcp
 from .packet import Packet
 
@@ -62,19 +63,18 @@ class FlowStats:
         self.last_seen = pkt.timestamp
 
 
-@dataclass
-class Stream:
+@dataclass(kw_only=True)
+class Stream(Assembler):
     """One direction of a TCP conversation, reassembled and *consumed*.
 
-    Segments are merged first-writer-wins: bytes already present at a stream
-    offset are never overwritten by retransmissions or overlaps, matching
-    common IDS reassembly policy.  The stream keeps only its analysis
-    window — the contiguous bytes from ``released`` up to the frontier —
-    plus out-of-order segments waiting above the frontier for a hole to
-    fill.  An in-order segment is copied once onto the window; everything
-    below the frontier is known-present, so trimming a retransmission
-    needs the frontier offset, not the bytes, and :meth:`release` can drop
-    an analysed prefix for good.
+    Segments are merged first-writer-wins (:class:`Assembler`): bytes
+    already present at a stream offset are never overwritten by
+    retransmissions or overlaps, matching common IDS reassembly policy.
+    The stream keeps only its analysis window — the contiguous bytes from
+    ``released`` up to the frontier — plus the out-of-order pieces waiting
+    above the frontier for a hole to fill, and :meth:`release` drops an
+    analysed prefix for good.  What is TCP lives here: the sequence
+    origin, the per-stream cap and the close.
 
     A FIN/RST closes the stream at the offset it covers; the stream is
     :meth:`complete` only once the frontier has reached that offset with
@@ -83,23 +83,13 @@ class Stream:
 
     key: FlowKey
     base_seq: int | None = None
-    #: stream offset → bytes of an out-of-order segment above the
-    #: contiguous frontier; moved onto the window when the hole fills.
-    segments: dict[int, bytes] = field(default_factory=dict)
     #: stream offset the lowest FIN/RST seen so far covers (``None``
     #: while the stream is open).
     fin_offset: int | None = None
     stats: FlowStats = field(default_factory=FlowStats)
-    #: bytes currently held (window + pending segments), kept
-    #: incrementally so memory accounting never walks the stream.
-    buffered: int = 0
-    #: stream offset of the window's first byte: everything below it was
-    #: handed to analysis and dropped.
-    released: int = 0
     #: segments refused because they fall outside what the stream can
     #: still place (see :meth:`add`).
     out_of_window: int = 0
-    _window: bytearray = field(default_factory=bytearray, repr=False)
     _data_cache: bytes | None = field(default=None, repr=False)
 
     MAX_BUFFER = 4 * 1024 * 1024  # per-stream cap, mirrors real IDS limits
@@ -136,17 +126,12 @@ class Stream:
         offset = (tcp.seq - self.base_seq) & 0xFFFFFFFF
         trimmed = 0
         if pkt.payload:
+            self._data_cache = None
             delta = (1 << 32) - offset  # distance *before* the base
             if delta < self.MAX_BUFFER and not self.released:
-                # Rebase: every offset shifts up by ``delta``; the window
-                # no longer starts at the frontier, so it waits as a
-                # pending segment.
-                self.segments = {off + delta: seg
-                                 for off, seg in self.segments.items()}
-                if self._window:
-                    self.segments[delta] = bytes(self._window)
-                    self._window = bytearray()
-                    self._data_cache = None
+                # Rebase: the origin moves down to this segment, and what
+                # is held (the close included) lies ``delta`` higher.
+                self.shift_up(delta)
                 if self.fin_offset is not None:
                     self.fin_offset = min(self.fin_offset + delta,
                                           self.MAX_BUFFER)
@@ -155,56 +140,13 @@ class Stream:
             if offset >= self.MAX_BUFFER:  # incl. any other pre-base offset
                 self.out_of_window += 1
             else:
-                trimmed = self._insert(
+                trimmed = self.place(
                     offset, pkt.payload[: self.MAX_BUFFER - offset])
         if tcp.flags & (TCP_FIN | TCP_RST):
             end = min(offset + len(pkt.payload), self.MAX_BUFFER)
             if self.fin_offset is None or end < self.fin_offset:
                 self.fin_offset = end
         return trimmed
-
-    def _insert(self, offset: int, data: bytes | memoryview) -> int:
-        """First-writer-wins merge; returns the bytes trimmed by overlap."""
-        trimmed = 0
-        # Per-packet path: the frontier is spelled out here and below
-        # rather than asked of contiguous_length().
-        frontier = self.released + len(self._window)
-        if offset < frontier:  # below the frontier every byte is present
-            trimmed = min(len(data), frontier - offset)
-            offset += trimmed
-            data = data[trimmed:]
-        # Trim against the pending segments (none on the in-order path).
-        for seg_off in sorted(self.segments):
-            end = offset + len(data)
-            if seg_off >= end:
-                break
-            seg_end = seg_off + len(self.segments[seg_off])
-            if seg_end <= offset:
-                continue
-            if seg_off > offset:
-                self._land(offset, data[: seg_off - offset])
-            trimmed += min(end, seg_end) - max(offset, seg_off)
-            data = data[seg_end - offset:]
-            offset = seg_end
-        if data:
-            self._land(offset, data)
-        # Holes filled: pending segments now at the frontier join the window.
-        while self.segments:
-            seg = self.segments.pop(self.released + len(self._window), None)
-            if seg is None:
-                break
-            self._window += seg
-        return trimmed
-
-    def _land(self, offset: int, piece: bytes | memoryview) -> None:
-        """Keep new bytes: on the window at the frontier, else pending.
-        Either way they are copied, so no view of the packet survives."""
-        self.buffered += len(piece)
-        if offset == self.released + len(self._window):
-            self._window += piece
-            self._data_cache = None
-        else:
-            self.segments[offset] = bytes(piece)
 
     def release(self, upto: int) -> int:
         """Drop the window's bytes below stream offset ``upto`` (clamped
@@ -235,11 +177,8 @@ class Stream:
         """Closed and whole: the frontier has reached the FIN/RST offset
         and nothing waits out of order.  A FIN ahead of missing data
         leaves the stream live (the hole, or the short frontier)."""
-        return (self.fin_offset is not None and not self.segments
+        return (self.fin_offset is not None and not self._starts
                 and self.released + len(self._window) >= self.fin_offset)
-
-    def total_buffered(self) -> int:
-        return self.buffered
 
 
 class StreamReassembler:
@@ -258,13 +197,16 @@ class StreamReassembler:
     new stream and is counted in ``segments_after_close``.
 
     Against floods, memory is bounded by ``max_streams`` (entry count) and
-    ``max_total_bytes`` (aggregate buffered payload, on top of the
-    per-stream ``Stream.MAX_BUFFER``); both count bytes still held, not
-    bytes ever seen, and the least-recently-fed stream is evicted first.  ``on_evict`` — called with the evicted stream's
-    :class:`FlowKey` — lets the pipeline drop its own per-stream state in
-    lockstep, so no side table outlives the stream it describes.
+    ``MAX_TOTAL_BYTES`` (the sum of ``Stream.buffered``: payload plus the
+    per-piece charge, on top of the per-stream ``Stream.MAX_BUFFER``);
+    both count what is still held, not bytes ever seen, and the
+    least-recently-fed stream is evicted first.  ``on_evict`` — called
+    with the evicted stream's :class:`FlowKey` — lets the pipeline drop
+    its own per-stream state in lockstep, so no side table outlives the
+    stream it describes.
     """
 
+    MAX_TOTAL_BYTES = 256 * 1024 * 1024
     #: reaped flows remembered (as key hashes, oldest forgotten first) so
     #: payload arriving after a reap can be counted.
     REAPED_MEMORY = 1024
@@ -302,12 +244,11 @@ class StreamReassembler:
         unit="segments")
     bytes_buffered = MetricField(
         "repro_reassembly_buffered_bytes", kind="gauge",
-        help="Bytes currently held across all tracked streams "
-             "(falls when an analysed prefix is released).",
+        help="Bytes held across all tracked streams, per-piece charge "
+             "included (falls when an analysed prefix is released).",
         unit="bytes")
 
     def __init__(self, max_streams: int = 65536,
-                 max_total_bytes: int = 256 * 1024 * 1024,
                  on_evict: Callable[[FlowKey], None] | None = None,
                  registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
@@ -316,7 +257,6 @@ class StreamReassembler:
         self.streams: OrderedDict[FlowKey, Stream] = OrderedDict()
         self._reaped: OrderedDict[int, bool] = OrderedDict()
         self.max_streams = max_streams
-        self.max_total_bytes = max_total_bytes
         self.on_evict = on_evict
         reg = bind_metrics(self, registry)
         self._active_streams = reg.gauge(
@@ -362,9 +302,9 @@ class StreamReassembler:
         # evicting everything else cannot get under it — that would be
         # pure over-eviction of innocent streams (the stream itself is
         # already bounded by Stream.MAX_BUFFER).
-        while (self.bytes_buffered > self.max_total_bytes
+        while (self.bytes_buffered > self.MAX_TOTAL_BYTES
                and len(self.streams) > 1
-               and stream.buffered < self.max_total_bytes):
+               and stream.buffered < self.MAX_TOTAL_BYTES):
             self._evict_oldest()
         self._active_streams.value = len(self.streams)
         return stream
@@ -405,10 +345,6 @@ class StreamReassembler:
         self._active_streams.value = len(self.streams)
         if self.on_evict is not None:
             self.on_evict(victim.key)
-
-    def finished_streams(self) -> Iterator[Stream]:
-        """Streams whose FIN/RST has been observed."""
-        return (s for s in self.streams.values() if s.fin_seen)
 
     def get(self, key: FlowKey) -> Stream | None:
         return self.streams.get(key)

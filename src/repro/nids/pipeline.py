@@ -390,9 +390,9 @@ class SemanticNids:
 
     # -- crash-safe checkpointing --------------------------------------------
 
-    #: 3: a ``Stream`` carries ``fin_offset`` (2: its analysis window and
-    #: ``released`` offset instead of every segment it ever saw).
-    STATE_VERSION = 3
+    #: 4: streams and fragment buffers are ``Assembler`` subclasses
+    #: (3: a ``Stream`` carries ``fin_offset``).
+    STATE_VERSION = 4
 
     def snapshot_state(self) -> dict:
         """Picklable snapshot of all detection-relevant mutable state.
@@ -447,7 +447,9 @@ class SemanticNids:
         if state["fanout"] is not None and self.classifier.fanout is not None:
             self.classifier.fanout.records = dict(state["fanout"]["records"])
             self.classifier.fanout.mailers_flagged = state["fanout"]["flagged"]
-        self.defragmenter._buffers = dict(state["defrag_buffers"])
+        # Both tables come back in the order they were held in: age
+        # order here, recency order for the streams.
+        self.defragmenter._buffers = OrderedDict(state["defrag_buffers"])
         self.defragmenter.bytes_buffered = sum(
             b.buffered for b in self.defragmenter._buffers.values())
         self.reassembler.streams = OrderedDict(state["streams"])

@@ -197,8 +197,9 @@ class TestAdversarialReassembly:
         assert defrag.fragments_dropped == 1
         assert defrag.overlaps_trimmed == 64
 
-    def test_datagram_cap_evicts_oldest(self):
-        defrag = IpDefragmenter(max_datagrams=2)
+    def test_datagram_cap_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(IpDefragmenter, "MAX_DATAGRAMS", 2)
+        defrag = IpDefragmenter()
         for i in range(4):
             pkt = tcp_packet("9.9.9.9", "10.0.0.1", 4000 + i, 80,
                              payload=b"e" * 200, timestamp=float(i))
@@ -208,7 +209,7 @@ class TestAdversarialReassembly:
         assert defrag.datagrams_evicted >= 2
 
     def test_timeout_evicts_stale_buffers(self):
-        defrag = IpDefragmenter(timeout=30.0)
+        defrag = IpDefragmenter()
         old = fragment_packet(_exploit_packet(b"o" * 200),
                               fragment_size=64, ident=0x6100)
         defrag.feed(old[0])  # incomplete, timestamp 1.0
@@ -218,8 +219,9 @@ class TestAdversarialReassembly:
         defrag.feed(fragment_packet(fresh, fragment_size=64)[0])
         assert defrag.datagrams_evicted == 1
 
-    def test_byte_budget_evicts(self):
-        defrag = IpDefragmenter(max_total_bytes=1024)
+    def test_byte_budget_evicts(self, monkeypatch):
+        monkeypatch.setattr(IpDefragmenter, "MAX_TOTAL_BYTES", 1024)
+        defrag = IpDefragmenter()
         for i in range(8):
             pkt = tcp_packet("9.9.9.8", "10.0.0.1", 5000 + i, 80,
                              payload=b"b" * 500, timestamp=float(i))

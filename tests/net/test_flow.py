@@ -83,7 +83,7 @@ class TestStreamReassembly:
         r.feed(_seg(b"bye", 100))
         stream = r.feed(_seg(b"", 103, flags=TCP_FIN | TCP_ACK))
         assert stream.fin_seen
-        assert list(r.finished_streams()) == [stream]
+        assert [s for s in r.streams.values() if s.fin_seen] == [stream]
 
     def test_directions_are_separate_streams(self):
         r = StreamReassembler()
@@ -116,7 +116,7 @@ class TestStreamReassembly:
         stream.add(pkt)
         far = _seg(b"too-far", 100 + Stream.MAX_BUFFER + 10)
         stream.add(far)
-        assert stream.total_buffered() == len(b"in-range")
+        assert stream.buffered == len(b"in-range")
 
     def test_stats_update(self):
         r = StreamReassembler()
@@ -328,9 +328,10 @@ class TestReassemblerHardening:
         r.feed(_seg(b"abcd", 100))  # full duplicate: nothing stored
         assert r.bytes_buffered == 8
 
-    def test_byte_budget_evicts_oldest_not_current(self):
+    def test_byte_budget_evicts_oldest_not_current(self, monkeypatch):
+        monkeypatch.setattr(StreamReassembler, "MAX_TOTAL_BYTES", 1000)
         evicted = []
-        r = StreamReassembler(max_total_bytes=1000, on_evict=evicted.append)
+        r = StreamReassembler(on_evict=evicted.append)
         for i in range(5):
             pkt = _seg(b"z" * 400, 100, sport=4000 + i)
             pkt.timestamp = float(i)
@@ -340,14 +341,15 @@ class TestReassemblerHardening:
         # the stream being fed is never its own eviction victim
         assert all(k.sport != 4004 for k in evicted)
 
-    def test_single_giant_stream_does_not_over_evict(self):
+    def test_single_giant_stream_does_not_over_evict(self, monkeypatch):
         """Regression: when the spared (current) stream alone exceeds the
         byte budget, the eviction loop used to evict every *other* stream
         on every segment — pure loss, since the total could never get
         under the cap.  The clamp stops once only over-budget spared
         bytes remain."""
+        monkeypatch.setattr(StreamReassembler, "MAX_TOTAL_BYTES", 1000)
         evicted = []
-        r = StreamReassembler(max_total_bytes=1000, on_evict=evicted.append)
+        r = StreamReassembler(on_evict=evicted.append)
         # Two small bystander flows (oldest first)...
         a = _seg(b"a" * 100, 100, sport=5001)
         a.timestamp = 0.0
@@ -371,10 +373,10 @@ class TestReassemblerHardening:
         assert giant is not None and giant.buffered == 1500
         assert r.get(FlowKey("1.1.1.1", "2.2.2.2", 5002, 80, 6)) is not None
 
-    def test_eviction_counter_stays_accurate_under_clamp(self):
+    def test_eviction_counter_stays_accurate_under_clamp(self, monkeypatch):
+        monkeypatch.setattr(StreamReassembler, "MAX_TOTAL_BYTES", 500)
         reg_evictions = []
-        r = StreamReassembler(max_total_bytes=500,
-                              on_evict=reg_evictions.append)
+        r = StreamReassembler(on_evict=reg_evictions.append)
         for i in range(3):
             pkt = _seg(b"y" * 400, 100, sport=6000 + i)
             pkt.timestamp = float(i)
@@ -411,12 +413,12 @@ class TestConsumeAndRelease:
     def test_only_out_of_order_segments_wait_in_segments(self):
         r = StreamReassembler()
         stream = r.feed(_seg(memoryview(b"ab"), 100))
-        assert stream.segments == {}
+        assert stream.pieces() == []
         r.feed(_seg(memoryview(b"ef"), 104))
-        assert stream.segments == {4: b"ef"}
-        assert type(stream.segments[4]) is bytes  # no view of the packet
+        assert stream.pieces() == [(4, b"ef")]
+        assert type(stream.pieces()[0][1]) is bytearray  # no view of the packet
         r.feed(_seg(memoryview(b"cd"), 102))
-        assert stream.segments == {} and stream.data() == b"abcdef"
+        assert stream.pieces() == [] and stream.data() == b"abcdef"
 
     def test_pickle_carries_released_and_one_copy(self):
         import pickle
@@ -428,8 +430,8 @@ class TestConsumeAndRelease:
         blob = pickle.dumps(stream)
         assert blob.count(b"world") == 1
         back = pickle.loads(blob)
-        assert (back.released, back.data(), back.segments, back.buffered) \
-            == (6, b"world", {100: b"later"}, 10)
+        assert (back.released, back.data(), back.pieces(), back.buffered) \
+            == (6, b"world", [(100, b"later")], 10 + Stream.PIECE_OVERHEAD)
 
 
 class TestOutOfWindowIsLoud:

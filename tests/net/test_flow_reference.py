@@ -6,7 +6,7 @@ positions (riding on data, bare, repeated, ahead of holes), a small
 per-stream cap and random ``release()`` points: after every step the real
 stream's window must be the reference prefix minus what was released,
 with the same frontier, close offset, completeness, trim totals, refusals
-and retained-byte accounting.  A second property drives the whole sensor
+and retained-byte accounting (the per-piece charge included).  A second property drives the whole sensor
 and checks the bytes handed to analysis — and the moment a stream is
 reaped — against the same reference.
 """
@@ -15,7 +15,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from naive_reassembly import NaiveStream
+from naive_reassembly import NaiveStream, check_pieces
 from repro.net.flow import FlowKey, Stream, StreamReassembler
 from repro.net.layers import TCP_FIN, TCP_RST, TCP_SYN
 from repro.net.packet import tcp_packet
@@ -77,11 +77,7 @@ def test_stream_matches_keep_everything_reference(steps, isn, cap, as_view):
             assert reasm.overlaps_trimmed == trimmed
             assert reasm.out_of_window_segments == naive.out_of_window
             assert reasm.bytes_buffered == stream.buffered == naive.held()
-            # Nothing pins the packet: pending segments are plain bytes.
-            assert all(type(seg) is bytes
-                       for seg in stream.segments.values())
-            # Pending segments live strictly above the frontier.
-            assert all(off > len(prefix) for off in stream.segments)
+            check_pieces(stream, frontier=len(prefix))
 
 
 KEY = FlowKey("1.1.1.1", "2.2.2.2", 1000, 80, 6)

@@ -220,17 +220,73 @@ class TestBoundedStreamState:
 
 class TestCheckpointState:
     def test_v1_checkpoint_is_refused(self):
-        """STATE_VERSION 3: a ``Stream`` pickle carries its window, its
-        ``released`` offset and ``fin_offset``; a keep-everything (v1) or
-        pre-``fin_offset`` (v2) snapshot cannot be resumed and the
-        version check says so."""
+        """STATE_VERSION 4: streams and fragment buffers pickle as
+        ``Assembler`` subclasses (window, pieces, origin); a
+        keep-everything (v1), pre-``fin_offset`` (v2) or
+        segment-dict (v3) snapshot cannot be resumed and the version
+        check says so."""
         state = SemanticNids().snapshot_state()
-        assert state["version"] == SemanticNids.STATE_VERSION == 3
-        for old in (1, 2):
+        assert state["version"] == SemanticNids.STATE_VERSION == 4
+        for old in (1, 2, 3):
             state["version"] = old
             with pytest.raises(ValueError,
-                               match=f"state version {old} != 3"):
+                               match=f"state version {old} != 4"):
                 SemanticNids().restore_state(state)
+
+    def test_round_trip_carries_pieces_and_a_half_built_datagram(self):
+        """A stream with pieces pending above a hole and a datagram with
+        fragments missing ride in the snapshot; the resumed sensor, fed
+        the missing bytes, raises the same alerts and reads the same
+        gauges as the one that never stopped."""
+        import pickle
+
+        from repro.engines import generic_overflow_request, get_shellcode
+        from repro.net.defrag import fragment_packet
+        from repro.net.packet import udp_packet
+
+        exploit = generic_overflow_request(
+            get_shellcode("classic-execve").assemble(), seed=1)
+        frags = fragment_packet(
+            udp_packet("10.9.9.9", "10.0.0.1", 53, 53, exploit), 64)
+        frags = frags[::-1]                      # every piece out of order
+        cuts = [(0, 100), (200, 300), (400, len(exploit))]
+
+        def sensor():
+            nids = SemanticNids(classification_enabled=False)
+            for lo, hi in cuts:
+                nids.process_packet(tcp_packet(
+                    "10.1.2.3", "10.0.0.1", 4000, 80, payload=exploit[lo:hi],
+                    seq=1 + lo))
+            for frag in frags[:-3]:
+                nids.process_packet(frag)
+            (stream,) = nids.reassembler.streams.values()
+            assert [off for off, _ in stream.pieces()] == [200, 400]
+            assert nids.defragmenter.bytes_buffered > 0 and not nids.alerts
+            return nids
+
+        def gauges(nids):
+            return (nids.reassembler.bytes_buffered,
+                    nids.defragmenter.bytes_buffered,
+                    len(nids.reassembler.streams),
+                    len(nids.defragmenter._buffers))
+
+        original, resumed = sensor(), SemanticNids(
+            classification_enabled=False)
+        resumed.restore_state(pickle.loads(pickle.dumps(
+            sensor().snapshot_state())))
+        assert gauges(resumed) == gauges(original)
+        missing = [tcp_packet("10.1.2.3", "10.0.0.1", 4000, 80,
+                              payload=exploit[lo:hi], seq=1 + lo)
+                   for lo, hi in ((100, 200), (300, 400))] + frags[-3:]
+        for nids in (original, resumed):
+            for pkt in missing:
+                nids.process_packet(pkt)
+            nids.flush()
+        assert len(original.alerts) == 2
+        assert ([a.format() for a in resumed.alerts]
+                == [a.format() for a in original.alerts])
+        assert gauges(resumed) == gauges(original)
+        assert gauges(resumed)[1:] == (0, 1, 0)
 
     def test_restore_keeps_windows_and_recency_order(self):
         import pickle

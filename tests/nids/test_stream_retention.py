@@ -250,7 +250,7 @@ class TestEndOfLife:
         resumed.restore_state(pickle.loads(pickle.dumps(
             sensor().snapshot_state())))
         (twin,) = resumed.reassembler.streams.values()
-        assert twin.fin_offset == len(EXPLOIT) and twin.segments
+        assert twin.fin_offset == len(EXPLOIT) and twin.pieces()
         hole = _seg(4000, EXPLOIT[100:200], seq=101, t=3.0)
         for nids in (original, resumed):
             (alert,) = nids.process_packet(hole)
