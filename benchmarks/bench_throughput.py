@@ -115,7 +115,7 @@ def test_stall_isolation_under_deadline(report, scale, bench_tracer):
     def engine(deadline_ms=5):
         return ParallelSemanticNids(workers=4,
                                     analysis_deadline_ms=deadline_ms,
-                                    payload_cache_size=0,
+                                    frame_cache_size=0,
                                     tracer=bench_tracer, **NIDS_KW)
 
     clean_s, clean_alerts, _ = _run(trace, engine(), bench_tracer,

@@ -9,6 +9,7 @@ trace, and reports which templates the code satisfies.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -21,7 +22,17 @@ from .library import library_digest, paper_templates
 from .matcher import MatchEngine, PreparedTrace, prepare_trace
 from .template import Template, TemplateMatch
 
-__all__ = ["AnalysisResult", "FrameCache", "SemanticAnalyzer"]
+__all__ = ["AnalysisResult", "FrameCache", "SemanticAnalyzer", "content_key"]
+
+_KEY = os.urandom(16)  # drawn once per process; never stored or sent
+
+
+def content_key(data) -> bytes:
+    """What every result cache calls "the same bytes": a keyed 128-bit
+    BLAKE2b digest.  The key is secret and per-process, so a sender
+    cannot construct two inputs that share a cache entry (a clean one
+    sent first to have its verdict answer for an exploit)."""
+    return hashlib.blake2b(data, digest_size=16, key=_KEY).digest()
 
 
 @dataclass
@@ -50,22 +61,24 @@ class AnalysisResult:
 
 
 class FrameCache:
-    """Bounded LRU of :class:`AnalysisResult` keyed by frame content hash.
+    """Bounded LRU of analysis results keyed by :func:`content_key`.
 
     Byte-identical frames are rampant in real attack traffic — a worm's
     payload is the same across thousands of victims, and even polymorphic
     engines emit repeated sleds — so a hit here skips the whole
-    disassemble → lift → propagate → match pipeline.
+    disassemble → lift → propagate → match pipeline.  The sensor keeps a
+    second instance one level up, over whole payloads
+    (:class:`~repro.nids.SemanticNids`), which skips extraction too.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
         self.max_entries = max_entries
-        self._entries: OrderedDict[bytes, AnalysisResult] = OrderedDict()
+        self._entries: OrderedDict[bytes, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: bytes) -> AnalysisResult | None:
+    def get(self, key: bytes):
         result = self._entries.get(key)
         if result is None:
             self.misses += 1
@@ -74,7 +87,7 @@ class FrameCache:
         self.hits += 1
         return result
 
-    def put(self, key: bytes, result: AnalysisResult) -> None:
+    def put(self, key: bytes, result) -> None:
         self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
@@ -104,15 +117,15 @@ class SemanticAnalyzer:
     the efficiency story.
 
     ``frame_cache_size`` bounds the content-hash frame cache (0 disables
-    it).  The cache key is ``(sha1(frame bytes), template-set fingerprint,
-    base)``: the fingerprint ties an entry to the exact template set it was
-    computed under, so an analyzer restored with different templates (or a
-    shared cache, later) can never replay a stale match set.  It is the
-    analyzer's only cache: a second LRU of decoded instructions and
-    lifted traces under the same sha1 never answered (the frame cache
-    always hit first) while holding the largest per-unique-frame state
-    an attacker can inflate, so a hot reload re-lifts each distinct
-    frame once instead.
+    it).  The cache key is ``(content_key(frame bytes), template-set
+    fingerprint, base)``: the fingerprint ties an entry to the exact
+    template set it was computed under, so an analyzer restored with
+    different templates (or a shared cache, later) can never replay a
+    stale match set.  It is the analyzer's only cache: a second LRU of
+    decoded instructions and lifted traces under the same key never
+    answered (the frame cache always hit first) while holding the
+    largest per-unique-frame state an attacker can inflate, so a hot
+    reload re-lifts each distinct frame once instead.
 
     ``fastpath`` enables the template anchor prefilter
     (:mod:`repro.fastpath`): one Aho-Corasick pass over the frame decides
@@ -262,7 +275,7 @@ class SemanticAnalyzer:
             start = time.perf_counter()
             key = None
             if self.frame_cache is not None:
-                key = (hashlib.sha1(data).digest()
+                key = (content_key(data)
                        + self.template_fingerprint
                        + base.to_bytes(8, "little", signed=True))
                 stored = self.frame_cache.get(key)

@@ -43,9 +43,8 @@ has been merged.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -89,8 +88,8 @@ def _analyze_in_worker(payload: bytes) -> tuple[PayloadResult, dict]:
     result = analyze_payload(extractor, analyzer, payload, deadline_units)
     # The pickle boundary: TemplateMatch objects hold template
     # predicates (lambdas) and stay in the worker.
-    for entry in result.entries:
-        entry.match = None
+    result = replace(result, entries=tuple(
+        replace(entry, match=None) for entry in result.entries))
     return result, _WORKER_STATE["registry"].collect_delta()
 
 
@@ -107,14 +106,12 @@ class _Pending:
     payload: bytes
     packet: Packet
     state: _StreamState | None
-    #: payload-cache key to fill on completion — set only on the first
-    #: submission of a digest, which owns the worker round-trip
-    digest: bytes | None = None
-    #: no stage work was spent on this one (payload-cache replay, or a
-    #: piggyback on the owner's future): its frames count as cache hits
-    replay: bool = False
-    #: shard the payload was submitted to (-1 for replays/piggybacks: they
-    #: never touched a pool, so they never move a breaker)
+    #: payload-memo key (``None``: caching is off, or a memo hit)
+    key: bytes | None = None
+    #: shard the payload was submitted to; -1 for one no stage work was
+    #: spent on — a memo hit, or a ride on the future of an identical
+    #: payload already in flight: it never touched a pool, so it never
+    #: moves a breaker, and its frames count as cache hits
     shard: int = -1
     #: pool generation at submit time — a rebuild bumps the shard's
     #: generation, so the N futures stranded by ONE dead worker count as
@@ -135,12 +132,6 @@ class ParallelSemanticNids(SemanticNids):
     max_pending:
         Backpressure bound: once this many payloads are in flight, the
         oldest results are drained before new work is submitted.
-    payload_cache_size:
-        Bound on the parent-side payload-digest result cache: a payload
-        byte-identical to one already analyzed (a worm's request repeated
-        at every victim) replays the merged result without a worker
-        round-trip at all.  Disabled alongside the frame cache
-        (``frame_cache_size=0``) so "no caching" means none anywhere.
     breaker_threshold:
         Consecutive pool failures on one shard before its breaker opens
         (per-shard breakers + pool rebuilds + retry-once, per the module
@@ -157,7 +148,6 @@ class ParallelSemanticNids(SemanticNids):
         *,
         workers: int | None = None,
         max_pending: int = 256,
-        payload_cache_size: int = 2048,
         breaker_threshold: int = 3,
         breaker_backoff: float = 0.5,
         **kwargs,
@@ -171,12 +161,10 @@ class ParallelSemanticNids(SemanticNids):
         self.max_pending = max_pending
         self._pending: deque[_Pending] = deque()
         self._pools: list[ProcessPoolExecutor] = []
-        caching_on = self.analyzer.frame_cache is not None
-        self.payload_cache_size = payload_cache_size if caching_on else 0
-        self._payload_cache: OrderedDict[bytes, PayloadResult] = OrderedDict()
-        #: digest → future of the first, still-pending submission; identical
-        #: payloads arriving before it completes piggyback on that future
-        #: instead of paying another worker round-trip.
+        #: memo key → future of the first, still-pending submission: the
+        #: inherited payload memo answers once a result is in, and until
+        #: then identical payloads ride that future instead of paying
+        #: another worker round-trip.
         self._inflight: dict[bytes, Future] = {}
         self._breakers: list[CircuitBreaker] = []
         self._pool_gen: list[int] = []
@@ -248,7 +236,9 @@ class ParallelSemanticNids(SemanticNids):
         analyzer swaps (same digest-keyed semantics as the serial
         engine), and every worker pool is respawned with the new set in
         its initargs — worker frame caches and plans re-derive from
-        scratch, so no worker can ever answer from a stale library.
+        scratch, so no worker can ever answer from a stale library (nor
+        the parent: the swap clears the payload memo, and the drain left
+        nothing in flight).
         """
         templates = resolve_template_set(template_set)
         if library_digest(templates) == self.library_digest():
@@ -259,9 +249,6 @@ class ParallelSemanticNids(SemanticNids):
         for shard, old in enumerate(self._pools):
             old.shutdown(wait=False, cancel_futures=True)
             self._pools[shard] = self._spawn_pool()
-        # Results cached parent-side were computed under the old library.
-        self._payload_cache.clear()
-        self._inflight.clear()
         return changed
 
     # -- dispatch -----------------------------------------------------------
@@ -273,38 +260,33 @@ class ParallelSemanticNids(SemanticNids):
             key = hash((pkt.src, pkt.dst))
         return key % self.workers
 
-    def _analyze_payload(
-        self, pkt: Packet, payload: bytes, state: _StreamState | None
-    ) -> list[Alert]:
+    def _replay(self, pkt: Packet, payload: bytes,
+                state: _StreamState | None,
+                result: PayloadResult) -> list[Alert]:
+        """A memo hit goes through the pending queue, so alerts still
+        merge in submission order exactly as a live result would."""
+        done: Future = Future()
+        done.set_result((result, None))
+        self._pending.append(_Pending(
+            future=done, payload=payload, packet=pkt, state=state))
+        return self._drain(blocking=False)
+
+    def _compute(self, pkt: Packet, payload: bytes,
+                 state: _StreamState | None,
+                 key: bytes | None) -> list[Alert]:
         if not self._pools:
-            return super()._analyze_payload(pkt, payload, state)
+            return super()._compute(pkt, payload, state, key)
         if not isinstance(payload, bytes):
             payload = bytes(payload)  # zero-copy views do not pickle
-        digest = None
-        if self.payload_cache_size > 0:
-            digest = hashlib.sha1(payload).digest()
-            cached = self._payload_cache.get(digest)
-            if cached is not None:
-                # Replay through the pending queue so alerts still merge in
-                # submission order, exactly as a live result would.  Every
-                # frame of a replayed payload counts as a cache hit.
-                self._payload_cache.move_to_end(digest)
-                self.stats.payloads_analyzed += 1
-                done: Future = Future()
-                done.set_result((cached, None))
-                self._pending.append(_Pending(
-                    future=done, payload=payload, packet=pkt, state=state,
-                    replay=True))
-                return self._drain(blocking=False)
-            inflight = self._inflight.get(digest)
-            if inflight is not None:
-                # Same payload already on its way to a worker: share the
-                # future rather than paying a second round-trip.
-                self.stats.payloads_analyzed += 1
-                self._pending.append(_Pending(
-                    future=inflight, payload=payload, packet=pkt,
-                    state=state, replay=True))
-                return self._drain(blocking=False)
+        inflight = self._inflight.get(key)
+        if inflight is not None:
+            # Same payload already on its way to a worker: share the
+            # future (and its verdict, whatever it turns out to be)
+            # rather than paying a second round-trip.
+            self._pending.append(_Pending(
+                future=inflight, payload=payload, packet=pkt, state=state,
+                key=key))
+            return self._drain(blocking=False)
         shard = self._shard_of(pkt)
         breaker = self._breakers[shard]
         if not self._breaker_allow(shard):
@@ -312,7 +294,7 @@ class ParallelSemanticNids(SemanticNids):
             # payload rides the serial path in-process.  Other shards
             # keep their pools — this is per-shard containment.
             self.stats.serial_fallback_payloads += 1
-            return super()._analyze_payload(pkt, payload, state)
+            return super()._compute(pkt, payload, state, key)
         if breaker.state == HALF_OPEN:
             breaker.begin_probe()
         try:
@@ -333,14 +315,13 @@ class ParallelSemanticNids(SemanticNids):
                     future = None
             if future is None:
                 self.stats.serial_fallback_payloads += 1
-                return super()._analyze_payload(pkt, payload, state)
-        self.stats.payloads_analyzed += 1
+                return super()._compute(pkt, payload, state, key)
         self.stats.payloads_offloaded += 1
-        if digest is not None:
-            self._inflight[digest] = future
+        if key is not None:
+            self._inflight[key] = future
         self._pending.append(_Pending(
             future=future, payload=payload, packet=pkt, state=state,
-            digest=digest, shard=shard, gen=self._pool_gen[shard]))
+            key=key, shard=shard, gen=self._pool_gen[shard]))
         return self._drain(blocking=False)
 
     # -- merge --------------------------------------------------------------
@@ -372,43 +353,34 @@ class ParallelSemanticNids(SemanticNids):
 
     def _finish_pending(self, head: _Pending, result: PayloadResult,
                         delta: dict | None) -> list[Alert]:
-        """Payload-cache and registry bookkeeping for one completed
-        payload, then the shared merge."""
-        if head.replay:
-            # No stage work happened anywhere, but hit and call counts
-            # must match what a serial engine (whose analyzer replays
-            # hits through its frame cache) would record.
-            result = replace(result, cache_hits=result.frames_analyzed,
-                             cache_misses=0)
-            self.stats.extraction.calls += 1
-            self.stats.analysis.calls += result.frames_analyzed
-        else:
-            # Live worker result: fold its registry delta into the parent
-            # registry — the stats stage-timer views read from there.
-            self.registry.merge_delta(delta)
-            if head.digest is not None:
-                self._inflight.pop(head.digest, None)
-                self._payload_cache[head.digest] = result
-                self._payload_cache.move_to_end(head.digest)
-                while len(self._payload_cache) > self.payload_cache_size:
-                    self._payload_cache.popitem(last=False)
+        """Registry and memo bookkeeping for one completed payload, then
+        the shared merge."""
+        if head.shard < 0:
+            return self._merge(head.packet, head.payload, head.state,
+                               result, replay=True)
+        # Live worker result: fold its registry delta into the parent
+        # registry — the stats stage-timer views read from there.
+        self.registry.merge_delta(delta)
+        self._inflight.pop(head.key, None)
+        self._remember(head.key, result)
         return self._merge(head.packet, head.payload, head.state, result)
+
+    def _inline(self, head: _Pending) -> list[Alert]:
+        """Analyse a queued payload in-process, in its queue position."""
+        self.stats.serial_fallback_payloads += 1
+        return super()._compute(head.packet, head.payload, head.state,
+                                head.key)
 
     def _recover_pending(self, head: _Pending) -> list[Alert]:
         """The pool died under an in-flight payload: heal the shard and
         make sure the payload still gets analyzed — retried on the
         rebuilt pool, or in-process."""
-        if head.digest is not None:
-            self._inflight.pop(head.digest, None)
         if head.shard < 0:
-            # Piggyback on a future that broke: the owner's recovery (just
-            # above it in the queue) already charged the breaker; this one
-            # only needs its payload analyzed.  Undo the submit-time count
-            # (the serial path re-counts).
-            self.stats.serial_fallback_payloads += 1
-            self.stats.payloads_analyzed -= 1
-            return super()._analyze_payload(
-                head.packet, head.payload, head.state)
+            # It rode a future that broke: the owner's recovery (above it
+            # in the queue) already charged the breaker; this one only
+            # needs its payload analyzed.
+            return self._inline(head)
+        self._inflight.pop(head.key, None)
         shard = head.shard
         if head.gen == self._pool_gen[shard]:
             # First stranded future of this pool generation: this is THE
@@ -430,9 +402,7 @@ class ParallelSemanticNids(SemanticNids):
             else:
                 self._breaker_success(shard)
                 return self._finish_pending(head, result, delta)
-        self.stats.serial_fallback_payloads += 1
-        self.stats.payloads_analyzed -= 1
-        return super()._analyze_payload(head.packet, head.payload, head.state)
+        return self._inline(head)
 
     # -- failure handling ---------------------------------------------------
 

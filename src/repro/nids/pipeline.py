@@ -9,7 +9,10 @@ incremental re-analysis, per-stream alert deduplication, and the response
 blocklist.  Stages (b)-(e) over one payload are :func:`analyze_payload`,
 a pure function of its arguments: the serial engine calls it in-process
 and the parallel engine's workers call the same function, and both hand
-its :class:`PayloadResult` to :meth:`SemanticNids._merge`.
+its :class:`PayloadResult` to :meth:`SemanticNids._merge`.  In front of
+it sits the payload memo (:meth:`SemanticNids._analyze_payload`): a
+payload byte-identical to one already analysed is answered with the
+stored result, on every engine alike.
 
 Every stage runs behind the :class:`~repro.resilience.StageFirewall`
 (docs/robustness.md): an exception escaping a stage is counted,
@@ -56,7 +59,7 @@ from ..classify.classifier import TrafficClassifier
 from ..classify.darkspace import DarkSpaceMonitor
 from ..classify.fanout import SmtpFanoutMonitor
 from ..classify.honeypot import HoneypotRegistry
-from ..core.analyzer import SemanticAnalyzer
+from ..core.analyzer import FrameCache, SemanticAnalyzer, content_key
 from ..core.library import library_digest, resolve_template_set
 from ..core.template import Template, TemplateMatch
 from ..errors import DeadlineExceeded
@@ -85,11 +88,12 @@ class _StreamState:
     alerted_templates: set[str] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FrameEntry:
     """One thing a payload's analysis produced: a template match, or
     (``fault=True``) a contained stage fault, flattened to the strings
-    its alert carries — ``origin`` is then the faulting stage."""
+    its alert carries — ``origin`` is then the faulting stage.  Frozen:
+    a memoised entry is shared by every alert that cites it."""
 
     template: str
     severity: str
@@ -99,12 +103,12 @@ class FrameEntry:
     fault: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PayloadResult:
     """Outcome of stages (b)-(e) on one payload; ``entries`` are in
     frame order."""
 
-    entries: list[FrameEntry] = field(default_factory=list)
+    entries: tuple[FrameEntry, ...] = ()
     frames_extracted: int = 0
     frames_analyzed: int = 0
     cache_hits: int = 0
@@ -127,34 +131,30 @@ def analyze_payload(extractor: BinaryExtractor, analyzer: SemanticAnalyzer,
     raised — so an exception in extraction or analysis costs one degraded
     alert, never the caller (a worker process, or the sensor itself).
     """
-    result = PayloadResult()
     try:
         frames = extractor.extract(payload)
     except Exception as exc:  # noqa: BLE001 — firewall: contain, don't crash
-        result.entries.append(_fault_entry("extract", exc))
-        return result
-    result.frames_extracted = len(frames)
+        return PayloadResult(entries=(_fault_entry("extract", exc),))
+    entries: list[FrameEntry] = []
+    analyzed = hits = 0
     deadline = Deadline(deadline_units) if deadline_units else None
     for frame in frames:
         try:
             analysis = analyzer.analyze_frame(frame.data, deadline=deadline)
         except Exception as exc:  # noqa: BLE001 — contain per-frame faults
-            result.entries.append(_fault_entry("analyze", exc))
+            entries.append(_fault_entry("analyze", exc))
             if isinstance(exc, DeadlineExceeded):
                 break  # the budget is per-payload: remaining frames forfeit
             continue
-        result.frames_analyzed += 1
-        if analyzer.frame_cache is not None:
-            if analysis.cached:
-                result.cache_hits += 1
-            else:
-                result.cache_misses += 1
+        analyzed += 1
+        hits += analysis.cached
         for match in analysis.matches:
-            result.entries.append(FrameEntry(
+            entries.append(FrameEntry(
                 template=match.template.name,
                 severity=match.template.severity,
                 origin=frame.origin, detail=match.summary(), match=match))
-    return result
+    misses = analyzed - hits if analyzer.frame_cache is not None else 0
+    return PayloadResult(tuple(entries), len(frames), analyzed, hits, misses)
 
 
 def build_stages(options: SensorOptions,
@@ -193,6 +193,10 @@ class SemanticNids:
         snapshots it.
     """
 
+    #: distinct payloads whose results are remembered (the payload memo;
+    #: off together with the frame cache, ``frame_cache_size=0``).
+    PAYLOAD_MEMO = 512
+
     def __init__(
         self,
         options: SensorOptions | None = None,
@@ -227,6 +231,8 @@ class SemanticNids:
                                              **obs)
         self.extractor, self.analyzer, self._deadline_units = build_stages(
             options, templates, **obs)
+        self._memo = (FrameCache(self.PAYLOAD_MEMO)
+                      if self.analyzer.frame_cache is not None else None)
         self.blocklist = BlockList()
         self.firewall = StageFirewall(self.registry, quarantine=quarantine)
         self.stats = NidsStats(self.registry, self.tracer)
@@ -401,9 +407,9 @@ class SemanticNids:
         scanner records, SMTP fan-out records), the IP defragmentation
         buffers, TCP streams with their per-stream analysis state, and
         the blocklist — everything whose loss would change future
-        alerts.  The analyzer's frame cache is *not* captured: it is
-        performance-only and rebuilt on demand, and the parity suites
-        pin that it never changes the alert stream.
+        alerts.  The analyzer's frame cache and the payload memo are
+        *not* captured: they are performance-only and rebuilt on demand,
+        and the parity suites pin that they never change the alert stream.
         Engine stat counters are likewise left to the metrics layer.
         """
         fanout = self.classifier.fanout
@@ -471,12 +477,15 @@ class SemanticNids:
         is a no-op (returns ``False``); a changed one swaps the
         analyzer's library — frame cache, compiled match plans, and
         anchor prefilter invalidate atomically with it (see
-        :meth:`~repro.core.analyzer.SemanticAnalyzer.set_templates`) —
-        and counts ``repro_template_reloads_total``.
+        :meth:`~repro.core.analyzer.SemanticAnalyzer.set_templates`),
+        and the payload memo in the same step — and counts
+        ``repro_template_reloads_total``.
         """
         if library_digest(templates) == self.library_digest():
             return False
         self.analyzer.set_templates(templates)
+        if self._memo is not None:
+            self._memo.clear()
         self._template_reloads.inc()
         return True
 
@@ -490,21 +499,61 @@ class SemanticNids:
     def _analyze_payload(
         self, pkt: Packet, payload: bytes, state: _StreamState | None
     ) -> list[Alert]:
+        """One payload through stages (b)-(e) — once per distinct
+        content: the payload memo is asked first, under
+        ``content_key(payload)`` + the template fingerprint, and a hit
+        hands back the stored :class:`PayloadResult` itself (its entries,
+        match and strings are shared by every alert that cites them)."""
         self.stats.payloads_analyzed += 1
-        return self._merge(pkt, payload, state, analyze_payload(
-            self.extractor, self.analyzer, payload, self._deadline_units))
+        key = None
+        if self._memo is not None:
+            key = content_key(payload) + self.analyzer.template_fingerprint
+            stored = self._memo.get(key)
+            if stored is not None:
+                self.stats.payload_memo_hits += 1
+                return self._replay(pkt, payload, state, stored)
+            self.stats.payload_memo_misses += 1
+        return self._compute(pkt, payload, state, key)
+
+    def _compute(self, pkt: Packet, payload: bytes,
+                 state: _StreamState | None,
+                 key: bytes | None) -> list[Alert]:
+        """The memo missed (``key``) or is off (``None``): do the work —
+        here, in-process; on a worker, for the parallel engine."""
+        result = analyze_payload(self.extractor, self.analyzer, payload,
+                                 self._deadline_units)
+        self._remember(key, result)
+        return self._merge(pkt, payload, state, result)
+
+    def _remember(self, key: bytes | None, result: PayloadResult) -> None:
+        """Memo admission, the one rule: only a fault-free result is
+        canonical (a fault depends on the deadline and on what the frame
+        cache held), so a degraded verdict is recomputed — and counted
+        and quarantined — on every sighting."""
+        if key is not None and not any(e.fault for e in result.entries):
+            self._memo.put(key, result)
+
+    def _replay(self, pkt: Packet, payload: bytes,
+                state: _StreamState | None,
+                result: PayloadResult) -> list[Alert]:
+        """Fold in a result no stage work was spent on this time."""
+        return self._merge(pkt, payload, state, result, replay=True)
 
     def _merge(self, pkt: Packet, payload: bytes,
-               state: _StreamState | None,
-               result: PayloadResult) -> list[Alert]:
+               state: _StreamState | None, result: PayloadResult,
+               replay: bool = False) -> list[Alert]:
         """Fold one payload's result into the sensor, in frame order:
         per-stream dedup, alerts, blocklist, fault containment, stats.
-        The one merge routine — for a result computed in-process or
-        shipped back from a worker."""
+        The one merge routine — for a result computed in-process,
+        shipped back from a worker or (``replay``) answered without any
+        stage work, whose frames then all count as frame-cache hits."""
         self.stats.frames_extracted += result.frames_extracted
         self.stats.frames_analyzed += result.frames_analyzed
-        self.stats.frame_cache_hits += result.cache_hits
-        self.stats.frame_cache_misses += result.cache_misses
+        if replay:
+            self.stats.frame_cache_hits += result.frames_analyzed
+        else:
+            self.stats.frame_cache_hits += result.cache_hits
+            self.stats.frame_cache_misses += result.cache_misses
         out: list[Alert] = []
         for entry in result.entries:
             out.extend(self._raise(entry, pkt, payload, state))

@@ -56,11 +56,20 @@ class NidsStats:
     #: both stay 0 when the cache is disabled.
     frame_cache_hits = MetricField(
         "repro_frame_cache_hits_total",
-        help="Frame-cache hits (payload-cache replays included).",
-        unit="frames")
+        help="Frame-cache hits (every frame of a payload-memo hit "
+             "included).", unit="frames")
     frame_cache_misses = MetricField(
         "repro_frame_cache_misses_total",
         help="Frame-cache misses.", unit="frames")
+    #: the payload memo in front of stage (b) (SemanticNids._analyze_payload);
+    #: both stay 0 when caching is disabled.
+    payload_memo_hits = MetricField(
+        "repro_payload_memo_hits_total",
+        help="Payloads answered from the payload memo (no stage ran).",
+        unit="payloads")
+    payload_memo_misses = MetricField(
+        "repro_payload_memo_misses_total",
+        help="Payloads the payload memo did not hold.", unit="payloads")
     #: fast-path admission (repro.fastpath): shares the analyzer's counters
     #: via registry aliasing, so serial-engine numbers show up here with no
     #: extra plumbing; parallel workers merge theirs through the registry
@@ -217,6 +226,11 @@ class NidsStats:
                 f"frame cache: hits={self.frame_cache_hits} "
                 f"misses={self.frame_cache_misses} "
                 f"hit_rate={self.frame_cache_hit_rate:.1%}"
+            )
+        if self.payload_memo_hits or self.payload_memo_misses:
+            lines.append(
+                f"payload memo: hits={self.payload_memo_hits} "
+                f"misses={self.payload_memo_misses}"
             )
         if (self.fastpath_frames_skipped or self.fastpath_anchor_hits
                 or self.fastpath_starts_pruned):

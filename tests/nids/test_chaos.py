@@ -158,7 +158,7 @@ class TestWorkerKills:
         trace = mixed_trace()
         kill_at = injector.pick(population=len(trace), k=2)
 
-        engine = parallel_engine(payload_cache_size=0)
+        engine = parallel_engine(frame_cache_size=0)
         for i, pkt in enumerate(trace):
             if i in kill_at:
                 for shard in range(engine.workers):
@@ -178,7 +178,7 @@ class TestWorkerKills:
     def test_breaker_trips_open_then_recloses(self):
         # threshold=1 + a dead pool at submit time: the breaker must
         # open, route payloads serially, then re-close via a probe.
-        engine = parallel_engine(payload_cache_size=0, breaker_threshold=1)
+        engine = parallel_engine(frame_cache_size=0, breaker_threshold=1)
         injector = FaultInjector(seed=0)
         trace = codered_trace(attackers=1, victims=2)
         third = len(trace) // 3

@@ -188,12 +188,6 @@ class TestPayloadCache:
         assert engine.stats.frame_cache_hits > 0
         assert len({a.source for a in engine.alerts}) == 2
 
-    def test_payload_cache_disabled_with_frame_cache(self):
-        engine = ParallelSemanticNids(workers=2, frame_cache_size=0,
-                                      **DARK_KW)
-        assert engine.payload_cache_size == 0
-        engine.close()
-
 
 class TestDegradation:
     def test_worker_crash_self_heals(self):
@@ -203,9 +197,9 @@ class TestDegradation:
         second = codered_trace(attackers=2, victims=2, seed=11, subnet=80)
         serial = run_trace(SemanticNids(**DARK_KW), first + second)
 
-        # payload cache off: repeated payloads must actually reach the
+        # caching off: repeated payloads must actually reach the
         # (dead) pools for the failure path to trigger.
-        engine = ParallelSemanticNids(workers=2, payload_cache_size=0,
+        engine = ParallelSemanticNids(workers=2, frame_cache_size=0,
                                       breaker_backoff=0.0, **DARK_KW)
         engine.process_trace(first)  # spawns the worker processes
         assert engine.stats.payloads_offloaded > 0
@@ -230,7 +224,7 @@ class TestDegradation:
         trace = codered_trace(attackers=3, victims=3)
         serial = run_trace(SemanticNids(**DARK_KW), trace)
 
-        engine = ParallelSemanticNids(workers=2, payload_cache_size=0,
+        engine = ParallelSemanticNids(workers=2, frame_cache_size=0,
                                       max_pending=10_000,
                                       breaker_backoff=0.0, **DARK_KW)
         killed = False

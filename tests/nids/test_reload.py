@@ -122,17 +122,3 @@ class TestParallelReload:
             assert nids.stats.payloads_offloaded == 2  # both via workers
             assert nids.registry.get(
                 "repro_template_reloads_total").value == 1
-
-    def test_parent_payload_cache_cleared_on_reload(self):
-        with ParallelSemanticNids(workers=2, template_set="xor-only",
-                                  classification_enabled=False) as nids:
-            nids.process_packet(_execve_packet(sport=2000))
-            nids.flush()
-            assert nids._payload_cache  # clean verdict cached parent-side
-            nids.reload_template_set("paper")
-            assert not nids._payload_cache
-            # the byte-identical payload is NOT replayed from the stale
-            # cache: it re-runs and alerts under the new library
-            nids.process_packet(_execve_packet(sport=2001))
-            alerts = nids.flush()
-            assert [a.template for a in alerts] == ["linux_shell_spawn"]
