@@ -162,7 +162,6 @@ def sensor_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     options = _engine_options(parser, args)
 
-    from .core.emuverify import EmulationVerifier
     from .net.pcap import PcapError, PcapReader
     from .obs import PeriodicSchedule, Tracer
     from .resilience import QuarantineWriter
@@ -171,7 +170,11 @@ def sensor_main(argv: list[str] | None = None) -> int:
     quarantine = (QuarantineWriter(args.quarantine_out)
                   if args.quarantine_out else None)
     nids = _build_engine(args, options, quarantine=quarantine, tracer=tracer)
-    verifier = EmulationVerifier() if args.verify else None
+    verifier = None
+    if args.verify:
+        from .core.emuverify import EmulationVerifier
+
+        verifier = EmulationVerifier()
 
     def emit(alert) -> None:
         line = alert.format()

@@ -5,19 +5,7 @@ junk tolerance, register renaming, constant obfuscation resolution, and
 out-of-order code handling.
 """
 
-from .template import (
-    Bindings, ConstBytesWrite, IndirectCall, LoadFrom, LoopBack,
-    MatchContext, MemRmw, Node, PointerStep, PushValue, RegCompute,
-    RegFromEsp, StoreTo, Syscall, Template, TemplateMatch,
-)
-from .matcher import MatchEngine, PreparedTrace, prepare_trace
-from .library import (
-    admmutate_alt_decoder, all_templates, codered_ii_vector,
-    decoder_templates, generic_decrypt_loop, linux_shell_spawn,
-    paper_templates, port_bind_shell, xor_decrypt_loop, xor_only_templates,
-)
-from .analyzer import AnalysisResult, SemanticAnalyzer
-from .emuverify import EmulationVerifier, Verification
+from .._lazy import lazy_exports
 
 __all__ = [
     "Bindings", "ConstBytesWrite", "IndirectCall", "LoadFrom", "LoopBack",
@@ -32,3 +20,19 @@ __all__ = [
     "AnalysisResult", "SemanticAnalyzer",
     "EmulationVerifier", "Verification",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "template": (
+        "Bindings", "ConstBytesWrite", "IndirectCall", "LoadFrom", "LoopBack",
+        "MatchContext", "MemRmw", "Node", "PointerStep", "PushValue",
+        "RegCompute", "RegFromEsp", "StoreTo", "Syscall", "Template",
+        "TemplateMatch"),
+    "matcher": ("MatchEngine", "PreparedTrace", "prepare_trace"),
+    "library": (
+        "admmutate_alt_decoder", "all_templates", "codered_ii_vector",
+        "decoder_templates", "generic_decrypt_loop", "linux_shell_spawn",
+        "paper_templates", "port_bind_shell", "xor_decrypt_loop",
+        "xor_only_templates"),
+    "analyzer": ("AnalysisResult", "SemanticAnalyzer"),
+    "emuverify": ("EmulationVerifier", "Verification"),
+})

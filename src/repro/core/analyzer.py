@@ -8,12 +8,12 @@ trace, and reports which templates the code satisfies.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
+from ..digest import blake2b, sha1
 from ..errors import DeadlineExceeded
 from ..obs import ANALYZE_STAGE, MetricsRegistry, StageTimer, Tracer
 from ..x86.disasm import disassemble_frame
@@ -32,7 +32,7 @@ def content_key(data) -> bytes:
     BLAKE2b digest.  The key is secret and per-process, so a sender
     cannot construct two inputs that share a cache entry (a clean one
     sent first to have its verdict answer for an exploit)."""
-    return hashlib.blake2b(data, digest_size=16, key=_KEY).digest()
+    return blake2b(data, digest_size=16, key=_KEY).digest()
 
 
 @dataclass
@@ -222,7 +222,7 @@ class SemanticAnalyzer:
 
     def _fingerprint(self) -> bytes:
         """Stable digest of the template set + matcher configuration."""
-        h = hashlib.sha1()
+        h = sha1()
         h.update(library_digest(self.templates))
         h.update(str(self.min_instructions).encode())
         return h.digest()

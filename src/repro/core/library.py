@@ -24,8 +24,7 @@ original template set would miss.
 
 from __future__ import annotations
 
-import hashlib
-
+from ..digest import sha1
 from .template import (
     ConstBytesWrite,
     ConstCapture,
@@ -80,7 +79,7 @@ def library_digest(templates: list[Template]) -> bytes:
     means new cache keys, so no stale plan or cached result can ever be
     replayed against an edited template set.
     """
-    h = hashlib.sha1()
+    h = sha1()
     for template in templates:
         h.update(template.fingerprint())
         h.update(b"\x00")

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..digest import sha1
 from ..ir.dataflow import ConstEnv
 from ..ir.ops import (
     Assign,
@@ -559,9 +560,7 @@ class Template:
         every derived cache (frame cache, compiled match plans) is keyed
         on — and invalidated by — this digest.
         """
-        import hashlib
-
-        h = hashlib.sha1()
+        h = sha1()
         h.update(self.describe().encode())
         h.update(f"|ordered={self.ordered}|gap={self.max_gap}".encode())
         h.update(f"|repeats={sorted(self.repeats.items())}".encode())

@@ -2,22 +2,28 @@
 statistics, the wire-attached live sensor, the always-on daemon, and the
 scale-out sensor fleet."""
 
-from .alerts import Alert, BlockList
-from .options import SensorOptions
-from .stats import NidsStats, StageTimer
-from .pipeline import SemanticNids
-from .parallel import ParallelSemanticNids
-from .sensor import NidsSensor
-from .daemon import (DaemonStats, IterPacketSource, MetaPacketSource,
-                     SensorDaemon, TailPacketSource)
-from .fleet import FleetStats, SensorFleet
-from .report import AlertReport, build_report
+from __future__ import annotations
+
+from .._lazy import lazy_exports
 
 __all__ = ["Alert", "BlockList", "NidsStats", "StageTimer", "SemanticNids",
            "ParallelSemanticNids", "NidsSensor", "SensorOptions",
            "SensorDaemon", "DaemonStats", "IterPacketSource",
            "TailPacketSource", "MetaPacketSource", "SensorFleet",
            "FleetStats", "AlertReport", "build_report", "build_engine"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "alerts": ("Alert", "BlockList"),
+    "options": ("SensorOptions",),
+    "stats": ("NidsStats", "StageTimer"),
+    "pipeline": ("SemanticNids",),
+    "parallel": ("ParallelSemanticNids",),
+    "sensor": ("NidsSensor",),
+    "daemon": ("DaemonStats", "IterPacketSource", "MetaPacketSource",
+               "SensorDaemon", "TailPacketSource"),
+    "fleet": ("FleetStats", "SensorFleet"),
+    "report": ("AlertReport", "build_report"),
+})
 
 
 def build_engine(kind: str = "serial", options: SensorOptions | None = None,
@@ -27,10 +33,13 @@ def build_engine(kind: str = "serial", options: SensorOptions | None = None,
     the kind has any; ``engine_kwargs`` go to the chosen constructor
     (``tracer=``, ``breaker_threshold=``, ``transport=``, ...)."""
     if kind == "serial":
+        from .pipeline import SemanticNids
         return SemanticNids(options, **engine_kwargs)
     if kind == "parallel":
+        from .parallel import ParallelSemanticNids
         return ParallelSemanticNids(options, workers=workers, **engine_kwargs)
     if kind == "fleet":
+        from .fleet import SensorFleet
         return SensorFleet(workers=workers, nids_options=options,
                            **engine_kwargs)
     raise ValueError(f"unknown engine kind {kind!r}; expected serial, "

@@ -54,6 +54,23 @@ __all__ = ["SensorDaemon", "DaemonStats", "IterPacketSource",
            "TailPacketSource", "MetaPacketSource"]
 
 
+def _peak_rss_bytes() -> int:
+    """This process's peak resident set: ``VmHWM`` where ``/proc`` has
+    it, else ``ru_maxrss`` (kilobytes, but bytes on macOS)."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    import resource
+    import sys
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 class IterPacketSource:
     """A finite packet iterable as a daemon source (replay / tests).
 
@@ -294,6 +311,10 @@ class SensorDaemon:
             "repro_alerts_deduped_total",
             help="Duplicate alerts suppressed by delivery-side replay "
                  "dedupe.", unit="alerts")
+        self._peak_rss = reg.gauge(
+            "repro_process_peak_rss_bytes",
+            help="Peak resident set of the sensor process (VmHWM).",
+            unit="bytes")
         #: under "block", the (packet, origin) pair refused by a full ring
         self._held: tuple | None = None
         self.reloads = 0
@@ -508,10 +529,12 @@ class SensorDaemon:
 
     def _emit_heartbeat(self) -> None:
         stats = self.nids.stats
+        self._peak_rss.set(_peak_rss_bytes())
         line = (f"heartbeat: ingested={self._ingested.value} "
                 f"processed={self._processed.value} "
                 f"queued={len(self.ring)} shed={self.ring.shed_total} "
-                f"alerts={stats.alerts} reloads={self.reloads}")
+                f"alerts={stats.alerts} reloads={self.reloads} "
+                f"rss_mb={self._peak_rss.value / 2**20:.1f}")
         if self.heartbeat_out is not None:
             self.heartbeat_out(line)
 
@@ -554,6 +577,7 @@ class SensorDaemon:
             self.source.finalize()
         if self.window is not None:
             self.window.roll()
+        self._peak_rss.set(_peak_rss_bytes())
         if self._beat is not None:
             self._emit_heartbeat()
         return self.stats(duration=self._clock() - started)

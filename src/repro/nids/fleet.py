@@ -49,21 +49,19 @@ from its barrier snapshot and re-fed exactly what it lost.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
+from ..core.library import library_digest, resolve_template_set
+from ..digest import sha1
 from ..net.packet import Packet
 from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsRegistry
 from .alerts import Alert
-from ..core.library import library_digest, resolve_template_set
 from .options import SensorOptions
 from .pipeline import SemanticNids
 
@@ -168,7 +166,7 @@ def _fleet_flush_worker() -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
-def kill_pool(pool: ProcessPoolExecutor, *, discard: bool = True) -> int:
+def kill_pool(pool, *, discard: bool = True) -> int:
     """Terminate and reap a pool's workers without waiting on its queue;
     returns how many died.  The pool is then shut down — unless
     ``discard=False`` leaves it standing, broken, for its owner to find
@@ -319,10 +317,14 @@ class SensorFleet:
                  "dedupe.", unit="alerts")
         self._pools = [self._spawn_pool(shard) for shard in range(workers)]
 
-    def _spawn_pool(self, shard: int) -> ProcessPoolExecutor:
+    def _spawn_pool(self, shard: int):
         """One whole-pipeline worker running the current template set,
         rehydrated from the shard's last barrier snapshot if it has one
-        (first spawn, restore, watchdog respawn, hot reload)."""
+        (first spawn, restore, watchdog respawn, hot reload).  The one
+        place the fleet creates a process, so the one place that loads
+        the process-pool stack."""
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=1, initializer=_init_fleet_worker,
             initargs=(self.options, self._shard_states[shard]))
@@ -382,7 +384,7 @@ class SensorFleet:
         try:
             return self._pools[shard].submit(fn, *args).result(
                 timeout=self.watchdog_timeout)
-        except (FutureTimeoutError, BrokenProcessPool):
+        except (FutureTimeoutError, BrokenExecutor):
             self._restart_shard(shard)
             return self._pools[shard].submit(fn, *args).result(
                 timeout=self.watchdog_timeout)
@@ -421,11 +423,10 @@ class SensorFleet:
         (a header prefix yields what a full decode would, so every
         transport shards every packet identically): keyed on the sender,
         so all of one host's flows — and its scan-count state — stay
-        together.  Hashed through :mod:`hashlib` rather than
-        :func:`hash` so the assignment is identical across runs and
-        interpreter salts.
+        together.  Hashed with SHA-1 rather than :func:`hash` so the
+        assignment is identical across runs and interpreter salts.
         """
-        digest = hashlib.sha1((flow[0] or "?").encode()).digest()
+        digest = sha1((flow[0] or "?").encode()).digest()
         return int.from_bytes(digest[:4], "big") % self.workers
 
     def process_packet(self, item: Packet | PcapRecordMeta) -> list[Alert]:
@@ -547,7 +548,7 @@ class SensorFleet:
     def _submit_batch(self, shard: int, key, fn, payload) -> None:
         try:
             future = self._pools[shard].submit(fn, payload)
-        except BrokenProcessPool:
+        except BrokenExecutor:
             # The pool died before we could even submit; the restart
             # resubmits the whole replay window (this batch included).
             self._restart_shard(shard)
@@ -579,7 +580,7 @@ class SensorFleet:
         try:
             alerts, delta = future.result(
                 timeout=self.watchdog_timeout if blocking else None)
-        except (FutureTimeoutError, BrokenProcessPool):
+        except (FutureTimeoutError, BrokenExecutor):
             self._restart_shard(shard)
             return
         futures.popleft()

@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, CancelledError, Future
 from dataclasses import dataclass, replace
 
 from ..core.library import library_digest, resolve_template_set
@@ -160,7 +159,7 @@ class ParallelSemanticNids(SemanticNids):
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.max_pending = max_pending
         self._pending: deque[_Pending] = deque()
-        self._pools: list[ProcessPoolExecutor] = []
+        self._pools: list = []
         #: memo key → future of the first, still-pending submission: the
         #: inherited payload memo answers once a result is in, and until
         #: then identical payloads ride that future instead of paying
@@ -188,9 +187,13 @@ class ParallelSemanticNids(SemanticNids):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _spawn_pool(self) -> ProcessPoolExecutor:
+    def _spawn_pool(self):
         """One single-process worker pool running the current template
-        set (first spawn, rebuild after a worker death, hot reload)."""
+        set (first spawn, rebuild after a worker death, hot reload).  The
+        one place this engine creates a process, so the one place that
+        loads the process-pool stack."""
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
                                    initargs=(self.options,))
 
@@ -299,7 +302,7 @@ class ParallelSemanticNids(SemanticNids):
             breaker.begin_probe()
         try:
             future = self._pools[shard].submit(_analyze_in_worker, payload)
-        except (BrokenProcessPool, CancelledError, RuntimeError, OSError):
+        except (BrokenExecutor, CancelledError, RuntimeError, OSError):
             self.stats.worker_failures += 1
             self._breaker_failure(shard)
             self._rebuild_pool(shard)
@@ -309,7 +312,7 @@ class ParallelSemanticNids(SemanticNids):
                     self.stats.worker_retries += 1
                     future = self._pools[shard].submit(
                         _analyze_in_worker, payload)
-                except (BrokenProcessPool, CancelledError, RuntimeError,
+                except (BrokenExecutor, CancelledError, RuntimeError,
                         OSError):
                     self._breaker_failure(shard)
                     future = None
@@ -343,7 +346,7 @@ class ParallelSemanticNids(SemanticNids):
             self._pending.popleft()
             try:
                 result, delta = head.future.result()
-            except (BrokenProcessPool, CancelledError, OSError, RuntimeError):
+            except (BrokenExecutor, CancelledError, OSError, RuntimeError):
                 out.extend(self._recover_pending(head))
                 continue
             if head.shard >= 0:
@@ -395,7 +398,7 @@ class ParallelSemanticNids(SemanticNids):
                 # Blocking retry-once keeps the drain in submission order.
                 result, delta = self._pools[shard].submit(
                     _analyze_in_worker, head.payload).result()
-            except (BrokenProcessPool, CancelledError, OSError, RuntimeError):
+            except (BrokenExecutor, CancelledError, OSError, RuntimeError):
                 self.stats.worker_failures += 1
                 self._breaker_failure(shard)
                 self._rebuild_pool(shard)

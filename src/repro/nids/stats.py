@@ -180,6 +180,11 @@ class NidsStats:
         "repro_quarantine_write_errors_total",
         help="Quarantine capture/metadata writes that failed and were "
              "absorbed (ENOSPC, I/O errors).", unit="errors")
+    #: set by SensorDaemon at each heartbeat and at exit; 0 without one.
+    process_peak_rss = MetricField(
+        "repro_process_peak_rss_bytes", kind="gauge",
+        help="Peak resident set of the sensor process (VmHWM).",
+        unit="bytes")
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:

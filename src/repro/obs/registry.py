@@ -82,11 +82,12 @@ class Gauge(_Metric):
     """A value that goes up and down (buffered bytes, active streams)."""
 
     kind = "gauge"
-    __slots__ = ("value",)
+    __slots__ = ("value", "_last")
 
     def __init__(self, name, labels=None, help="", unit=""):
         super().__init__(name, labels, help, unit)
         self.value: int | float = 0
+        self._last: int | float = 0
 
     def set(self, value: int | float) -> None:
         self.value = value
@@ -312,9 +313,13 @@ class MetricsRegistry:
                     metric._last_counts = list(metric.counts)
                     metric._last_sum = metric.sum
                     metric._last_count = metric.count
-            else:  # gauge: ship the current value, merge is last-writer-wins
+            elif metric.value != metric._last:
+                # gauge: ship a level that moved.  Merge is last-writer-
+                # wins, so silence must not be a write: a gauge only the
+                # aggregator sets keeps its value.
                 gauges.append((metric.name, key, metric.value,
                                metric.help, metric.unit))
+                metric._last = metric.value
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 

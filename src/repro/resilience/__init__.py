@@ -27,27 +27,7 @@ docs/robustness.md):
   differential harness and the scenario runner share.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import (
-    FaultInjector,
-    InjectedFault,
-    SimulatedCrash,
-    build_stall_payload,
-    truncate_capture,
-)
-from .checkpoint import CheckpointStore
-from .deadline import UNITS_PER_MS, Deadline
-from .delivery import DurableDelivery
-from .firewall import (
-    CONTAINED_STAGES,
-    DEADLINE_TEMPLATE,
-    DEGRADED_SEVERITY,
-    FAULT_TEMPLATE,
-    StageFirewall,
-)
-from .journal import AlertJournal, JournalRecovery, tear_journal_tail
-from .quarantine import QuarantineWriter
-from .shedder import SHED_POLICIES, BoundedRing
+from .._lazy import lazy_exports
 
 __all__ = [
     "AlertJournal",
@@ -75,3 +55,17 @@ __all__ = [
     "tear_journal_tail",
     "truncate_capture",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "breaker": ("CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"),
+    "chaos": ("FaultInjector", "InjectedFault", "SimulatedCrash",
+              "build_stall_payload", "truncate_capture"),
+    "checkpoint": ("CheckpointStore",),
+    "deadline": ("UNITS_PER_MS", "Deadline"),
+    "delivery": ("DurableDelivery",),
+    "firewall": ("CONTAINED_STAGES", "DEADLINE_TEMPLATE",
+                 "DEGRADED_SEVERITY", "FAULT_TEMPLATE", "StageFirewall"),
+    "journal": ("AlertJournal", "JournalRecovery", "tear_journal_tail"),
+    "quarantine": ("QuarantineWriter",),
+    "shedder": ("SHED_POLICIES", "BoundedRing"),
+})

@@ -5,15 +5,7 @@ disassembler used in the paper, plus the assembler the attack engines need
 to generate fresh polymorphic instances.
 """
 
-from .errors import AssemblerError, DisassemblerError, X86Error
-from .instruction import Instruction, format_listing
-from .operands import Imm, Mem, Operand
-from .registers import (
-    EAX, EBP, EBX, ECX, EDI, EDX, ESI, ESP, GPR32, Register, reg,
-)
-from .asm import Assembler, assemble, encode_instruction
-from .disasm import Disassembler, disassemble, disassemble_frame
-from .emulator import EmulationError, Emulator, Syscall
+from .._lazy import lazy_exports
 
 __all__ = [
     "AssemblerError", "DisassemblerError", "X86Error",
@@ -25,3 +17,14 @@ __all__ = [
     "Disassembler", "disassemble", "disassemble_frame",
     "EmulationError", "Emulator", "Syscall",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "errors": ("AssemblerError", "DisassemblerError", "X86Error"),
+    "instruction": ("Instruction", "format_listing"),
+    "operands": ("Imm", "Mem", "Operand"),
+    "registers": ("Register", "reg", "GPR32",
+                  "EAX", "ECX", "EDX", "EBX", "ESP", "EBP", "ESI", "EDI"),
+    "asm": ("Assembler", "assemble", "encode_instruction"),
+    "disasm": ("Disassembler", "disassemble", "disassemble_frame"),
+    "emulator": ("EmulationError", "Emulator", "Syscall"),
+})

@@ -144,6 +144,9 @@ class TestAccounting:
         faults = fleet.registry.get("repro_stage_faults_total",
                                     {"stage": "deliver"})
         assert faults is not None and faults.value == 1
+        # ...and the floor it reports is the dispatcher's own, whatever
+        # the workers' registries (which never set it) shipped at close
+        assert fleet.registry.get("repro_process_peak_rss_bytes").value > 0
 
 
 class TestPeriodicDuties:
@@ -169,6 +172,12 @@ class TestPeriodicDuties:
         # the final shutdown beat; the grid never drifts with tick cost
         assert len(lines) >= 2
         assert all("heartbeat:" in line for line in lines)
+        # every field is key=number, and the last one is the process floor
+        fields = dict(f.split("=") for f in lines[-1].split()[1:])
+        assert all(float(v) >= 0 for v in fields.values())
+        gauge = nids.registry.get("repro_process_peak_rss_bytes")
+        assert gauge.value > 0
+        assert float(fields["rss_mb"]) == round(gauge.value / 2**20, 1)
 
     def test_windows_roll_on_schedule(self):
         clock = FakeClock()

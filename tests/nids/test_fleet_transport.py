@@ -115,8 +115,8 @@ class TestTransportParity:
         """``shm`` is gone: asking for it names what is left and costs
         no worker process."""
         spawned = []
-        monkeypatch.setattr("repro.nids.fleet.ProcessPoolExecutor",
-                            lambda **kw: spawned.append(kw))
+        monkeypatch.setattr(SensorFleet, "_spawn_pool",
+                            lambda self, shard: spawned.append(shard))
         with pytest.raises(ValueError) as err:
             SensorFleet(workers=2, transport="shm")
         assert all(name in str(err.value) for name in FLEET_TRANSPORTS)

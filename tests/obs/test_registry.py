@@ -141,6 +141,23 @@ class TestDeltaProtocol:
         parent.merge_delta(second)
         assert parent.get("repro_c_total").value == 105
 
+    def test_gauge_is_shipped_when_it_moved_and_only_then(self):
+        """Last-writer-wins is only safe if silence is not a write: a
+        gauge the worker never set must not reset the aggregator's."""
+        worker = MetricsRegistry()
+        level = worker.gauge("repro_level")
+        worker.gauge("repro_parent_only")
+        parent = MetricsRegistry()
+        parent.gauge("repro_parent_only").set(7)
+        level.set(3)
+        parent.merge_delta(worker.collect_delta())
+        assert parent.get("repro_level").value == 3
+        assert parent.get("repro_parent_only").value == 7
+        assert worker.collect_delta()["gauges"] == []  # nothing moved
+        level.set(0)
+        parent.merge_delta(worker.collect_delta())
+        assert parent.get("repro_level").value == 0
+
     def test_histogram_delta_merges_per_bucket(self):
         reg = MetricsRegistry()
         h = reg.histogram("repro_h_seconds")
