@@ -34,17 +34,11 @@ __all__ = ["sensor_main", "sensord_main", "analyze_main", "asm_main",
 # ---------------------------------------------------------------------------
 
 
-def _add_engine_options(parser: argparse.ArgumentParser, *, metrics_out: str,
-                        metrics_format: str, stats: str,
-                        heartbeat: str) -> None:
-    """One flag per :class:`~repro.nids.SensorOptions` field that names
-    one, the engine choice and the reporting switches — the same on both
-    sensor commands, bar the help strings passed as keywords."""
-    from .nids import SensorOptions
-
-    group = parser.add_argument_group("engine options")
-    for field in dataclasses.fields(SensorOptions):
-        if field.metadata["flag"] is None:
+def _add_flags(group, record) -> None:
+    """One flag per field of options ``record`` that names one."""
+    for field in dataclasses.fields(record):
+        meta = field.metadata
+        if meta["flag"] is None:
             continue
         kind = field.type.partition(" | ")[0]
         if kind == "bool":  # the flags negate: --no-classify
@@ -54,8 +48,42 @@ def _add_engine_options(parser: argparse.ArgumentParser, *, metrics_out: str,
         else:
             how = dict(type={"int": int, "float": float}.get(kind),
                        default=field.default)
-        group.add_argument(field.metadata["flag"], **how,
-                           **field.metadata["cli"])
+        if meta["choices"]:
+            how["choices"] = meta["choices"]
+        group.add_argument(meta["flag"], **how, **meta["cli"])
+
+
+def _from_flags(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                record):
+    """The options ``record`` its flags spell; a value the record
+    refuses is a usage error naming the flag (exit status 2)."""
+    values, flags = {}, {}
+    for field in dataclasses.fields(record):
+        flag = field.metadata["flag"]
+        if flag is None:
+            continue
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if field.type == "bool":  # the flag negates
+            value = not value
+        elif isinstance(value, list):  # never given: the default
+            value = value or field.default
+        values[field.name], flags[field.name] = value, flag
+    try:
+        return record(**values)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"argument {flags[str(exc).partition(':')[0]]}: {exc}")
+
+
+def _add_engine_options(parser: argparse.ArgumentParser, *, metrics_out: str,
+                        metrics_format: str, stats: str,
+                        heartbeat: str) -> None:
+    """One flag per :class:`~repro.nids.SensorOptions` field that names
+    one, the engine choice and the reporting switches — the same on both
+    sensor commands, bar the help strings passed as keywords."""
+    from .nids import SensorOptions
+
+    group = parser.add_argument_group("engine options")
+    _add_flags(group, SensorOptions)
     group.add_argument("--workers", type=int, default=0, metavar="N",
                        help="analysis worker processes, sharded by flow "
                             "(0/1 = serial; default 0)")
@@ -74,24 +102,16 @@ def _add_engine_options(parser: argparse.ArgumentParser, *, metrics_out: str,
 
 def _engine_options(parser: argparse.ArgumentParser,
                     args: argparse.Namespace):
-    """The :class:`~repro.nids.SensorOptions` the engine flags spell; a
-    value the record refuses is a usage error (exit status 2)."""
+    """The :class:`~repro.nids.SensorOptions` the engine flags spell,
+    once the engine-choice flags are in range too."""
     from .nids import SensorOptions
 
-    values = {}
-    for field in dataclasses.fields(SensorOptions):
-        if field.metadata["flag"] is None:
-            continue
-        value = getattr(args, field.metadata["flag"][2:].replace("-", "_"))
-        if field.type == "bool":  # the flag negates
-            value = not value
-        elif isinstance(value, list):  # never given: the default
-            value = value or field.default
-        values[field.name] = value
-    try:
-        return SensorOptions(**values)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
+    for flag, least in (("--workers", 0), ("--breaker-threshold", 1),
+                        ("--fleet-workers", 0)):  # the last: sensord only
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least:
+            parser.error(f"argument {flag}: must be >= {least}, got {value}")
+    return _from_flags(parser, args, SensorOptions)
 
 
 def _build_engine(args: argparse.Namespace, options, **engine_kwargs):
@@ -263,6 +283,9 @@ def _frame_bytes_for(alert) -> bytes | None:
 
 def sensord_main(argv: list[str] | None = None) -> int:
     """Always-on sensor daemon over a (possibly growing) capture."""
+    from .nids import DaemonOptions
+    from .nids.options import FLEET_TRANSPORTS
+
     parser = argparse.ArgumentParser(
         prog="repro-sensord",
         description="Always-on semantic NIDS daemon: bounded ingestion, "
@@ -274,28 +297,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
                         help="tail a growing capture (FIFO / live writer): "
                              "end-of-data at a record boundary means 'wait "
                              "for more', not truncation")
-    parser.add_argument("--ring-capacity", type=int, default=4096,
-                        metavar="N",
-                        help="bounded ingestion ring size in packets "
-                             "(default 4096)")
-    parser.add_argument("--shed-policy", choices=("newest", "oldest", "block"),
-                        default="newest",
-                        help="ring-full behaviour: shed the arriving packet "
-                             "(newest), evict the stalest queued one "
-                             "(oldest), or pause the source (block); every "
-                             "shed is counted, never silent (default newest)")
-    parser.add_argument("--batch-size", type=int, default=256, metavar="N",
-                        help="packets ingested/processed per loop tick "
-                             "(default 256)")
-    parser.add_argument("--window-secs", type=float, default=0.0,
-                        metavar="SECS",
-                        help="roll a metrics window every SECS seconds for "
-                             "rate / latency-quantile reporting (0 = off)")
-    parser.add_argument("--idle-timeout", type=float, default=None,
-                        metavar="SECS",
-                        help="exit after SECS seconds with no packet moved "
-                             "(the usual way a --follow run ends; default: "
-                             "run until the source finishes)")
+    _add_flags(parser, DaemonOptions)
     parser.add_argument("--max-packets", type=int, default=None, metavar="N",
                         help="stop after processing N packets (soak/CI runs)")
     parser.add_argument("--template-set-file", type=Path, metavar="FILE",
@@ -315,7 +317,7 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "(0 = single sensor; mutually exclusive with "
                              "--workers)")
     parser.add_argument("--fleet-transport",
-                        choices=("pickle", "offset"), default="pickle",
+                        choices=FLEET_TRANSPORTS, default="pickle",
                         help="fleet dispatcher→worker transport: pickle "
                              "ships payload triples; offset ships pcap "
                              "extents (the daemon loop queues record "
@@ -327,24 +329,15 @@ def sensord_main(argv: list[str] | None = None) -> int:
                              "runs: keep versioned checkpoints and a "
                              "write-ahead alert journal under DIR (see "
                              "docs/operations.md)")
-    parser.add_argument("--checkpoint-interval", type=int, default=1000,
-                        metavar="N",
-                        help="processed packets between checkpoints "
-                             "(default 1000; needs --checkpoint-dir)")
-    parser.add_argument("--journal-fsync-batch", type=int, default=8,
-                        metavar="N",
-                        help="journal appends per fsync — lower is more "
-                             "durable, higher is faster (default 8)")
     parser.add_argument("--resume", action="store_true",
                         help="rehydrate from --checkpoint-dir after a crash: "
                              "restore counters, replay journaled alerts, "
                              "seek the capture to the checkpointed offset")
     args = parser.parse_args(argv)
     options = _engine_options(parser, args)
+    daemon_options = _from_flags(parser, args, DaemonOptions)
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
-    if args.fleet_workers < 0:
-        parser.error("--fleet-workers must be >= 0")
     if args.fleet_workers and args.workers > 1:
         parser.error("--fleet-workers (whole-pipeline scale-out) and "
                      "--workers (in-sensor stage parallelism) are mutually "
@@ -382,19 +375,12 @@ def sensord_main(argv: list[str] | None = None) -> int:
         source = IterPacketSource(iter(reader))
 
     daemon = SensorDaemon(
-        nids, source,
-        ring_capacity=args.ring_capacity,
-        shed_policy=args.shed_policy,
-        batch_size=args.batch_size,
+        nids, source, daemon_options,
         heartbeat=args.heartbeat,
         heartbeat_out=lambda line: print(line, file=sys.stderr),
-        window_secs=args.window_secs,
         template_provider=template_provider,
-        idle_timeout=args.idle_timeout,
         on_alert=lambda alert: print(alert.format()),
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        journal_fsync_batch=args.journal_fsync_batch,
         resume=args.resume,
     )
     try:
@@ -590,6 +576,9 @@ def make_trace_main(argv: list[str] | None = None) -> int:
 
 def scenario_main(argv: list[str] | None = None) -> int:
     """Validate, run, or describe declarative YAML scenarios."""
+    from .scenario import (ENGINE_KINDS, ScenarioError, check_conflicts,
+                           load_scenario)
+
     parser = argparse.ArgumentParser(
         prog="repro-scenario",
         description="Declarative end-to-end experiments from YAML "
@@ -612,8 +601,7 @@ def scenario_main(argv: list[str] | None = None) -> int:
                        help="run with this master seed instead of the "
                             "file's (reproducibility experiments)")
     p_run.add_argument("--override-engine",
-                       choices=("serial", "parallel", "daemon", "fleet"),
-                       default=None, metavar="KIND",
+                       choices=ENGINE_KINDS, default=None, metavar="KIND",
                        help="run on this engine kind instead of the "
                             "file's (parity experiments)")
     p_run.add_argument("--print-alerts", action="store_true",
@@ -631,8 +619,6 @@ def scenario_main(argv: list[str] | None = None) -> int:
                         help="print the full schema key reference "
                              "instead")
     args = parser.parse_args(argv)
-
-    from .scenario import ScenarioError, load_scenario
 
     if args.command == "validate":
         failures = 0
@@ -654,15 +640,15 @@ def scenario_main(argv: list[str] | None = None) -> int:
 
         try:
             spec = load_scenario(args.file)
+            if args.override_engine is not None:  # as if the file said so
+                spec = check_conflicts(dataclasses.replace(
+                    spec, engine=dataclasses.replace(
+                        spec.engine, kind=args.override_engine)))
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.override_seed is not None:
             spec = dataclasses.replace(spec, seed=args.override_seed)
-        if args.override_engine is not None:
-            spec = dataclasses.replace(
-                spec, engine=dataclasses.replace(
-                    spec.engine, kind=args.override_engine))
         result = run_scenario(spec)
         if args.print_alerts:
             for line in result.alert_lines():
@@ -709,7 +695,7 @@ def scenario_main(argv: list[str] | None = None) -> int:
                   f"[campaigns: {engines}; engine: {spec.engine.kind}; "
                   f"expect: {'yes' if not spec.expect.empty else 'no'}]")
         return 2 if failures else 0
-    from .scenario import CAMPAIGN_ENGINES, CHAOS_KINDS, ENGINE_KINDS
+    from .scenario import CAMPAIGN_ENGINES, CHAOS_KINDS
     from .core.library import TEMPLATE_SETS
     from .traffic import evasion_names
 

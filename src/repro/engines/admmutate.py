@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 
 from ..x86.asm import assemble
 
-__all__ = ["AdmMutateEngine", "MutatedPayload", "SLED_OPCODES"]
+__all__ = ["AdmMutateEngine", "MutatedPayload", "SLED_OPCODES",
+           "DECODER_FAMILIES"]
+
+#: The two decoder families: the xor loop and the alternate scheme.
+XOR, ALTERNATE = DECODER_FAMILIES = ("xor", "mov-or-and-not")
 
 # Slide-safe single-byte instructions for sleds.  We exclude inc/dec esp
 # (0x44/0x4c) and push esp (0x54) out of politeness to the simulated stack.
@@ -48,7 +52,7 @@ class MutatedPayload:
     """One polymorphic instance."""
 
     data: bytes
-    decoder_family: str  # "xor" | "mov-or-and-not"
+    decoder_family: str  # one of DECODER_FAMILIES
     key: int
     sled_len: int
     seed: int
@@ -85,12 +89,12 @@ class AdmMutateEngine:
             # ADMmutate prefers its xor scheme; the paper's first pass
             # (xor template only) caught 68% of instances, which is the
             # observed family mix.
-            family = "xor" if rng.random() < 0.68 else "mov-or-and-not"
-        if family == "xor":
+            family = XOR if rng.random() < 0.68 else ALTERNATE
+        if family == XOR:
             key = rng.randrange(1, 256)
             encoded = bytes(b ^ key for b in payload)
             body = self._xor_body(rng, key)
-        elif family == "mov-or-and-not":
+        elif family == ALTERNATE:
             key = 0  # the alternate scheme is keyless (complement coding)
             encoded = bytes((~b) & 0xFF for b in payload)
             body = self._alt_body(rng)

@@ -1,4 +1,4 @@
-"""The five-stage semantic NIDS pipeline, its options record, alerts,
+"""The five-stage semantic NIDS pipeline, its options records, alerts,
 statistics, the wire-attached live sensor, the always-on daemon, and the
 scale-out sensor fleet."""
 
@@ -8,13 +8,13 @@ from .._lazy import lazy_exports
 
 __all__ = ["Alert", "BlockList", "NidsStats", "StageTimer", "SemanticNids",
            "ParallelSemanticNids", "NidsSensor", "SensorOptions",
-           "SensorDaemon", "DaemonStats", "IterPacketSource",
+           "DaemonOptions", "SensorDaemon", "DaemonStats", "IterPacketSource",
            "TailPacketSource", "MetaPacketSource", "SensorFleet",
            "FleetStats", "AlertReport", "build_report", "build_engine"]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "alerts": ("Alert", "BlockList"),
-    "options": ("SensorOptions",),
+    "options": ("DaemonOptions", "SensorOptions"),
     "stats": ("NidsStats", "StageTimer"),
     "pipeline": ("SemanticNids",),
     "parallel": ("ParallelSemanticNids",),

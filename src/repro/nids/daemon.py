@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from ..net.packet import Packet
@@ -48,6 +48,7 @@ from ..resilience.firewall import StageFirewall
 from ..resilience.journal import AlertJournal
 from ..resilience.shedder import BoundedRing
 from .alerts import Alert
+from .options import DaemonOptions
 from .pipeline import SemanticNids
 
 __all__ = ["SensorDaemon", "DaemonStats", "IterPacketSource",
@@ -203,23 +204,21 @@ class SensorDaemon:
         attribute (see :class:`IterPacketSource`,
         :class:`TailPacketSource`, :class:`MetaPacketSource`); items are
         whatever the engine's ``process_packet`` takes.
-    ring_capacity / shed_policy:
-        The admission ring (see :class:`~repro.resilience.BoundedRing`).
-        Under ``"block"`` a refused packet is held and the source is not
-        read again until the ring drains — backpressure, zero loss.
-    batch_size:
-        Packets ingested and processed per cooperative tick.
-    heartbeat / window_secs:
-        Periodic duties, both on drift-free deadline-anchored schedules.
+    options / keywords:
+        The loop's settings: a :class:`~repro.nids.DaemonOptions`
+        record, and/or its fields as keywords (``TypeError`` for an
+        unknown one, ``ValueError`` out of range — before the source is
+        touched).  Under ``shed_policy="block"`` a refused packet is
+        held and the source is not read again until the ring drains:
+        backpressure, zero loss.
+    heartbeat / heartbeat_out:
+        Liveness line every ``heartbeat`` seconds, on a drift-free
+        deadline-anchored schedule like the metrics window.
     template_provider:
         Optional zero-argument callable polled once per tick; it returns
         a template-set name (any engine), a template list (serial
         engine), or ``None`` for "no opinion".  A changed library digest
         triggers the hot reload.
-    idle_timeout:
-        Stop after this many seconds without a single packet ingested or
-        processed (tail mode's exit condition).  ``None`` = run until
-        ``stop`` or the source finishes.
     on_alert:
         Operator callback; exceptions are contained as ``deliver``
         faults, exactly like :class:`~repro.nids.NidsSensor`.
@@ -246,48 +245,50 @@ class SensorDaemon:
 
     #: seconds slept by a tick that moved nothing (an idle tail).
     POLL_INTERVAL = 0.02
+    #: rolled metrics windows kept (oldest first out).
+    MAX_WINDOWS = 60
 
     def __init__(
         self,
         nids: SemanticNids,
         source,
+        options: DaemonOptions | None = None,
         *,
-        ring_capacity: int = 4096,
-        shed_policy: str = "newest",
-        batch_size: int = 256,
         heartbeat: float = 0.0,
         heartbeat_out: Callable[[str], None] | None = None,
-        window_secs: float = 0.0,
-        max_windows: int = 60,
         template_provider: Callable | None = None,
-        idle_timeout: float | None = None,
         on_alert: Callable[[Alert], None] | None = None,
         checkpoint_dir: str | os.PathLike[str] | None = None,
-        checkpoint_interval: int = 1000,
-        journal_fsync_batch: int = 8,
         resume: bool = False,
         delivery: DurableDelivery | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
+        **keywords,
     ) -> None:
+        self.options = options = (DaemonOptions(**keywords) if options is None
+                                  else replace(options, **keywords))
         self.nids = nids
         self.source = source
-        self.batch_size = batch_size
         self.template_provider = template_provider
-        self.idle_timeout = idle_timeout
         self.on_alert = on_alert
         self.heartbeat_out = heartbeat_out
         self._clock = clock
         self._sleep = sleep
-        self.ring = BoundedRing(ring_capacity, policy=shed_policy,
+        # Read per tick: plain attributes, not record lookups.
+        self.batch_size = options.batch_size
+        self.idle_timeout = options.idle_timeout
+        self.checkpoint_interval = options.checkpoint_interval
+        self.ring = BoundedRing(options.ring_capacity,
+                                policy=options.shed_policy,
                                 registry=nids.registry)
         self._beat = (PeriodicSchedule(heartbeat, clock)
                       if heartbeat > 0 else None)
-        self._window_sched = (PeriodicSchedule(window_secs, clock)
-                              if window_secs > 0 else None)
-        self.window = (MetricsWindow(nids.registry, max_windows=max_windows,
+        self._window_sched = (PeriodicSchedule(options.window_secs, clock)
+                              if options.window_secs > 0 else None)
+        self.window = (MetricsWindow(nids.registry,
+                                     max_windows=self.MAX_WINDOWS,
                                      clock=clock)
-                       if window_secs > 0 else None)
+                       if options.window_secs > 0 else None)
         reg = nids.registry
         #: where ``on_alert`` faults are counted: the ``deliver`` series
         #: of the engine's registry, whichever engine it is.
@@ -322,7 +323,6 @@ class SensorDaemon:
         self.journal: AlertJournal | None = None
         self.checkpoints: CheckpointStore | None = None
         self.delivery = delivery
-        self.checkpoint_interval = max(1, checkpoint_interval)
         self._alert_seq = 0
         self._last_checkpoint_processed = 0
         if checkpoint_dir is not None:
@@ -334,7 +334,7 @@ class SensorDaemon:
                 checkpoint_dir, registry=reg, clock=clock)
             self.journal = AlertJournal(
                 os.path.join(checkpoint_dir, "journal"),
-                fsync_batch=journal_fsync_batch, registry=reg)
+                fsync_batch=options.journal_fsync_batch, registry=reg)
             if self.delivery is None:
                 self.delivery = DurableDelivery(
                     lambda _key, alert: (

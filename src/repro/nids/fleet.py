@@ -62,12 +62,10 @@ from ..net.packet import Packet
 from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsRegistry
 from .alerts import Alert
-from .options import SensorOptions
+from .options import FLEET_TRANSPORTS, SensorOptions
 from .pipeline import SemanticNids
 
 __all__ = ["SensorFleet", "FleetStats", "FLEET_TRANSPORTS", "kill_pool"]
-
-FLEET_TRANSPORTS = ("pickle", "offset")
 
 #: Serialized size of one ``(seq0, offset, count)`` extent descriptor —
 #: what the offset transport ships instead of payload bytes.

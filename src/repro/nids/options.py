@@ -1,4 +1,4 @@
-"""The sensor's options, declared once.
+"""The sensor's and the daemon's options, declared once.
 
 The paper's sensor (§4, Figure 3) is one pipeline whose only
 site-specific inputs are the honeypot list, the dark space and the
@@ -8,34 +8,68 @@ range, flag — and every way of running the sensor reads it from there:
 engine constructors build the record from their keywords, workers get
 it as ``initargs``, and the scenario DSL's ``engine.options.*`` rows and
 the engine flags of both sensor commands are generated from it.
+:class:`DaemonOptions` is the same for the loop around an engine
+(:class:`~repro.nids.SensorDaemon`, the ``repro-sensord`` flags,
+``engine.daemon.*``), and the scenario DSL declares its own sections
+with the same :func:`_opt` fields (:mod:`repro.scenario.schema`).
 
 A refused value raises :class:`TypeError` (wrong type, unknown option)
 or :class:`ValueError` (out of range) reading ``<field>: <problem>``,
-which is how the scenario loader finds the YAML path to blame.
+which is how the scenario loader finds the YAML path to blame and the
+commands the flag.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
+from importlib import import_module
 
 from ..core.library import TEMPLATE_SETS
+from ..resilience.shedder import SHED_POLICIES
 
-__all__ = ["SensorOptions"]
+__all__ = ["SensorOptions", "DaemonOptions", "Record", "Vocabulary",
+           "FLEET_TRANSPORTS"]
+
+#: dispatcher→worker transports of :class:`~repro.nids.SensorFleet`
+#: (here, not in ``fleet.py``, so that naming them loads no engine).
+FLEET_TRANSPORTS = ("pickle", "offset")
 
 _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
-_BOUNDS = {">=": operator.ge, ">": operator.gt}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 def _opt(default, doc: str, bound: str = "", *, flag: str | None = None,
-         scenario: bool | None = None, **cli):
-    """One option: default, description, range (``">= 1"``), the flag
-    that sets it with its ``metavar`` / ``help`` / ``choices`` (``cli``;
-    choices bind every caller), and whether ``engine.options`` of a
-    scenario file may set it (by default: whatever has a flag)."""
+         scenario: bool | None = None, choices=None, required: bool = False,
+         only: tuple[str, ...] = (), unset: str | None = None, **cli):
+    """One option: default, description, range (``">= 1"``, or two-sided
+    ``"0 <= p <= 1"``), the values it may take (``choices``: a tuple, or
+    a :class:`Vocabulary` looked up when a value is checked), the flag
+    that sets it with its ``metavar`` / ``help`` (``cli``), and whether
+    a scenario file may set it (by default: whatever has a flag).
+    ``required`` refuses the empty default.  In a record whose first
+    field picks a kind, ``only`` names the kinds that take this one;
+    ``unset`` says in words what ``None`` stands for."""
     return field(default=default, metadata={
         "doc": doc, "bound": bound, "flag": flag, "cli": cli,
+        "choices": choices, "required": required, "only": only,
+        "unset": unset,
         "scenario": flag is not None if scenario is None else scenario})
+
+
+class Vocabulary:
+    """Choices resolved when a value is checked rather than when the
+    field is declared, so declaring them imports nothing: ``where`` is
+    the dotted name of the tuple, or of the function returning it, and
+    ``says`` the constraint as the key table words it."""
+
+    def __init__(self, says: str, where: str) -> None:
+        self.says, self.where = says, where
+
+    def __call__(self) -> tuple[str, ...]:
+        module, _, name = self.where.rpartition(".")
+        names = getattr(import_module(module), name)
+        return tuple(names() if callable(names) else names)
 
 
 def _checked(f, value):
@@ -43,31 +77,60 @@ def _checked(f, value):
     kind, _, nullable = f.type.partition(" | ")
     if value is None and nullable:
         return None
-    if kind.startswith("tuple"):
-        if (not isinstance(value, (list, tuple))
-                or not all(isinstance(item, str) for item in value)):
-            raise TypeError(f"{f.name}: expected a list of str, got "
+    if kind.startswith("tuple"):  # "tuple[int, ...]": a list of its items
+        kind, many = kind[6:-6], True
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{f.name}: expected a list of {kind}, got "
                             f"{value!r}")
-        return tuple(value)
+        items = value = tuple(value)
+    else:
+        many, items = False, (value,)
     # bool is an int subclass: keep the kinds distinct.
-    if (not isinstance(value, _KINDS[kind])
-            or isinstance(value, bool) != (kind == "bool")):
-        raise TypeError(f"{f.name}: expected {kind}, got "
-                        f"{type(value).__name__} ({value!r})")
+    if not all(isinstance(item, _KINDS[kind])
+               and isinstance(item, bool) == (kind == "bool")
+               for item in items):
+        raise TypeError(
+            f"{f.name}: expected a list of {kind}, got {value!r}" if many
+            else f"{f.name}: expected {kind}, got {type(value).__name__} "
+                 f"({value!r})")
+    if f.metadata["required"] and not value:
+        raise ValueError(f"{f.name}: required, and must not be empty")
     bound = f.metadata["bound"]
-    if bound:
-        op, limit = bound.split()
-        if not _BOUNDS[op](value, float(limit)):
-            raise ValueError(f"{f.name}: must be {bound}, got {value!r}")
-    choices = f.metadata["cli"].get("choices")
-    if choices and value not in choices:
-        raise ValueError(f"{f.name}: unknown value {value!r}; expected one "
-                         f"of: {', '.join(choices)}")
-    return float(value) if kind == "float" else value
+    if bound:  # ">= 1", or two-sided "0 <= p <= 1"; a list: each item
+        *low, op, limit = bound.split()
+        if not all(_BOUNDS[op](item, float(limit))
+                   and (not low or item >= float(low[0])) for item in items):
+            raise ValueError(f"{f.name}: {'each ' * many}must be {bound}, "
+                             f"got {value!r}")
+    choices = f.metadata["choices"]
+    if choices:
+        choices = choices() if callable(choices) else choices
+        if value not in choices:
+            raise ValueError(f"{f.name}: unknown value {value!r}; expected "
+                             f"one of: {', '.join(choices)}")
+    return float(value) if kind == "float" and not many else value
+
+
+class Record:
+    """What every options record does once built: each field is stored
+    as :func:`_checked` returns it, or the build is refused."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if self.takes(f):
+                object.__setattr__(self, f.name,
+                                   _checked(f, getattr(self, f.name)))
+
+    def takes(self, f) -> bool:
+        """Whether field ``f`` means anything to this record: always,
+        unless the record's first field picks a kind and ``f`` is for
+        other kinds ``only``."""
+        only = f.metadata["only"]
+        return not only or getattr(self, fields(self)[0].name) in only
 
 
 @dataclass(frozen=True)
-class SensorOptions:
+class SensorOptions(Record):
     """Everything picklable that configures one sensor pipeline (the
     live objects — ``templates``, ``registry``, ``tracer``,
     ``quarantine`` — stay keywords of the engine constructors)."""
@@ -137,7 +200,48 @@ class SensorOptions:
         4096, "Bound on the analyzer's content-hash frame cache, the "
               "pipeline's one analysis cache; 0 disables it.", ">= 0")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name,
-                               _checked(f, getattr(self, f.name)))
+
+@dataclass(frozen=True)
+class DaemonOptions(Record):
+    """Everything picklable that configures the loop around an engine
+    (live objects — ``on_alert``, ``delivery``, ``template_provider`` —
+    and run arguments — ``checkpoint_dir``, ``resume``, ``clock`` — stay
+    keywords of :class:`~repro.nids.SensorDaemon`)."""
+
+    ring_capacity: int = _opt(
+        4096, "Bounded admission ring size, packets.", ">= 1",
+        flag="--ring-capacity", metavar="N",
+        help="bounded ingestion ring size in packets (default 4096)")
+    shed_policy: str = _opt(
+        "newest", "Ring-full behaviour: shed the arriving packet (newest), "
+                  "evict the stalest queued one (oldest), or pause the "
+                  "source (block: backpressure, zero loss).",
+        flag="--shed-policy", choices=SHED_POLICIES,
+        help="ring-full behaviour: shed the arriving packet (newest), "
+             "evict the stalest queued one (oldest), or pause the source "
+             "(block); every shed is counted, never silent (default newest)")
+    batch_size: int = _opt(
+        256, "Packets per cooperative tick.", ">= 1",
+        flag="--batch-size", metavar="N",
+        help="packets ingested/processed per loop tick (default 256)")
+    window_secs: float = _opt(
+        0.0, "Seconds per rolling metrics window (0 = off).", ">= 0",
+        flag="--window-secs", scenario=False, metavar="SECS",
+        help="roll a metrics window every SECS seconds for rate / "
+             "latency-quantile reporting (0 = off)")
+    idle_timeout: float | None = _opt(
+        None, "Stop after this many seconds without a packet ingested or "
+              "processed (null = run until the source finishes).", ">= 0",
+        flag="--idle-timeout", scenario=False, metavar="SECS",
+        help="exit after SECS seconds with no packet moved (the usual way "
+             "a --follow run ends; default: run until the source finishes)")
+    checkpoint_interval: int = _opt(
+        1000, "Processed packets between checkpoints.", ">= 1",
+        flag="--checkpoint-interval", scenario=False, metavar="N",
+        help="processed packets between checkpoints (default 1000; needs "
+             "--checkpoint-dir)")
+    journal_fsync_batch: int = _opt(
+        8, "Journal appends per fsync.", ">= 1",
+        flag="--journal-fsync-batch", scenario=False, metavar="N",
+        help="journal appends per fsync — lower is more durable, higher "
+             "is faster (default 8)")

@@ -422,11 +422,8 @@ class ParallelSemanticNids(SemanticNids):
 
     def _breaker_failure(self, shard: int) -> None:
         breaker = self._breakers[shard]
-        was_open = breaker.is_open
         breaker.record_failure()
-        if breaker.is_open and not was_open:
-            self.stats.breaker_opened += 1
-        elif breaker.is_open:  # half-open probe failed: re-opened
+        if breaker.is_open:  # tripped, or a half-open probe re-opened it
             self.stats.breaker_opened += 1
         self._sync_breaker_gauge()
 

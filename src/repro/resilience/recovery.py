@@ -33,11 +33,14 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .chaos import FaultInjector, InjectedFault, SimulatedCrash
 from .delivery import DurableDelivery
 from .journal import AlertJournal
+
+if TYPE_CHECKING:
+    from ..nids.options import DaemonOptions
 
 __all__ = ["KILL_KINDS", "RecoveryReport", "capture_sources",
            "run_daemon_reference", "run_daemon_with_crashes"]
@@ -207,9 +210,11 @@ def run_daemon_reference(
     source_factory: Callable,
     *,
     nids_factory: Callable,
-    daemon_options: dict | None = None,
+    options: DaemonOptions | None = None,
 ):
-    """The uninterrupted run: no durability, plain ``on_alert`` egress.
+    """The uninterrupted run: no durability, plain ``on_alert`` egress;
+    ``options`` is the daemon's :class:`~repro.nids.DaemonOptions`
+    (always run under the lossless ``block`` policy).
 
     Returns ``(alert_lines, stats)``.
     """
@@ -219,8 +224,8 @@ def run_daemon_reference(
     nids = nids_factory()
     try:
         stats = SensorDaemon(
-            nids, source_factory(), shed_policy="block",
-            on_alert=collected.append, **(daemon_options or {})).run()
+            nids, source_factory(), options, shed_policy="block",
+            on_alert=collected.append).run()
     finally:
         nids.close()
     return [alert.format() for alert in collected], stats
@@ -235,7 +240,7 @@ def run_daemon_with_crashes(
     kill_kind: str = "mid-batch",
     checkpoint_interval: int = 50,
     journal_fsync_batch: int = 4,
-    daemon_options: dict | None = None,
+    options: DaemonOptions | None = None,
     injector: FaultInjector | None = None,
     max_incarnations: int = 32,
     engine: str = "daemon",
@@ -261,11 +266,11 @@ def run_daemon_with_crashes(
             lambda key, alert: delivered.append((key, alert)),
             registry=nids.registry)
         daemon = SensorDaemon(
-            nids, source_factory(), shed_policy="block",
+            nids, source_factory(), options, shed_policy="block",
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,
             journal_fsync_batch=journal_fsync_batch,
-            resume=resume, delivery=delivery, **(daemon_options or {}))
+            resume=resume, delivery=delivery)
         resume = True
         kill_at = pending[0] if pending else None
         completed = False

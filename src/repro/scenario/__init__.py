@@ -10,8 +10,8 @@ DSL reference and the determinism contract).
 from .schema import (
     CAMPAIGN_ENGINES, CHAOS_KINDS, ENGINE_KINDS, SCHEMA, Bound,
     CampaignSpec, ChaosSpec, EngineSpec, EvasionSpec, ExpectSpec,
-    ScenarioError, ScenarioSpec, SchemaKey, TrafficSpec, schema_keys,
-    validate,
+    ScenarioError, ScenarioSpec, SchemaKey, TrafficSpec, check_conflicts,
+    schema_keys, validate,
 )
 from .loader import load_scenario, loads
 from .runner import (
@@ -23,7 +23,7 @@ __all__ = [
     "CAMPAIGN_ENGINES", "CHAOS_KINDS", "ENGINE_KINDS", "SCHEMA",
     "Bound", "CampaignSpec", "ChaosSpec", "EngineSpec", "EvasionSpec",
     "ExpectSpec", "ScenarioError", "ScenarioSpec", "SchemaKey",
-    "TrafficSpec", "schema_keys", "validate",
+    "TrafficSpec", "check_conflicts", "schema_keys", "validate",
     "load_scenario", "loads",
     "RESULT_SCHEMA", "CheckResult", "ScenarioResult", "build_trace",
     "derive_seed", "render_alert_stream", "run_scenario",

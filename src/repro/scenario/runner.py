@@ -111,9 +111,8 @@ def _codered_campaign(spec: CampaignSpec, index: int,
     source = spec.source or f"10.{30 + index}.3.7"
     target = spec.target or "10.10.0.7"
     worm = CodeRedHost(ip=source, seed=seed)
-    out = worm.scan_packets(count=spec.options.get("scans", 40),
-                            base_time=spec.at)
-    for k in range(spec.options.get("count", 1)):
+    out = worm.scan_packets(count=spec.scans, base_time=spec.at)
+    for k in range(spec.count or 1):
         out.extend(worm.exploit_packets(target,
                                         base_time=spec.at + 1.0 + 0.5 * k))
     return out
@@ -125,8 +124,8 @@ def _mailworm_campaign(spec: CampaignSpec, index: int,
 
     wire, out = _captured_wire(spec.at)
     worm = MailWormHost(ip=spec.source or "192.168.2.7", seed=seed,
-                        relay_net=spec.options.get("relay_net", "10.10.1."))
-    worm.burst(wire, count=spec.options.get("count", 12))
+                        relay_net=spec.relay_net)
+    worm.burst(wire, count=spec.count or 12)
     return out
 
 
@@ -140,9 +139,8 @@ def _netsky_campaign(spec: CampaignSpec, index: int,
     source = spec.source or f"10.{60 + index}.2.2"
     target = spec.target or "192.168.1.50"
     victim = Host(ip=target, wire=wire)
-    for k in range(spec.options.get("count", 1)):
-        body = build_worm_attachment(
-            seed=seed + k, body_size=spec.options.get("size", 22 * 1024))
+    for k in range(spec.count or 1):
+        body = build_worm_attachment(seed=seed + k, body_size=spec.size)
         session = victim.open_tcp(source, 80)
         session.send(b"GET /update.exe HTTP/1.0\r\n\r\n")
         session.reply(
@@ -165,22 +163,20 @@ def _polymorphic_campaign(spec: CampaignSpec, index: int,
     wire, out = _captured_wire(spec.at)
     attacker = Host(ip=spec.source or f"203.0.113.{10 + index}", wire=wire)
     target = spec.target or "10.10.0.7"
-    shellcode = get_shellcode(spec.options.get("shellcode", "classic-execve"))
-    count = spec.options.get("count", 1)
+    shellcode = get_shellcode(spec.shellcode)
+    count = spec.count or 1
     if spec.engine == "admmutate":
         engine = AdmMutateEngine(seed=seed)
-        family = spec.options.get("family")
         instances = (engine.mutate(shellcode.assemble(), instance=i,
-                                   family=family).data
+                                   family=spec.family).data
                      for i in range(count))
     elif spec.engine == "clet":
         engine = CletEngine(seed=seed)
         instances = (engine.mutate(shellcode.assemble(), instance=i).data
                      for i in range(count))
     else:  # metamorph: the payload itself is rewritten, no decoder
-        engine = MetamorphicEngine(
-            seed=seed,
-            junk_probability=spec.options.get("junk_probability", 0.35))
+        engine = MetamorphicEngine(seed=seed,
+                                   junk_probability=spec.junk_probability)
         instances = (engine.mutate_source(shellcode.source, instance=i).data
                      for i in range(count))
     for i, payload in enumerate(instances):
@@ -215,11 +211,10 @@ _CAMPAIGN_BUILDERS = {
 def _stall_packets(chaos: ChaosSpec) -> list[Packet]:
     from ..resilience.chaos import build_stall_payload
 
-    opts = chaos.options
-    payload = build_stall_payload(instructions=opts["instructions"])
-    return [udp_packet(opts["source"], opts["target"], 6000 + k, 69,
-                       payload=payload, timestamp=opts["at"] + 0.01 * k)
-            for k in range(opts["count"])]
+    payload = build_stall_payload(instructions=chaos.instructions)
+    return [udp_packet(chaos.source, chaos.target, 6000 + k, 69,
+                       payload=payload, timestamp=chaos.at + 0.01 * k)
+            for k in range(chaos.count)]
 
 
 def build_trace(spec: ScenarioSpec) -> list[Packet]:
@@ -249,8 +244,7 @@ def build_trace(spec: ScenarioSpec) -> list[Packet]:
 
     for chaos in spec.chaos:
         if chaos.kind == "truncate-capture":
-            packets = _truncated_roundtrip(packets,
-                                           chaos.options["drop_bytes"])
+            packets = _truncated_roundtrip(packets, chaos.drop_bytes)
     return packets
 
 
@@ -309,14 +303,8 @@ def _run_engine(spec: ScenarioSpec, packets: list[Packet]):
         if engine.kind == "daemon":
             # The daemon hands alerts on and the engine lets them go.
             delivered: list = []
-            daemon = SensorDaemon(
-                nids, IterPacketSource(iter(packets)),
-                ring_capacity=engine.daemon.get("ring_capacity", 4096),
-                shed_policy=engine.daemon.get("shed_policy", "block"),
-                batch_size=engine.daemon.get("batch_size", 256),
-                on_alert=delivered.append,
-            )
-            daemon.run()
+            SensorDaemon(nids, IterPacketSource(iter(packets)),
+                         engine.daemon, on_alert=delivered.append).run()
             return delivered, nids.registry, None
         nids.process_trace(packets)
     return nids.alerts, nids.registry, None
@@ -336,13 +324,7 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     )
 
     engine: EngineSpec = spec.engine
-    opts = chaos.options
-    run = dict(
-        nids_factory=lambda: _engine(engine),
-        daemon_options={
-            "ring_capacity": engine.daemon.get("ring_capacity", 4096),
-            "batch_size": engine.daemon.get("batch_size", 256),
-        })
+    run = dict(nids_factory=lambda: _engine(engine), options=engine.daemon)
 
     def source():
         return IterPacketSource(packets)
@@ -350,9 +332,9 @@ def _run_crash_engine(spec: ScenarioSpec, packets: list[Packet],
     with tempfile.TemporaryDirectory() as tmp:
         reference, _ = run_daemon_reference(source, **run)
         report = run_daemon_with_crashes(
-            source, checkpoint_dir=tmp, kills=opts["kills"],
-            kill_kind=opts["kill_kind"],
-            checkpoint_interval=opts["checkpoint_interval"],
+            source, checkpoint_dir=tmp, kills=chaos.kills,
+            kill_kind=chaos.kill_kind,
+            checkpoint_interval=chaos.checkpoint_interval,
             engine=engine.kind, **run)
         report.reference_lines = reference
     return report.alerts, report.registry, report
@@ -362,11 +344,10 @@ def _decode_faults(nids, chaos: ChaosSpec, master_seed: int,
                    population: int):
     from ..resilience.chaos import FaultInjector
 
-    seed = chaos.options.get("seed")
-    if seed is None:
-        seed = derive_seed(master_seed, "chaos.decode-faults")
+    seed = (chaos.seed if chaos.seed is not None
+            else derive_seed(master_seed, "chaos.decode-faults"))
     injector = FaultInjector(seed=seed)
-    chosen = injector.pick(max(population, 1), chaos.options["count"])
+    chosen = injector.pick(max(population, 1), chaos.count)
     return injector.decode_faults(nids,
                                   lambda index, pkt: index in chosen)
 

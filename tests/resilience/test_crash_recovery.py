@@ -19,7 +19,8 @@ import pytest
 
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
-from repro.nids import IterPacketSource, SemanticNids, SensorDaemon
+from repro.nids import (DaemonOptions, IterPacketSource, SemanticNids,
+                        SensorDaemon)
 from repro.nids.fleet import SensorFleet
 from repro.resilience import FaultInjector, tear_journal_tail
 from repro.resilience.recovery import (
@@ -201,15 +202,15 @@ class TestEveryEngineReplayParity:
         packets = crash_trace(n=120, seed=2, attacks=4)
         attacks = [i for i, pkt in enumerate(packets)
                    if pkt.src.startswith("6.6.")]
-        options = dict(batch_size=1)
+        options = DaemonOptions(batch_size=1)
         reference, _ = run_daemon_reference(
-            sources(packets), nids_factory=factory, daemon_options=options)
+            sources(packets), nids_factory=factory, options=options)
         assert len(reference) == len(attacks) == 4
 
         report = run_daemon_with_crashes(
             sources(packets), nids_factory=factory, checkpoint_dir=tmp_path,
             kills=[at + 1 for at in attacks], checkpoint_interval=1,
-            daemon_options=options, engine=engine)
+            options=options, engine=engine)
         assert report.crashes == 4
         assert report.alert_lines == reference
 

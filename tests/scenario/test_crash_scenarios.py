@@ -30,9 +30,9 @@ class TestSchema:
         spec = validate(crash_doc())
         chaos = spec.chaos[0]
         assert chaos.kind == "crash"
-        assert chaos.options["kills"] == [60]
-        assert chaos.options["kill_kind"] == "mid-batch"
-        assert chaos.options["checkpoint_interval"] == 40
+        assert chaos.kills == (60,)
+        assert chaos.kill_kind == "mid-batch"
+        assert chaos.checkpoint_interval == 40
         assert spec.expect.recovery.parity is True
         assert spec.expect.recovery.restarts.check(1)
 

@@ -110,6 +110,29 @@ class TestRun:
             digests.append(line.split()[-1])
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("extra, kind, blamed", [
+        # was: AttributeError: 'SensorFleet' object has no attribute
+        # 'classifier'
+        ("chaos: [{kind: decode-faults}]", "fleet", "chaos[0].kind"),
+        # was: ran on the parallel engine, its daemon block dropped
+        ("engine: {kind: daemon, daemon: {batch_size: 16}}", "parallel",
+         "engine.daemon"),
+    ])
+    def test_override_engine_is_held_to_the_conflict_rules(
+            self, tmp_path, capsys, extra, kind, blamed):
+        """An override that makes the file invalid fails like a file
+        written that way: one line naming the YAML path, exit 2."""
+        path = tmp_path / "overridden.yaml"
+        path.write_text("scenario: overridden\n"
+                        "campaigns: [{engine: codered}]\n" + extra + "\n")
+        assert scenario_main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert scenario_main(
+            ["run", str(path), "--override-engine", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {blamed}: ")
+        assert captured.err.count("\n") == 1 and not captured.out
+
     def test_override_seed_moves_digest(self, tmp_path, capsys):
         # clet's xor key is campaign-seed-derived (codered's payload is
         # not — it is pinned by the source address), so a master-seed

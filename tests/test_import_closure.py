@@ -176,6 +176,27 @@ class TestUsageNeedsNoEngine:
         assert "--dark-net" in (done.stdout if status == 0 else done.stderr)
 
 
+SCHEMA = """
+import json, sys
+from repro.scenario import schema
+toolchain = ("repro.engines", "repro.traffic", "repro.x86.asm")
+declared = [m for m in toolchain if m in sys.modules]
+schema.validate({"scenario": "t", "campaigns": [
+    {"engine": "admmutate", "family": "xor"}]})
+print(json.dumps({"declared": declared,
+                  "checked": [m for m in toolchain if m in sys.modules]}))
+"""
+
+
+class TestSchemaDeclaresWithoutTheToolchain:
+    def test_vocabularies_load_when_a_value_is_checked(self):
+        """The shellcode, transform and decoder-family names are owned
+        by the attack toolchain; the schema names where they live."""
+        seen = _report(SCHEMA)
+        assert seen["declared"] == []
+        assert "repro.engines" in seen["checked"]
+
+
 #: only ``_sha1`` can be withheld: ``hashlib.blake2b`` *is* ``_blake2``'s
 FALLBACK = """
 import json, sys

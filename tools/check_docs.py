@@ -15,14 +15,17 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md, and docs/:
    ``src/repro/cli.py`` — read off the live parsers, so a flag generated
    from a shared group counts like a hand-written one (plus a small
    allowlist for third-party tools like pytest's ``--benchmark-only``);
-5. the scenario-DSL reference table in ``docs/scenarios.md`` agrees
-   with the live schema (``repro.scenario.schema_keys()``) in both
-   directions: a documented key the schema dropped fails, and so does
-   a schema key the table never mentions.
+5. the scenario-DSL reference table in ``docs/scenarios.md`` is the
+   one generated from the live schema (``repro.scenario.SCHEMA``), row
+   for row: a documented key the schema dropped fails, so does a schema
+   key the table never mentions, and so does a type, default,
+   description or constraint that a record has since changed.
 
 Zero third-party dependencies; run as
 ``PYTHONPATH=src python tools/check_docs.py``.  Exit code 0 when the
 docs are honest, 1 with one line per stale reference otherwise.
+``python tools/check_docs.py scenario-table`` prints the table of
+check 5 instead, to paste over a stale one.
 """
 
 from __future__ import annotations
@@ -145,7 +148,22 @@ def check_dotted_refs(path: Path, text: str, errors: list[str]) -> None:
 
 #: table rows of docs/scenarios.md whose first cell is a backticked
 #: schema key path, e.g. ``| `campaigns[].engine` | str | ... |``.
-SCHEMA_ROW_RE = re.compile(r"^\|\s*`([a-z_0-9.\[\]]+)`\s*\|", re.MULTILINE)
+SCHEMA_ROW_RE = re.compile(r"^\|\s*`([a-z_0-9.\[\]]+)`\s*\|.*$", re.MULTILINE)
+
+
+def scenario_table() -> dict[str, str]:
+    """key path -> its row of the reference table, rendered from the
+    live schema (dicts keep the declaration order)."""
+    from repro.scenario import SCHEMA
+
+    rows = {}
+    for key in SCHEMA:
+        kind = key.type.replace("|", "\\|")
+        default = key.default if key.default == "—" else f"`{key.default}`"
+        constraints = f"  *({key.constraints})*" if key.constraints else ""
+        rows[key.path] = (f"| `{key.path}` | {kind} | {default} | "
+                          f"{key.doc}{constraints} |")
+    return rows
 
 
 def check_scenario_schema(errors: list[str]) -> None:
@@ -153,19 +171,23 @@ def check_scenario_schema(errors: list[str]) -> None:
     doc = REPO / "docs" / "scenarios.md"
     if not doc.exists():  # already reported as a missing DOC_FILE
         return
-    from repro.scenario import schema_keys
-
-    documented = set(SCHEMA_ROW_RE.findall(doc.read_text()))
-    live = set(schema_keys())
-    for key in sorted(documented - live):
+    documented = {match.group(1): match.group(0).rstrip()
+                  for match in SCHEMA_ROW_RE.finditer(doc.read_text())}
+    live = scenario_table()
+    for key in sorted(documented.keys() - live.keys()):
         errors.append(
             f"{doc.name}: documents schema key {key!r} which no longer "
             f"exists in repro.scenario.schema")
-    for key in sorted(live - documented):
-        errors.append(
-            f"{doc.name}: schema key {key!r} exists in "
-            f"repro.scenario.schema but is missing from the reference "
-            f"table")
+    for key, row in live.items():
+        if key not in documented:
+            errors.append(
+                f"{doc.name}: schema key {key!r} exists in "
+                f"repro.scenario.schema but is missing from the reference "
+                f"table")
+        elif documented[key] != row:
+            errors.append(
+                f"{doc.name}: the row of schema key {key!r} is stale; the "
+                f"live schema says: {row}")
 
 
 def check_flags(path: Path, text: str, errors: list[str],
@@ -178,6 +200,10 @@ def check_flags(path: Path, text: str, errors: list[str],
 
 
 def main() -> int:
+    if sys.argv[1:] == ["scenario-table"]:
+        print("| Key | Type | Default | Description |\n| --- | --- | --- | --- |")
+        print("\n".join(scenario_table().values()))
+        return 0
     errors: list[str] = []
     known_flags = cli_flags()
     for path in DOC_FILES:
