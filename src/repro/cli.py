@@ -399,9 +399,19 @@ def sensord_main(argv: list[str] | None = None) -> int:
 
     _write_metrics(nids.registry, args)
     if args.stats:
-        stats_obj = nids.stats
-        print(stats_obj.summary() if hasattr(stats_obj, "summary")
-              else stats_obj)
+        from .nids.stats import NidsStats
+
+        # Every engine's registry holds the pipeline counters (a fleet's:
+        # the merged worker deltas), so one view prints them all.
+        print(NidsStats(nids.registry).summary())
+        if args.fleet_workers:
+            fleet = nids.stats
+            print(f"fleet: workers={fleet.workers} "
+                  f"transport={fleet.transport} "
+                  f"dispatched={fleet.dispatched} batches={fleet.batches} "
+                  f"deltas_merged={fleet.deltas_merged} "
+                  f"ship_bytes={fleet.ship_bytes} "
+                  f"watchdog_restarts={fleet.watchdog_restarts}")
     return 1 if stats.alerts else 0
 
 

@@ -19,7 +19,7 @@ from ..obs import ANALYZE_STAGE, MetricsRegistry, StageTimer, Tracer
 from ..x86.disasm import disassemble_frame
 from ..x86.instruction import Instruction
 from .library import library_digest, paper_templates
-from .matcher import MatchEngine, PreparedTrace, prepare_trace
+from .matcher import MatchEngine, prepare_trace
 from .template import Template, TemplateMatch
 
 __all__ = ["AnalysisResult", "FrameCache", "SemanticAnalyzer", "content_key"]
@@ -128,15 +128,15 @@ class SemanticAnalyzer:
     reload re-lifts each distinct frame once instead.
 
     ``fastpath`` enables the template anchor prefilter
-    (:mod:`repro.fastpath`): one Aho-Corasick pass over the frame decides
-    which templates can possibly match; frames ruled out for every
-    template skip disassemble/lift/match entirely, and anchor offsets
-    prune match start positions for the rest.  Anchors are necessary
+    (:mod:`repro.fastpath`): one vectorized multi-pattern pass over the
+    frame decides which templates can possibly match; frames ruled out
+    for every template skip disassemble/lift/match entirely, and anchor
+    offsets prune match start positions for the rest.  Anchors are necessary
     conditions, so results are byte-identical with the flag off — the
     prefilter only skips work.  It disengages while a deadline is active
     (skipped frames would not charge deterministic deadline ticks, so
-    deadline-trip alerts could diverge between on and off).  Default off
-    here; the NIDS pipeline enables it (``--no-fastpath`` disables).
+    deadline-trip alerts could diverge between on and off).  Off unless
+    asked for here; the NIDS pipeline asks (``--no-fastpath`` disables).
     """
 
     def __init__(
@@ -163,9 +163,7 @@ class SemanticAnalyzer:
         else:
             self.prefilter = None
         # The analyzer is stages (c)-(e): each gets its own timer, plus
-        # the "analyze" aggregate over a whole analyze_frame call (the
-        # pre-obs ``frames_analyzed``/``total_elapsed`` attributes are
-        # views over that aggregate).
+        # the "analyze" aggregate over a whole analyze_frame call.
         if registry is None:
             registry = MetricsRegistry()
         self.timer = StageTimer(ANALYZE_STAGE, registry, tracer)
@@ -203,22 +201,6 @@ class SemanticAnalyzer:
         self.engine.compile_plans(self.templates)
         self._plan_compile_seconds.inc(
             self.engine.plan_compile_seconds - compile_before)
-
-    @property
-    def frames_analyzed(self) -> int:
-        return self.timer.calls
-
-    @frames_analyzed.setter
-    def frames_analyzed(self, value: int) -> None:
-        self.timer.calls = value
-
-    @property
-    def total_elapsed(self) -> float:
-        return self.timer.elapsed
-
-    @total_elapsed.setter
-    def total_elapsed(self, value: float) -> None:
-        self.timer.elapsed = value
 
     def _fingerprint(self) -> bytes:
         """Stable digest of the template set + matcher configuration."""
@@ -307,8 +289,7 @@ class SemanticAnalyzer:
                         data, base,
                         tick=deadline.tick if deadline is not None else None)
                 result = self._analyze(instructions, nbytes=consumed,
-                                       deadline=deadline, scan=scan,
-                                       base=base)
+                                       deadline=deadline, scan=scan)
             except DeadlineExceeded:
                 self._deadline_trips.inc()
                 raise
@@ -330,13 +311,9 @@ class SemanticAnalyzer:
             result.elapsed = time.perf_counter() - start
             return result
 
-    def prepare(self, instructions: list[Instruction]) -> PreparedTrace:
-        """Expose trace preparation (for tests and ablations)."""
-        return prepare_trace(instructions)
-
     def _analyze(self, instructions: list[Instruction],
-                 nbytes: int = 0, deadline=None, scan=None,
-                 base: int = 0) -> AnalysisResult:
+                 nbytes: int = 0, deadline=None,
+                 scan=None) -> AnalysisResult:
         result = AnalysisResult(instruction_count=len(instructions))
         if len(instructions) < self.min_instructions:
             return result
@@ -357,7 +334,7 @@ class SemanticAnalyzer:
                 pruned_before = self.engine.starts_pruned
                 result.matches = self.engine.match_all(
                     self.templates, trace, prefilter=self.prefilter,
-                    scan=scan, base=base)
+                    scan=scan)
                 self._starts_pruned.inc(
                     self.engine.starts_pruned - pruned_before)
             else:

@@ -23,19 +23,18 @@ the practical cost.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.cfg import build_cfg, linearize
 from ..ir.dataflow import ConstEnv, propagate
 from ..ir.lift import lift
-from ..ir.ops import Stmt
+from ..ir.ops import Stmt, loc_mask
 from ..x86.instruction import Instruction
 from .matchplan import (
     CompiledOrdered,
     CompiledUnordered,
     TemplatePlan,
     compile_plan,
-    plan_data,
 )
 from .template import MatchContext, Template, TemplateMatch
 
@@ -44,56 +43,45 @@ __all__ = ["MatchEngine", "prepare_trace", "PreparedTrace"]
 
 @dataclass
 class PreparedTrace:
-    """Lifted + linearized + constant-annotated code, ready for matching."""
+    """Lifted + linearized + constant-annotated code, ready for matching.
+
+    ``kinds`` and ``def_masks`` are each statement's shape bits and
+    defined-location bits (:mod:`repro.ir.ops`), asked of the statement
+    once, here; ``present`` is the union of ``kinds`` — everything the
+    search, the gap trackers and the §4.3 pruning know about a
+    statement's class.
+    """
 
     instructions: list[Instruction]
     stmts: list[Stmt]
     envs: list[ConstEnv]
     pos_by_address: dict[int, int]
-    defs: list[frozenset[str]] = field(default_factory=list)
-    features: frozenset[str] = frozenset()
+    kinds: list[int]
+    def_masks: list[int]
+    present: int
 
     def __post_init__(self) -> None:
-        if not self.defs:
-            self.defs = [frozenset(s.defs()) for s in self.stmts]
-        if not self.features:
-            self.features = _trace_features(self.stmts)
-        self._feature_cum: dict[str, object] = {}
+        self._kinds_arr = None  # lazy ndarray of ``kinds``
+        self._kind_cum: dict[int, object] = {}
         self._anchor_cum: dict[frozenset[int], object] = {}
         self._spans = None  # lazy (k1, k2) post-prefix opcode key arrays
 
     def __len__(self) -> int:
         return len(self.stmts)
 
-    def feature_cum(self, feature: str):
-        """Prefix counts of one feature kind (lazily built), used to reject
-        start windows that cannot contain a required node kind."""
-        cum = self._feature_cum.get(feature)
+    def kind_cum(self, bit: int):
+        """Prefix counts of the statements of one kind (lazily built),
+        used to reject start windows that cannot contain a required node
+        kind."""
+        cum = self._kind_cum.get(bit)
         if cum is None:
-            from ..ir.ops import Assign, Branch, Interrupt, Load, Push, Store
-
-            def has(stmt: Stmt) -> bool:
-                if feature == "store":
-                    return isinstance(stmt, Store)
-                if feature == "load":
-                    return isinstance(stmt, Assign) and isinstance(stmt.src, Load)
-                if feature == "interrupt":
-                    return isinstance(stmt, Interrupt)
-                if feature == "push":
-                    return isinstance(stmt, Push)
-                if feature == "call":
-                    return isinstance(stmt, Branch) and stmt.kind == "call"
-                if feature == "branch":
-                    return isinstance(stmt, Branch)
-                return True
-
             import numpy as np
 
-            counts = [0]
-            for stmt in self.stmts:
-                counts.append(counts[-1] + (1 if has(stmt) else 0))
-            cum = np.asarray(counts, dtype=np.int64)
-            self._feature_cum[feature] = cum
+            if self._kinds_arr is None:
+                self._kinds_arr = np.asarray(self.kinds, dtype=np.int64)
+            cum = np.zeros(len(self.stmts) + 1, dtype=np.int64)
+            np.cumsum((self._kinds_arr & bit) != 0, out=cum[1:])
+            self._kind_cum[bit] = cum
         return cum
 
     def _opcode_keys(self):
@@ -137,7 +125,7 @@ class PreparedTrace:
         encoding able to lift to the clause's node, so a position whose
         instruction starts with none of them provably cannot satisfy it —
         which makes the cum a sound start-window filter, exactly like
-        :meth:`feature_cum`.  A clause carrying patterns too long for the
+        :meth:`kind_cum`.  A clause carrying patterns too long for the
         key form (``has_long``) counts every position: no pruning, still
         sound.  Cached by clause identity (``key``) since templates share
         clauses.
@@ -163,32 +151,6 @@ class PreparedTrace:
         return cum
 
 
-def _trace_features(stmts: list[Stmt]) -> frozenset[str]:
-    """Cheap one-pass feature scan backing the §4.3 pruning: a template
-    whose node kinds cannot possibly be satisfied here is skipped."""
-    from ..ir.ops import Assign, Branch, Interrupt, Load, Push, Store
-
-    features: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, Store):
-            features.add("store")
-        elif isinstance(stmt, Assign) and isinstance(stmt.src, Load):
-            features.add("load")
-        elif isinstance(stmt, Interrupt):
-            features.add("interrupt")
-        elif isinstance(stmt, Push):
-            features.add("push")
-        elif isinstance(stmt, Branch):
-            if stmt.kind == "call":
-                features.add("call")
-                features.add("branch")
-            else:
-                features.add("branch")
-        if len(features) == 6:
-            break
-    return frozenset(features)
-
-
 def prepare_trace(instructions: list[Instruction]) -> PreparedTrace:
     """Linearize, lift and annotate a decoded frame."""
     cfg = build_cfg(instructions)
@@ -196,13 +158,21 @@ def prepare_trace(instructions: list[Instruction]) -> PreparedTrace:
     stmts = lift(ordered)
     envs = propagate(stmts)
     pos_by_address: dict[int, int] = {}
+    kinds: list[int] = []
+    def_masks: list[int] = []
+    present = 0
     for i, stmt in enumerate(stmts):
         addr = stmt.address
         if addr >= 0 and addr not in pos_by_address:
             pos_by_address[addr] = i
+        k = stmt.kinds
+        kinds.append(k)
+        present |= k
+        def_masks.append(loc_mask(stmt.defs()))
     return PreparedTrace(
         instructions=ordered, stmts=stmts, envs=envs,
-        pos_by_address=pos_by_address,
+        pos_by_address=pos_by_address, kinds=kinds, def_masks=def_masks,
+        present=present,
     )
 
 
@@ -249,28 +219,34 @@ class MatchEngine:
     # -- public API --------------------------------------------------------
 
     def match(self, template: Template, trace: PreparedTrace,
-              clause_hits=None, base: int = 0) -> TemplateMatch | None:
+              clause_hits=None) -> TemplateMatch | None:
         """First match of ``template`` in ``trace``, or ``None``.
 
         ``clause_hits`` is optional fast-path anchor information for this
         template (``CompiledPrefilter.clause_hits``): per necessary-
         condition clause, the post-prefix opcode keys of every producing
         instruction encoding.  Start windows containing no instruction
-        able to produce some clause are rejected the same way the feature
+        able to produce some clause are rejected the same way the kind
         cums reject them — a pure pruning that cannot change the outcome.
         """
         n = len(trace)
         if n == 0 or not template.nodes:
             return None
-        if not template.required_features <= trace.features:
+        plan = self.plan_for(template)
+        required = plan.required
+        if required & ~trace.present:
             return None  # §4.3 pruning: a required instruction kind is absent
         budget = [self.max_candidates]
 
         # Window filter: a match starting at `start` spans at most
         # `span` statements, so every required node kind must occur inside
-        # [start, start+span) — rejecting sled/junk starts in O(#features).
-        span = self._max_span(template)
-        cums = [(trace.feature_cum(f)) for f in template.required_features]
+        # [start, start+span) — rejecting sled/junk starts in O(#kinds).
+        span = plan.max_span
+        cums = []
+        while required:
+            bit = required & -required
+            cums.append(trace.kind_cum(bit))
+            required ^= bit
         anchor_cums = ([trace.anchor_cum(ids, ones, twos, has_long)
                         for ids, ones, twos, has_long in clause_hits]
                        if clause_hits else [])
@@ -279,7 +255,7 @@ class MatchEngine:
         # a per-start Python loop: only the surviving candidates reach the
         # backtracking search.  The two filter stages are kept separate so
         # ``starts_pruned`` counts exactly the windows the anchors reject
-        # on top of the feature rejection.
+        # on top of the kind rejection.
         import numpy as np
 
         starts_arr = np.arange(n, dtype=np.int64)
@@ -306,13 +282,12 @@ class MatchEngine:
         shared ``budget``: the template's compiled plan
         (:mod:`repro.core.matchplan`) run at each start."""
         plan = self.plan_for(template)
-        kinds, def_masks, fam_bit = plan_data(trace)
         ctx = MatchContext(
             trace=trace.stmts, envs=trace.envs,
             pos_by_address=trace.pos_by_address, first_pos=-1,
         )
         cls = CompiledOrdered if plan.ordered else CompiledUnordered
-        executor = cls(plan, trace, kinds, def_masks, fam_bit, ctx, budget)
+        executor = cls(plan, trace, ctx, budget)
         for start in starts:
             result = executor.run(start)
             if result is not None:
@@ -321,17 +296,8 @@ class MatchEngine:
                 break
         return None
 
-    @staticmethod
-    def _max_span(template: Template) -> int:
-        """Upper bound on the trace distance a match can cover from its
-        first matched node."""
-        total_nodes = sum(template.repeats.get(i, (1, 1))[1]
-                          for i in range(len(template.nodes)))
-        return (template.max_gap + 1) * total_nodes + 1
-
     def match_all(self, templates: list[Template], trace: PreparedTrace,
-                  prefilter=None, scan=None,
-                  base: int = 0) -> list[TemplateMatch]:
+                  prefilter=None, scan=None) -> list[TemplateMatch]:
         """Match every template; returns all hits (one match per template).
 
         With a fast-path ``prefilter`` (:class:`repro.fastpath.
@@ -347,8 +313,7 @@ class MatchEngine:
                     self.starts_pruned += len(trace)
                     continue
                 clause_hits = prefilter.clause_hits(template.name, scan)
-            m = self.match(template, trace, clause_hits=clause_hits,
-                           base=base)
+            m = self.match(template, trace, clause_hits=clause_hits)
             if m is not None:
                 out.append(m)
         return out

@@ -12,8 +12,8 @@ all of that to compile time:
 - per-node *admission bitsets* over statement kinds, so the executor
   consults ``node.match`` only for statements whose IR shape could
   possibly satisfy the node;
-- register families interned to bits, so def-use gap checks are integer
-  mask operations against a per-trace ``def_masks`` array.
+- def-use gap checks as integer mask operations against the trace's
+  ``def_masks`` (one fixed bit per location, :data:`repro.ir.ops.LOC_BIT`).
 
 The plan executors (:class:`CompiledOrdered` / :class:`CompiledUnordered`)
 mirror the interpreted search *exactly*: same visit order, same
@@ -24,138 +24,28 @@ must return ``None``, a gap check over an empty live set), so the two
 engines return identical matches and consume identical budget — the
 property the compiled-vs-interpreted differential suite pins.
 
-Per-trace arrays (statement kind masks, def masks, the family→bit
-interner) are built once per :class:`~repro.core.matcher.PreparedTrace`
-and cached on it, shared by every template's plan.
+Nothing here classifies a statement or a node: the per-trace ``kinds``
+and ``def_masks`` come from :func:`~repro.core.matcher.prepare_trace`
+(each ``Stmt`` class states its own), and a node's admission mask and
+§4.3 need are class attributes of the node (``Node.admits`` /
+``Node.needs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.ops import (
-    Assign,
-    BinOp,
-    Branch,
-    Interrupt,
-    Load,
-    Pop,
-    Push,
-    Reg,
-    Store,
-    UnOp,
-)
-from .template import MatchContext, Template, TemplateMatch
+from ..ir.ops import K_POP, K_PUSH, LOC_BIT, Reg
+from .template import LoopBack, Template, TemplateMatch
 
 __all__ = [
     "TemplatePlan",
     "compile_plan",
-    "plan_data",
     "CompiledOrdered",
     "CompiledUnordered",
 ]
 
-# -- statement kind bits -----------------------------------------------------
-# One bit per IR statement shape a node's ``match`` type-checks against.
-# ``plan_data`` classifies every trace statement once; each node gets the
-# union of bits its match method could accept (a sound over-approximation:
-# a statement outside the mask provably fails the node's isinstance
-# checks, so skipping the call cannot change the search).
-
-K_STORE = 1        # Store
-K_LOAD = 2         # Assign whose src is a Load
-K_ASSIGN = 4       # any Assign
-K_JUMP = 8         # Branch in the jmp/jcc/loop family with a known target
-K_CALL_IND = 16    # Branch kind "call" with no known target
-K_PUSH = 32        # Push
-K_INT = 64         # Interrupt
-K_A_BINOP = 128    # Assign whose src is a BinOp
-K_A_UNOP = 256     # Assign whose src is a UnOp
-K_A_REG = 512      # Assign whose src is a plain Reg
-K_POP = 1024       # Pop (gap-tracker bookkeeping, not node admission)
-K_ALL = 2047
 K_PUSHPOP = K_PUSH | K_POP
-
-_LOOP_KINDS = ("jmp", "jcc", "loop", "loope", "loopne", "jecxz")
-
-#: node class name -> admission mask.  Unknown node classes admit every
-#: statement (sound default: the executor just calls ``match`` as the
-#: interpreted search would).
-_NODE_ADMITS: dict[str, int] = {
-    "MemRmw": K_STORE,
-    "LoadFrom": K_LOAD,
-    "StoreTo": K_STORE,
-    "PointerStep": K_A_BINOP,
-    "RegCompute": K_A_BINOP | K_A_UNOP,
-    "RegFromEsp": K_A_REG | K_A_BINOP,
-    "LoopBack": K_JUMP,
-    "Syscall": K_INT,
-    "ConstBytesWrite": K_PUSH | K_STORE,
-    "ConstCapture": K_PUSH | K_STORE,
-    "PushValue": K_PUSH,
-    "IndirectCall": K_CALL_IND,
-}
-
-
-def plan_data(trace):
-    """Per-trace execution arrays: ``(kind_masks, def_masks, fam_bit)``.
-
-    Built lazily and cached on the trace; shared by every compiled plan.
-    ``fam_bit`` interns register family names to single-bit
-    integers consistently across def masks and liveness masks.
-    """
-    data = getattr(trace, "_plan_data", None)
-    if data is not None:
-        return data
-    bits: dict[str, int] = {}
-
-    def fam_bit(family: str) -> int:
-        bit = bits.get(family)
-        if bit is None:
-            bit = 1 << len(bits)
-            bits[family] = bit
-        return bit
-
-    kinds = []
-    for stmt in trace.stmts:
-        if isinstance(stmt, Store):
-            k = K_STORE
-        elif isinstance(stmt, Assign):
-            k = K_ASSIGN
-            src = stmt.src
-            if isinstance(src, Load):
-                k |= K_LOAD
-            elif isinstance(src, BinOp):
-                k |= K_A_BINOP
-            elif isinstance(src, UnOp):
-                k |= K_A_UNOP
-            elif isinstance(src, Reg):
-                k |= K_A_REG
-        elif isinstance(stmt, Branch):
-            if stmt.kind == "call":
-                k = K_CALL_IND if stmt.target is None else 0
-            elif stmt.kind in _LOOP_KINDS and stmt.target is not None:
-                k = K_JUMP
-            else:
-                k = 0
-        elif isinstance(stmt, Push):
-            k = K_PUSH
-        elif isinstance(stmt, Pop):
-            k = K_POP
-        elif isinstance(stmt, Interrupt):
-            k = K_INT
-        else:
-            k = 0
-        kinds.append(k)
-    def_masks = []
-    for defs in trace.defs:
-        m = 0
-        for fam in defs:
-            m |= fam_bit(fam)
-        def_masks.append(m)
-    data = (kinds, def_masks, fam_bit)
-    trace._plan_data = data
-    return data
 
 
 @dataclass(frozen=True)
@@ -192,12 +82,16 @@ class TemplatePlan:
     union_admit: int  # union of admits over order_free
     #: per remaining-loopback suffix: (vars union, horizon)
     lb_suffix: tuple[tuple[frozenset[str], int], ...]
+    #: §4.3 pruning: kinds a trace (and a start window) must contain —
+    #: the ``needs`` of the nodes whose minimum repeat is >= 1
+    required: int
+    #: upper bound on the trace distance a match covers from its first
+    #: matched node (the start window's width)
+    max_span: int
 
 
 def compile_plan(template: Template) -> TemplatePlan:
     """Compile one template into a :class:`TemplatePlan`."""
-    from .template import LoopBack
-
     nodes = tuple(template.nodes)
     n = len(nodes)
     min_reps = tuple(template.repeats.get(i, (1, 1))[0] for i in range(n))
@@ -207,17 +101,15 @@ def compile_plan(template: Template) -> TemplatePlan:
     for i, vars_ in enumerate(node_vars):
         for var in vars_:
             last_use[var] = i
-    admits = tuple(_NODE_ADMITS.get(type(node).__name__, K_ALL)
-                   for node in nodes)
+    admits = tuple(node.admits for node in nodes)
     suffix_vars: list[frozenset[str]] = [frozenset()] * n
     acc: frozenset[str] = frozenset()
     for i in range(n - 1, -1, -1):
         acc = acc | node_vars[i]
         suffix_vars[i] = acc
-    order_free = tuple(i for i in range(n)
-                       if not isinstance(nodes[i], LoopBack))
-    required_free = tuple(i for i in order_free if min_reps[i] >= 1)
     loopbacks = tuple(i for i in range(n) if isinstance(nodes[i], LoopBack))
+    order_free = tuple(i for i in range(n) if i not in loopbacks)
+    required_free = tuple(i for i in order_free if min_reps[i] >= 1)
     union_admit = 0
     for i in order_free:
         if max_reps[i] > 0:
@@ -244,65 +136,60 @@ def compile_plan(template: Template) -> TemplatePlan:
         fast_admit=fast_admit, order_free=order_free,
         required_free=required_free, loopbacks=loopbacks,
         union_admit=union_admit, lb_suffix=tuple(lb_suffix),
+        required=template.required_kinds(),
+        max_span=(template.max_gap + 1) * sum(max_reps) + 1,
     )
 
 
 class _MaskTracker:
-    """Def-use gap tracker over family bit masks.
+    """Def-use gap tracker over location bit masks.
 
-    Mask translation of :class:`repro.core.matcher._GapTracker`: same
-    push/pop save-restore forgiveness, integer masks instead of frozenset
+    Mask translation of the oracle's ``_GapTracker``: same push/pop
+    save-restore forgiveness, integer masks instead of frozenset
     intersections.  Only instantiated for a non-empty live mask — with
-    nothing live the original tracker can never fail or save.
+    nothing live the original tracker can never fail or save.  The
+    executors inline the check for every other statement
+    (``def_mask & live & ~saved_mask``) and call :meth:`push_pop` for
+    these two.
     """
 
-    __slots__ = ("live", "fb", "depth", "saved", "saved_mask")
+    __slots__ = ("live", "depth", "saved", "saved_mask")
 
-    def __init__(self, live_mask: int, fam_bit) -> None:
+    def __init__(self, live_mask: int) -> None:
         self.live = live_mask
-        self.fb = fam_bit
         self.depth = 0
         self.saved: dict[str, int] = {}
         self.saved_mask = 0
 
-    def clean_at_match(self) -> bool:
-        return not (self.saved_mask & self.live)
-
-    def step(self, stmt, def_mask: int) -> bool:
-        if isinstance(stmt, Push):
+    def push_pop(self, stmt, kinds: int) -> bool:
+        if kinds & K_PUSH:
             src = stmt.src
             if isinstance(src, Reg):
                 family = src.family
-                bit = self.fb(family)
+                bit = LOC_BIT[family]
                 if (bit & self.live) and family not in self.saved:
                     self.saved[family] = self.depth
                     self.saved_mask |= bit
             self.depth += 1
             return True
-        if isinstance(stmt, Pop):
-            self.depth -= 1
-            family = stmt.dst
-            if self.saved.get(family) == self.depth:
-                del self.saved[family]
-                self.saved_mask &= ~self.fb(family)
-                return True
-            if family not in self.saved and (self.fb(family) & self.live):
-                return False
+        self.depth -= 1
+        family = stmt.dst
+        if self.saved.get(family) == self.depth:
+            del self.saved[family]
+            self.saved_mask &= ~LOC_BIT[family]
             return True
-        return not (def_mask & self.live & ~self.saved_mask)
+        return family in self.saved or not (LOC_BIT[family] & self.live)
 
 
 class _CompiledBase:
-    __slots__ = ("p", "stmts", "envs", "defm", "kinds", "fb", "ctx",
-                 "budget", "n")
+    __slots__ = ("p", "stmts", "envs", "defm", "kinds", "ctx", "budget", "n")
 
-    def __init__(self, plan, trace, kinds, def_masks, fam_bit, ctx, budget):
+    def __init__(self, plan, trace, ctx, budget):
         self.p = plan
         self.stmts = trace.stmts
         self.envs = trace.envs
-        self.defm = def_masks
-        self.kinds = kinds
-        self.fb = fam_bit
+        self.defm = trace.def_masks
+        self.kinds = trace.kinds
         self.ctx = ctx
         self.budget = budget
         self.n = len(trace.stmts)
@@ -341,14 +228,11 @@ class CompiledOrdered(_CompiledBase):
         if not bindings:
             return 0
         suffix = self.p.suffix_vars[node_idx]
-        fb = self.fb
         out = 0
         for var, val in bindings.items():
             tag = val[0]
-            if tag == "symconst":
-                out |= fb(val[1])
-            elif tag == "reg" and var in suffix:
-                out |= fb(val[1])
+            if tag == "symconst" or (tag == "reg" and var in suffix):
+                out |= LOC_BIT[val[1]]
         return out
 
     def _rec(self, node_idx, pos, bindings, matched, repeat_count):
@@ -370,7 +254,7 @@ class CompiledOrdered(_CompiledBase):
             if limit > n:
                 limit = n
             live = self._live_mask(bindings, node_idx)
-            tracker = _MaskTracker(live, self.fb) if live else None
+            tracker = _MaskTracker(live) if live else None
         else:
             limit = pos + 1 if pos < n else n
             tracker = None
@@ -401,9 +285,8 @@ class CompiledOrdered(_CompiledBase):
                     matched.pop()
                     ctx.first_pos = old_first
             if tracker is not None and matched:
-                # Inline of _MaskTracker.step for non-push/pop statements.
                 if k & K_PUSHPOP:
-                    if not tracker.step(stmts[scan], defm[scan]):
+                    if not tracker.push_pop(stmts[scan], k):
                         return None
                 elif defm[scan] & tracker.live & ~tracker.saved_mask:
                     return None
@@ -416,8 +299,8 @@ class CompiledUnordered(_CompiledBase):
 
     __slots__ = ("deficit", "_unsat")
 
-    def __init__(self, plan, trace, kinds, def_masks, fam_bit, ctx, budget):
-        super().__init__(plan, trace, kinds, def_masks, fam_bit, ctx, budget)
+    def __init__(self, plan, trace, ctx, budget):
+        super().__init__(plan, trace, ctx, budget)
         self.deficit = 0
         self._unsat: list[int] = []
 
@@ -446,7 +329,6 @@ class CompiledUnordered(_CompiledBase):
         if unsat:
             horizon = unsat[-1]
             node_vars = p.node_vars
-            fb = self.fb
             last_use = p.last_use
             out = 0
             for var, val in bindings.items():
@@ -459,7 +341,7 @@ class CompiledUnordered(_CompiledBase):
                         needed = True
                         break
                 if needed or (tag == "symconst" and last_use[var] <= horizon):
-                    out |= fb(val[1])
+                    out |= LOC_BIT[val[1]]
             return out
         if not p.loopbacks:
             return 0
@@ -467,7 +349,6 @@ class CompiledUnordered(_CompiledBase):
         return self._suffix_live(bindings, union, horizon)
 
     def _suffix_live(self, bindings, union, horizon) -> int:
-        fb = self.fb
         last_use = self.p.last_use
         out = 0
         for var, val in bindings.items():
@@ -476,7 +357,7 @@ class CompiledUnordered(_CompiledBase):
                 continue
             if var in union or (tag == "symconst"
                                 and last_use[var] <= horizon):
-                out |= fb(val[1])
+                out |= LOC_BIT[val[1]]
         return out
 
     def _rec(self, counts, pos, bindings, matched):
@@ -494,7 +375,7 @@ class CompiledUnordered(_CompiledBase):
             if limit > n:
                 limit = n
             live = self._live_mask(bindings, counts)
-            tracker = _MaskTracker(live, self.fb) if live else None
+            tracker = _MaskTracker(live) if live else None
         else:
             limit = pos + 1 if pos < n else n
             tracker = None
@@ -537,9 +418,8 @@ class CompiledUnordered(_CompiledBase):
                     matched.pop()
                     ctx.first_pos = old_first
             if tracker is not None and matched:
-                # Inline of _MaskTracker.step for non-push/pop statements.
                 if k & K_PUSHPOP:
-                    if not tracker.step(stmts[scan], defm[scan]):
+                    if not tracker.push_pop(stmts[scan], k):
                         return None
                 elif defm[scan] & tracker.live & ~tracker.saved_mask:
                     return None
@@ -559,7 +439,7 @@ class CompiledUnordered(_CompiledBase):
             limit = n
         union, horizon = p.lb_suffix[lb_i]
         live = self._suffix_live(bindings, union, horizon)
-        tracker = _MaskTracker(live, self.fb) if live else None
+        tracker = _MaskTracker(live) if live else None
         budget = self.budget
         stmts, envs, kinds, defm, ctx = (self.stmts, self.envs, self.kinds,
                                          self.defm, self.ctx)
@@ -581,9 +461,8 @@ class CompiledUnordered(_CompiledBase):
                     if result is not None:
                         return result
             if tracker is not None:
-                # Inline of _MaskTracker.step for non-push/pop statements.
                 if k & K_PUSHPOP:
-                    if not tracker.step(stmts[scan], defm[scan]):
+                    if not tracker.push_pop(stmts[scan], k):
                         return None
                 elif defm[scan] & tracker.live & ~tracker.saved_mask:
                     return None

@@ -30,20 +30,29 @@ from typing import Callable, Sequence
 from ..digest import sha1
 from ..ir.dataflow import ConstEnv
 from ..ir.ops import (
+    K_A_BINOP,
+    K_A_REG,
+    K_A_UNOP,
+    K_ALL,
+    K_BRANCH,
+    K_CALL,
+    K_CALL_IND,
+    K_INT,
+    K_JUMP,
+    K_LOAD,
+    K_PUSH,
+    K_STORE,
     Assign,
     BinOp,
-    Branch,
     Const,
     Expr,
     Interrupt,
     Load,
     MemRef,
-    Pop,
     Push,
     Reg,
     Stmt,
     Store,
-    StringWrite,
     UnOp,
 )
 
@@ -100,26 +109,38 @@ def _mem_base_reg(mem: MemRef) -> str | None:
     return _reg_of(mem.base) if mem.base is not None else None
 
 
-# Trace features each node type needs to be satisfiable at all; used by
-# the matcher's pre-filter (the paper's §4.3 instruction pruning).
-_NODE_FEATURES: dict[str, tuple[str, ...]] = {
-    "MemRmw": ("store",),
-    "LoadFrom": ("load",),
-    "StoreTo": ("store",),
-    "PointerStep": (),
-    "LoopBack": ("branch",),
-    "Syscall": ("interrupt",),
-    "ConstBytesWrite": (),
-    "RegFromEsp": (),
-    "PushValue": ("push",),
-    "IndirectCall": ("call",),
-    "ConstCapture": (),
-    "RegCompute": (),
-}
+def _written_const(stmt: Stmt, env: ConstEnv) -> int | None:
+    """The constant a ``Push`` or ``Store`` writes, when it resolves."""
+    if not isinstance(stmt, (Push, Store)):
+        return None
+    resolved = _resolve(stmt.src, env)
+    if resolved is None or resolved[0] != "const":
+        return None
+    return int(resolved[1])
+
+
+def _width(size: int | None, unset: str = "") -> str:
+    """An access width as ``describe()`` spells it (``unset`` for any)."""
+    if size is None:
+        return unset
+    return {1: "byte", 2: "word", 4: "dword"}.get(size, f"{size}B")
 
 
 class Node:
-    """Base template node."""
+    """Base template node.
+
+    Beside ``match``, a node class declares the two facts about it that
+    the search hoists out of the loop, ``admits`` and ``needs`` — both in
+    the statement kind bits of :mod:`repro.ir.ops`, both inherited (a
+    subclass that widens ``match`` restates them).
+    """
+
+    #: kinds ``match`` can accept: the executors only call ``match`` on a
+    #: statement whose kinds intersect it.  The base admits everything.
+    admits = K_ALL
+    #: the one kind a trace must contain for ``match`` to succeed anywhere
+    #: (§4.3 pruning), or 0 where no single kind is necessary.
+    needs = 0
 
     #: variables this node can bind (used for def-use liveness analysis)
     def variables(self) -> set[str]:
@@ -148,6 +169,7 @@ class MemRmw(Node):
     addr: str = "PTR"
     key: str = "KEY"
     size: int | None = 1  # None = any access width
+    admits = needs = K_STORE
 
     def variables(self) -> set[str]:
         return {self.addr, self.key}
@@ -189,8 +211,8 @@ class MemRmw(Node):
 
     def describe(self) -> str:
         ops = "/".join(sorted(self.ops))
-        width = {1: "byte", 2: "word", 4: "dword", None: "any"}[self.size]
-        return f"mem{width}[{self.addr}] := mem[{self.addr}] {ops} {self.key}"
+        return (f"mem{_width(self.size, 'any')}[{self.addr}] := "
+                f"mem[{self.addr}] {ops} {self.key}")
 
 
 @dataclass
@@ -200,6 +222,7 @@ class LoadFrom(Node):
     dst: str = "R"
     addr: str = "PTR"
     size: int | None = None
+    admits = needs = K_LOAD
 
     def variables(self) -> set[str]:
         return {self.dst, self.addr}
@@ -218,7 +241,7 @@ class LoadFrom(Node):
         return bind(b, self.dst, ("reg", stmt.dst))
 
     def describe(self) -> str:
-        return f"{self.dst} := mem[{self.addr}]"
+        return f"{self.dst} := mem{_width(self.size)}[{self.addr}]"
 
 
 @dataclass
@@ -230,6 +253,7 @@ class RegCompute(Node):
     reg: str = "R"
     ops: frozenset[str] = frozenset({"xor", "or", "and", "add", "sub", "not",
                                      "neg", "rol", "ror", "shl", "shr"})
+    admits = K_A_BINOP | K_A_UNOP
 
     def variables(self) -> set[str]:
         return {self.reg}
@@ -267,6 +291,7 @@ class StoreTo(Node):
     addr: str = "PTR"
     src: str = "R"
     size: int | None = None
+    admits = needs = K_STORE
 
     def variables(self) -> set[str]:
         return {self.addr, self.src}
@@ -288,7 +313,7 @@ class StoreTo(Node):
         return bind(b, self.src, ("reg", src_reg))
 
     def describe(self) -> str:
-        return f"mem[{self.addr}] := {self.src}"
+        return f"mem{_width(self.size)}[{self.addr}] := {self.src}"
 
 
 @dataclass
@@ -297,6 +322,7 @@ class PointerStep(Node):
 
     var: str = "PTR"
     max_step: int = 8
+    admits = K_A_BINOP
 
     def variables(self) -> set[str]:
         return {self.var}
@@ -326,14 +352,14 @@ class PointerStep(Node):
 @dataclass
 class LoopBack(Node):
     """A control transfer back to (at or before) the first matched node —
-    the loop that makes a decoder a decoder."""
+    the loop that makes a decoder a decoder.  In an unordered template
+    it matches last."""
+
+    admits = K_JUMP
+    needs = K_BRANCH
 
     def match(self, stmt, env, bindings, ctx):
-        if not isinstance(stmt, Branch):
-            return None
-        if stmt.kind not in ("jmp", "jcc", "loop", "loope", "loopne", "jecxz"):
-            return None
-        if stmt.target is None:
+        if not stmt.kinds & K_JUMP:
             return None
         pos = ctx.pos_by_address.get(stmt.target)
         if pos is None or ctx.first_pos < 0:
@@ -351,6 +377,7 @@ class Syscall(Node):
 
     vector: int = 0x80
     regs: dict[str, int] = field(default_factory=dict)  # family -> value
+    admits = needs = K_INT
 
     def match(self, stmt, env, bindings, ctx):
         if not isinstance(stmt, Interrupt) or stmt.vector != self.vector:
@@ -371,17 +398,10 @@ class ConstBytesWrite(Node):
     or stored — how shellcode builds strings like ``/bin//sh`` in memory."""
 
     contains: bytes = b"/bin"
+    admits = K_PUSH | K_STORE  # either will do, so neither is needed
 
     def match(self, stmt, env, bindings, ctx):
-        value: int | None = None
-        if isinstance(stmt, Push):
-            resolved = _resolve(stmt.src, env)
-            if resolved is not None and resolved[0] == "const":
-                value = int(resolved[1])
-        elif isinstance(stmt, Store):
-            resolved = _resolve(stmt.src, env)
-            if resolved is not None and resolved[0] == "const":
-                value = int(resolved[1])
+        value = _written_const(stmt, env)
         if value is None:
             return None
         raw = value.to_bytes(4, "little")
@@ -398,6 +418,7 @@ class RegFromEsp(Node):
 
     dst: str | None = None  # fixed family, or None to bind var "ARG"
     var: str = "ARG"
+    admits = K_A_REG | K_A_BINOP
 
     def variables(self) -> set[str]:
         return set() if self.dst else {self.var}
@@ -431,14 +452,14 @@ class PushValue(Node):
 
     predicate: Callable[[int], bool] = lambda v: True
     label: str = "constant"
+    admits = needs = K_PUSH
 
     def match(self, stmt, env, bindings, ctx):
         if not isinstance(stmt, Push):
             return None
-        resolved = _resolve(stmt.src, env)
-        if resolved is None or resolved[0] != "const":
-            return None
-        return bindings if self.predicate(int(resolved[1])) else None
+        value = _written_const(stmt, env)
+        return (bindings if value is not None and self.predicate(value)
+                else None)
 
     def describe(self) -> str:
         return f"push {self.label}"
@@ -453,23 +474,14 @@ class ConstCapture(Node):
     var: str = "VALUE"
     predicate: Callable[[int], bool] = lambda v: True
     label: str = "captured constant"
+    admits = K_PUSH | K_STORE
 
     def variables(self) -> set[str]:
         return {self.var}
 
     def match(self, stmt, env, bindings, ctx):
-        expr = None
-        if isinstance(stmt, Push):
-            expr = stmt.src
-        elif isinstance(stmt, Store):
-            expr = stmt.src
-        if expr is None:
-            return None
-        resolved = _resolve(expr, env)
-        if resolved is None or resolved[0] != "const":
-            return None
-        value = int(resolved[1])
-        if not self.predicate(value):
+        value = _written_const(stmt, env)
+        if value is None or not self.predicate(value):
             return None
         return bind(bindings, self.var, ("const", value))
 
@@ -481,13 +493,19 @@ class ConstCapture(Node):
 class IndirectCall(Node):
     """``call r/m`` — transfer through a register or memory pointer."""
 
+    admits = K_CALL_IND
+    needs = K_CALL
+
     def match(self, stmt, env, bindings, ctx):
-        if not isinstance(stmt, Branch) or stmt.kind != "call":
-            return None
-        return bindings if stmt.target is None else None
+        return bindings if stmt.kinds & K_CALL_IND else None
 
     def describe(self) -> str:
         return "indirect call"
+
+
+#: how ``Template.fingerprint()`` has always spelled the ``needs`` kinds
+_FEATURE_NAMES = {K_STORE: "store", K_LOAD: "load", K_INT: "interrupt",
+                  K_PUSH: "push", K_CALL: "call", K_BRANCH: "branch"}
 
 
 @dataclass
@@ -500,12 +518,12 @@ class Template:
     :class:`LoopBack` node always matches last.  ``repeats`` maps node index
     to (min, max) occurrence counts.
 
-    ``required_features`` implements the paper's §4.3 pruning ("we prune
+    :meth:`required_kinds` implements the paper's §4.3 pruning ("we prune
     the code to include only the instructions we are interested in"): the
-    matcher computes a cheap feature set per trace and skips any template
-    whose requirements the trace cannot satisfy — the common case on
-    benign frames.  Features are derived automatically from the node
-    types when not given explicitly.
+    matcher skips any template one of whose kinds the trace — or the
+    window a match could span — does not contain, the common case on
+    benign frames.  It is derived from the nodes; ``required_features``
+    spells it in words.
 
     ``always_scan`` opts the template out of the fast-path byte prefilter
     (:mod:`repro.fastpath.anchors`): frames are always fully analyzed
@@ -522,16 +540,22 @@ class Template:
     max_gap: int = 32
     ordered: bool = True
     repeats: dict[int, tuple[int, int]] = field(default_factory=dict)
-    required_features: frozenset[str] = frozenset()
     always_scan: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.required_features:
-            self.required_features = frozenset(
-                feature
-                for node in self.nodes
-                for feature in _NODE_FEATURES.get(type(node).__name__, ())
-            )
+    def required_kinds(self) -> int:
+        """Statement kinds a matching trace must contain: the ``needs`` of
+        every node that has to match at least once."""
+        mask = 0
+        for i, node in enumerate(self.nodes):
+            if self.repeats.get(i, (1, 1))[0] >= 1:
+                mask |= node.needs
+        return mask
+
+    @property
+    def required_features(self) -> frozenset[str]:
+        mask = self.required_kinds()
+        return frozenset(name for bit, name in _FEATURE_NAMES.items()
+                         if mask & bit)
 
     def variables(self) -> set[str]:
         out: set[str] = set()

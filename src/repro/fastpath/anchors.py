@@ -393,11 +393,12 @@ class CompiledPrefilter:
         self.scan_set = VectorScanSet(self.patterns)
         self.always_scan = {a.template_name for a in self.anchors
                             if a.always_scan}
-        #: templates whose anchor clauses include a required LoopBack —
-        #: additionally gated by the positional in-frame-target screen.
+        #: templates with a required LoopBack clause — the relative-branch
+        #: producer set, however the node class is named — additionally
+        #: gated by the positional in-frame-target screen.
         self.loopback_gated = {
             a.template_name for a in self.anchors
-            if any(c.label == "LoopBack" for c in a.clauses)}
+            if any(c.patterns == _LOOPBACK_PRODUCERS for c in a.clauses)}
         # Start-pruning form of each clause: the pattern bytes as integer
         # keys matchable against a decoded instruction's post-prefix
         # leading bytes (see anchor_cum).  A three-byte pattern (0F-map

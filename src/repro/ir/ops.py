@@ -19,8 +19,49 @@ __all__ = [
     "Expr", "Const", "Reg", "Load", "BinOp", "UnOp", "UnknownExpr",
     "MemRef", "Stmt", "Assign", "Store", "Exchange", "Push", "Pop",
     "Compare", "Branch", "Interrupt", "StringWrite", "Nop", "Unhandled",
-    "mask_for",
+    "mask_for", "JUMP_KINDS", "LOC_BIT", "loc_mask",
+    "K_STORE", "K_LOAD", "K_ASSIGN", "K_JUMP", "K_CALL_IND", "K_PUSH",
+    "K_INT", "K_A_BINOP", "K_A_UNOP", "K_A_REG", "K_POP", "K_BRANCH",
+    "K_CALL", "K_OTHER", "K_ALL",
 ]
+
+# -- statement kind bits -----------------------------------------------------
+# What shape a statement is, decided where the shape is defined: every
+# ``Stmt`` reports its bits as ``kinds`` and ``prepare_trace`` asks once
+# per statement.  A template node's admission mask and its §4.3 need
+# are spelled in these bits (:mod:`repro.core.template`).
+
+K_STORE = 1        # Store
+K_LOAD = 2         # Assign whose src is a Load
+K_ASSIGN = 4       # any Assign
+K_JUMP = 8         # Branch in the jmp/jcc/loop family with a known target
+K_CALL_IND = 16    # Branch kind "call" with no known target
+K_PUSH = 32        # Push
+K_INT = 64         # Interrupt
+K_A_BINOP = 128    # Assign whose src is a BinOp
+K_A_UNOP = 256     # Assign whose src is a UnOp
+K_A_REG = 512      # Assign whose src is a plain Reg
+K_POP = 1024       # Pop (gap-tracker bookkeeping, not node admission)
+K_BRANCH = 2048    # any Branch  } the two coarse kinds the §4.3
+K_CALL = 4096      # any call    } pruning asks about
+K_OTHER = 8192     # none of the above (Compare, Nop, Unhandled, ...)
+K_ALL = 16383
+
+#: Branch kinds that jump (as opposed to ``call`` / ``ret``).
+JUMP_KINDS = ("jmp", "jcc", "loop", "loope", "loopne", "jecxz")
+
+#: Every location a statement can define — the eight register families
+#: and the two pseudo-locations — as one bit each.
+LOC_BIT = {name: 1 << i for i, name in enumerate(
+    ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "mem", "eflags"))}
+
+
+def loc_mask(locations) -> int:
+    """Bit mask of a ``defs()`` / ``uses()`` set."""
+    mask = 0
+    for name in locations:
+        mask |= LOC_BIT[name]
+    return mask
 
 
 def mask_for(size: int) -> int:
@@ -34,6 +75,9 @@ def mask_for(size: int) -> int:
 
 class Expr:
     """Base class for IR expressions."""
+
+    #: kind bits an ``Assign`` gains from having this as its source
+    as_source = 0
 
     def regs(self) -> set[str]:
         """Register families read by this expression."""
@@ -61,6 +105,7 @@ class Reg(Expr):
 
     family: str
     size: int = 4
+    as_source = K_A_REG
 
     def regs(self) -> set[str]:
         return {self.family}
@@ -103,6 +148,7 @@ class Load(Expr):
     """Read of a memory location."""
 
     mem: MemRef
+    as_source = K_LOAD
 
     def regs(self) -> set[str]:
         return self.mem.regs()
@@ -119,6 +165,7 @@ class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
+    as_source = K_A_BINOP
 
     def regs(self) -> set[str]:
         return self.lhs.regs() | self.rhs.regs()
@@ -133,6 +180,7 @@ class UnOp(Expr):
 
     op: str
     operand: Expr
+    as_source = K_A_UNOP
 
     def regs(self) -> set[str]:
         return self.operand.regs()
@@ -162,6 +210,8 @@ class Stmt:
     pseudo-locations ``"mem"`` and ``"eflags"``."""
 
     ins: Instruction | None = field(default=None, kw_only=True)
+    #: the ``K_*`` bits describing this statement's shape
+    kinds = K_OTHER
 
     @property
     def address(self) -> int:
@@ -186,6 +236,10 @@ class Assign(Stmt):
     src: Expr
     high: bool = False
 
+    @property
+    def kinds(self) -> int:
+        return K_ASSIGN | self.src.as_source
+
     def defs(self) -> set[str]:
         return {self.dst, "eflags"}  # conservatively: most ALU writes flags
 
@@ -203,6 +257,7 @@ class Store(Stmt):
 
     mem: MemRef
     src: Expr
+    kinds = K_STORE
 
     def defs(self) -> set[str]:
         return {"mem", "eflags"}
@@ -237,6 +292,7 @@ class Push(Stmt):
     """Push a value; decrements esp by 4 and stores."""
 
     src: Expr
+    kinds = K_PUSH
 
     def defs(self) -> set[str]:
         return {"esp", "mem"}
@@ -254,6 +310,7 @@ class Pop(Stmt):
 
     dst: str
     size: int = 4
+    kinds = K_POP
 
     def defs(self) -> set[str]:
         return {self.dst, "esp"}
@@ -297,6 +354,15 @@ class Branch(Stmt):
     target: int | None = None
     mnemonic: str = ""
 
+    @property
+    def kinds(self) -> int:
+        if self.kind == "call":
+            return (K_BRANCH | K_CALL if self.target is not None
+                    else K_BRANCH | K_CALL | K_CALL_IND)
+        if self.kind in JUMP_KINDS and self.target is not None:
+            return K_BRANCH | K_JUMP
+        return K_BRANCH
+
     def defs(self) -> set[str]:
         if self.kind in ("loop", "loope", "loopne"):
             return {"ecx"}
@@ -321,6 +387,7 @@ class Interrupt(Stmt):
     """Software interrupt (``int 0x80`` is the Linux syscall gate)."""
 
     vector: int
+    kinds = K_INT
 
     def defs(self) -> set[str]:
         return {"eax"}  # syscall return value
@@ -381,9 +448,7 @@ class Unhandled(Stmt):
     is 'everything', so it clobbers any in-flight match bindings."""
 
     mnemonic: str = ""
-    clobbers: frozenset[str] = frozenset(
-        {"eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "mem", "eflags"}
-    )
+    clobbers: frozenset[str] = frozenset(LOC_BIT)
 
     def defs(self) -> set[str]:
         return set(self.clobbers)

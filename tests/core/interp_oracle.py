@@ -34,13 +34,16 @@ class InterpretedMatchEngine(MatchEngine):
     def _search(self, template: Template, trace: PreparedTrace,
                 starts, budget) -> TemplateMatch | None:
         last_use = self._last_uses(template)
+        # The oracle asks the statement objects, not the trace's masks.
+        defs = [frozenset(s.defs()) for s in trace.stmts]
         cls = _OrderedState if template.ordered else _UnorderedState
         for start in starts:
             ctx = MatchContext(
                 trace=trace.stmts, envs=trace.envs,
                 pos_by_address=trace.pos_by_address, first_pos=-1,
             )
-            result = cls(template, trace, ctx, budget, last_use).run(start)
+            result = cls(template, trace, ctx, budget, last_use,
+                         defs).run(start)
             if result is not None:
                 return result
             if budget[0] <= 0:
@@ -58,12 +61,13 @@ class InterpretedMatchEngine(MatchEngine):
 
 
 class _SearchBase:
-    def __init__(self, template, trace, ctx, budget, last_use):
+    def __init__(self, template, trace, ctx, budget, last_use, defs):
         self.t = template
         self.trace = trace
         self.ctx = ctx
         self.budget = budget
         self.last_use = last_use
+        self.defs = defs
 
     def _live_families(self, bindings: Bindings, remaining: set[int]) -> set[str]:
         """Register families bound to variables still needed by unmatched
@@ -80,12 +84,6 @@ class _SearchBase:
                 elif self.last_use[var] <= horizon and value[0] == "symconst":
                     out.add(str(value[1]))
         return out
-
-    def _gap_ok(self, pos: int, live: set[str]) -> bool:
-        """May statement at ``pos`` sit unmatched inside the window?"""
-        if not live:
-            return True
-        return not (self.trace.defs[pos] & live)
 
 
 class _GapTracker:
@@ -199,7 +197,7 @@ class _OrderedState(_SearchBase):
                 self.ctx.first_pos = old_first
             # This statement stays in the gap; check def-use preservation
             # (push/pop save-restore of a bound register is forgiven).
-            if matched and not tracker.step(stmt, self.trace.defs[scan]):
+            if matched and not tracker.step(stmt, self.defs[scan]):
                 return None
             scan += 1
         return None
@@ -283,7 +281,7 @@ class _UnorderedState(_SearchBase):
                     counts[idx] -= 1
                     matched.pop()
                     self.ctx.first_pos = old_first
-            if matched and not tracker.step(stmt, self.trace.defs[scan]):
+            if matched and not tracker.step(stmt, self.defs[scan]):
                 return None
             scan += 1
         return None
@@ -316,7 +314,6 @@ class _UnorderedState(_SearchBase):
                 result = self._finish(loopbacks[1:], scan + 1, new_bindings, matched2)
                 if result is not None:
                     return result
-            if not tracker.step(self.trace.stmts[scan],
-                                self.trace.defs[scan]):
+            if not tracker.step(self.trace.stmts[scan], self.defs[scan]):
                 return None
         return None

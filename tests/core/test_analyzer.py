@@ -45,8 +45,8 @@ class TestAnalyzeFrame:
         an = SemanticAnalyzer()
         result = an.analyze_frame(assemble(DECODER))
         assert result.elapsed > 0
-        assert an.frames_analyzed == 1
-        assert an.total_elapsed >= result.elapsed
+        assert an.timer.calls == 1
+        assert an.timer.elapsed >= result.elapsed
 
     def test_empty_frame(self):
         an = SemanticAnalyzer()

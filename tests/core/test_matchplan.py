@@ -22,21 +22,16 @@ from repro.core.library import (
     xor_decrypt_loop,
 )
 from repro.core.matcher import MatchEngine, prepare_trace
-from repro.core.matchplan import (
-    K_ALL,
-    K_JUMP,
-    K_PUSH,
-    K_STORE,
-    compile_plan,
-    plan_data,
-)
+from repro.core.matchplan import compile_plan
 from repro.core.template import (
     LoopBack,
-    MemRmw,
+    Node,
     PointerStep,
+    PushValue,
     StoreTo,
     Template,
 )
+from repro.ir.ops import K_ALL, K_PUSH, K_STORE, Nop
 from repro.engines import AdmMutateEngine, get_shellcode, shellcode_names
 from repro.x86.asm import assemble
 from repro.x86.disasm import disassemble
@@ -99,24 +94,27 @@ class TestPlanCompilation:
         assert plan.fast_admit == -1
 
     def test_unknown_node_kind_admits_everything(self):
-        class Anything(LoopBack):
-            def match(self, stmt, env, bindings, ctx):  # pragma: no cover
-                return bindings
+        class AnyNop(Node):
+            def match(self, stmt, env, bindings, ctx):
+                return bindings if isinstance(stmt, Nop) else None
+
+            def describe(self):
+                return "a nop"
 
         t = Template(name="opaque", ordered=True,
-                     nodes=[Anything()], always_scan=True)
+                     nodes=[PushValue(), AnyNop()], always_scan=True)
         plan = compile_plan(t)
-        assert plan.admits[0] == K_ALL  # unknown => sound over-admission
+        assert plan.admits[1] == K_ALL  # unknown => sound over-admission
+        # ... of every statement, the shapeless ones included: the
+        # executor must offer a nop to a node that says nothing.
+        trace = trace_of("push 0x41414141\n nop")
+        assert all(k & K_ALL for k in trace.kinds)
+        assert both(t, trace).positions == [0, 1]
 
-    def test_plan_data_cached_on_trace(self):
-        trace = trace_of("decode:\n xor byte ptr [eax], 1\n inc eax\n"
-                         " loop decode")
-        kinds1, defs1, _ = plan_data(trace)
-        kinds2, defs2, _ = plan_data(trace)
-        assert kinds1 is kinds2 and defs1 is defs2
-        assert len(kinds1) == len(trace)
-        assert any(k & K_STORE for k in kinds1)
-        assert any(k & K_JUMP for k in kinds1)
+    def test_plan_holds_required_kinds_and_span(self):
+        plan = compile_plan(codered_ii_vector())
+        assert plan.required == codered_ii_vector().required_kinds() != 0
+        assert plan.max_span == (16 + 1) * (8 + 1) + 1
 
     def test_engine_caches_plans_and_times_compilation(self):
         engine = MatchEngine()

@@ -285,3 +285,157 @@ class TestConstCapture:
         from repro.core.library import sockaddr_port
         assert sockaddr_port(0x5C110002) == 4444
         assert sockaddr_port(0x697A0002) == 31337
+
+
+class TestDeclarations:
+    """A statement is classified, and a node declares what it takes, in
+    exactly one place each: ``Stmt.kinds`` and ``Node.admits`` /
+    ``Node.needs``.  These tables are those declarations, spelled out."""
+
+    def test_statement_kind_bits(self):
+        from repro.ir import ops
+        from repro.ir.ops import (
+            K_A_BINOP, K_A_REG, K_A_UNOP, K_ALL, K_ASSIGN, K_BRANCH, K_CALL,
+            K_CALL_IND, K_INT, K_JUMP, K_LOAD, K_OTHER, K_POP, K_PUSH,
+            K_STORE, JUMP_KINDS,
+        )
+        reg, mem = ops.Reg("eax"), ops.MemRef(base=ops.Reg("ebx"))
+        table = [
+            (ops.Store(mem, reg), K_STORE),
+            (ops.Push(reg), K_PUSH),
+            (ops.Pop("eax"), K_POP),
+            (ops.Interrupt(0x80), K_INT),
+            (ops.Exchange("eax", "ebx", 4), K_OTHER),
+            (ops.Compare(reg, reg), K_OTHER),
+            (ops.StringWrite("stos", 1), K_OTHER),
+            (ops.Nop(), K_OTHER),
+            (ops.Unhandled(), K_OTHER),
+            # every Assign source shape
+            (ops.Assign("eax", 4, ops.Load(mem)), K_ASSIGN | K_LOAD),
+            (ops.Assign("eax", 4, ops.BinOp("add", reg, reg)),
+             K_ASSIGN | K_A_BINOP),
+            (ops.Assign("eax", 4, ops.UnOp("not", reg)), K_ASSIGN | K_A_UNOP),
+            (ops.Assign("eax", 4, reg), K_ASSIGN | K_A_REG),
+            (ops.Assign("eax", 4, ops.Const(1)), K_ASSIGN),
+            (ops.Assign("eax", 4, ops.UnknownExpr()), K_ASSIGN),
+            # every Branch kind, with and without a target
+            (ops.Branch("call", 0x10), K_BRANCH | K_CALL),
+            (ops.Branch("call", None), K_BRANCH | K_CALL | K_CALL_IND),
+            (ops.Branch("ret", None), K_BRANCH),
+            (ops.Branch("ret", 0x10), K_BRANCH),
+        ]
+        for kind in JUMP_KINDS:
+            table.append((ops.Branch(kind, 0x10), K_BRANCH | K_JUMP))
+            table.append((ops.Branch(kind, None), K_BRANCH))
+        for stmt, kinds in table:
+            assert stmt.kinds == kinds, stmt
+            assert kinds & K_ALL == kinds != 0
+        # no statement class is left out of the table
+        classes = {cls for cls in vars(ops).values()
+                   if isinstance(cls, type) and issubclass(cls, ops.Stmt)}
+        assert classes - {ops.Stmt} == {type(stmt) for stmt, _ in table}
+
+    def test_def_masks_cover_every_location(self):
+        from repro.ir.ops import LOC_BIT, Unhandled, loc_mask
+        assert len(LOC_BIT) == 10
+        assert loc_mask(Unhandled().defs()) == (1 << 10) - 1
+        assert loc_mask(()) == 0
+        assert loc_mask({"eax", "mem"}) == LOC_BIT["eax"] | LOC_BIT["mem"]
+
+    def test_every_node_class_states_its_admission(self):
+        import repro.core.template as template_module
+        from repro.core.template import ConstCapture, Node
+        from repro.ir.ops import (
+            K_A_BINOP, K_A_REG, K_A_UNOP, K_ALL, K_BRANCH, K_CALL,
+            K_CALL_IND, K_INT, K_JUMP, K_LOAD, K_PUSH, K_STORE,
+        )
+        declared = {  # class: (admits, needs)
+            MemRmw: (K_STORE, K_STORE),
+            LoadFrom: (K_LOAD, K_LOAD),
+            StoreTo: (K_STORE, K_STORE),
+            PointerStep: (K_A_BINOP, 0),
+            RegCompute: (K_A_BINOP | K_A_UNOP, 0),
+            RegFromEsp: (K_A_REG | K_A_BINOP, 0),
+            LoopBack: (K_JUMP, K_BRANCH),
+            Syscall: (K_INT, K_INT),
+            ConstBytesWrite: (K_PUSH | K_STORE, 0),
+            ConstCapture: (K_PUSH | K_STORE, 0),
+            PushValue: (K_PUSH, K_PUSH),
+            IndirectCall: (K_CALL_IND, K_CALL),
+        }
+        exported = {obj for obj in (getattr(template_module, name)
+                                    for name in template_module.__all__)
+                    if isinstance(obj, type) and issubclass(obj, Node)
+                    and obj is not Node}
+        assert exported == set(declared)
+        for cls, (admits, needs) in declared.items():
+            # stated on the class itself, not inherited from Node
+            assert vars(cls)["admits"] == admits, cls
+            assert cls.needs == needs, cls
+        assert (Node.admits, Node.needs) == (K_ALL, 0)
+
+    def test_subclass_inherits_and_bare_node_admits_everything(self):
+        from repro.core.template import Node
+        from repro.ir.ops import K_ALL, K_BRANCH, K_JUMP
+
+        class BackEdge(LoopBack):
+            pass
+
+        class Opaque(Node):
+            pass
+
+        assert (BackEdge.admits, BackEdge.needs) == (K_JUMP, K_BRANCH)
+        assert (Opaque.admits, Opaque.needs) == (K_ALL, 0)
+        t = Template("t", [BackEdge(), Opaque()])
+        assert t.required_kinds() == K_BRANCH
+        assert t.required_features == {"branch"}
+
+    def test_required_kinds_skip_optional_nodes(self):
+        t = Template("opt", [PushValue(), StoreTo()], repeats={1: (0, 1)})
+        assert t.required_features == {"push"}
+        t.repeats = {}
+        assert t.required_features == {"push", "store"}
+
+
+class TestFingerprintCoversEveryField:
+    """``Template.fingerprint()`` keys every derived cache and decides
+    whether a hot reload is applied, so anything ``match`` reads must move
+    it.  A predicate's identity is its ``label`` (callables are skipped)."""
+
+    CHANGED = {int: lambda v: v + 1, str: lambda v: v + "X",
+               bytes: lambda v: v + b"X", bool: lambda v: not v,
+               frozenset: lambda v: v | {"sar"},
+               dict: lambda v: {**v, "eax": 7},
+               type(None): lambda v: 2}
+
+    def node_classes(self):
+        import repro.core.template as template_module
+        from repro.core.template import Node
+        return [obj for obj in (getattr(template_module, name)
+                                for name in template_module.__all__)
+                if isinstance(obj, type) and issubclass(obj, Node)
+                and obj is not Node]
+
+    def test_every_node_field_moves_the_fingerprint(self):
+        from dataclasses import fields, replace
+        checked = 0
+        for cls in self.node_classes():
+            node = cls()
+            base = Template("t", [node]).fingerprint()
+            for f in fields(node):
+                value = getattr(node, f.name)
+                if callable(value):
+                    continue
+                changed = replace(
+                    node, **{f.name: self.CHANGED[type(value)](value)})
+                assert Template("t", [changed]).fingerprint() != base, \
+                    f"{cls.__name__}.{f.name} is not in describe()"
+                checked += 1
+        assert checked >= 20
+
+    def test_access_width_is_described_only_when_set(self):
+        assert LoadFrom().describe() == "R := mem[PTR]"
+        assert LoadFrom(size=1).describe() == "R := membyte[PTR]"
+        assert StoreTo().describe() == "mem[PTR] := R"
+        assert StoreTo(size=4).describe() == "memdword[PTR] := R"
+        assert MemRmw(size=None).describe().startswith("memany[PTR]")

@@ -38,6 +38,22 @@ class TestSerialReload:
             library_digest(resolve_template_set("paper"))
         assert nids.registry.get("repro_template_reloads_total").value == 1
 
+    def test_width_only_change_is_a_different_library(self):
+        """Two libraries differing only in an access width used to share
+        a digest (``describe()`` omitted ``size``): the reload was
+        refused and the sensor kept matching with the old width."""
+        from repro.core.template import LoadFrom, StoreTo, Template
+
+        def library(size):
+            return [Template("split", [LoadFrom(size=size),
+                                       StoreTo(size=size)])]
+        assert library_digest(library(1)) != library_digest(library(4))
+        assert library_digest(library(1)) == library_digest(library(1))
+        nids = SemanticNids(templates=library(1),
+                            classification_enabled=False)
+        assert nids.reload_templates(library(4)) is True
+        assert nids.analyzer.templates[0].nodes[0].size == 4
+
     def test_frame_cache_cannot_replay_stale_verdicts(self):
         """The end-to-end property: a payload analyzed (and cached clean)
         under the old library must be re-analyzed under the new one —

@@ -219,6 +219,31 @@ class TestSensord:
         assert "linux_shell_spawn" in captured.out
         assert "reloads=1" in captured.err
 
+    @pytest.mark.parametrize("engine", [
+        [], ["--workers", "2"], ["--fleet-workers", "2"],
+        ["--fleet-workers", "2", "--fleet-transport", "offset"],
+    ], ids=["serial", "parallel", "fleet-pickle", "fleet-offset"])
+    def test_stats_are_pipeline_statistics_under_every_engine(
+            self, attack_pcap, capsys, engine):
+        """``--stats`` is the NidsStats view of the engine's registry — a
+        fleet's holds the merged worker deltas — not a dataclass repr."""
+        from repro.cli import sensord_main
+        rc = sensord_main([str(attack_pcap), "--honeypot", "10.10.0.250",
+                           "--stats"] + engine)
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FleetStats(" not in out
+        stats = [line for line in out.splitlines()
+                 if line.startswith("payloads_analyzed=")]
+        assert len(stats) == 1
+        assert "payloads_analyzed=0" not in stats[0]
+        assert "alerts=0" not in stats[0]
+        assert "  analyze      calls=" in out
+        # the fleet's own counters ride along as one extra line
+        fleet = [line for line in out.splitlines()
+                 if line.startswith("fleet: workers=2 ")]
+        assert len(fleet) == (1 if "--fleet-workers" in engine else 0)
+
     def test_missing_file(self, capsys):
         from repro.cli import sensord_main
         rc = sensord_main(["/nonexistent/file.pcap"])
