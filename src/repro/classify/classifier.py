@@ -20,27 +20,13 @@ __all__ = ["TrafficClassifier", "ClassifierStats"]
 
 class ClassifierStats:
     """Counters for the efficiency story: how much traffic the classifier
-    kept away from the CPU-intensive stages.  Registry-backed views; the
-    attribute names predate the observability layer."""
+    kept away from the CPU-intensive stages (registry-backed views)."""
 
-    packets_seen = MetricField(
-        "repro_classify_packets_total",
-        help="Packets inspected by the classifier.", unit="packets")
-    packets_forwarded = MetricField(
-        "repro_classify_forwarded_total",
-        help="Packets forwarded to the analysis stages.", unit="packets")
-    honeypot_marks = MetricField(
-        "repro_classify_honeypot_marks_total",
-        help="Senders first marked suspicious by honeypot contact.",
-        unit="hosts")
-    darkspace_marks = MetricField(
-        "repro_classify_darkspace_marks_total",
-        help="Senders first marked suspicious by dark-space scanning.",
-        unit="hosts")
-    fanout_marks = MetricField(
-        "repro_classify_fanout_marks_total",
-        help="Senders first marked suspicious by SMTP fan-out.",
-        unit="hosts")
+    packets_seen = MetricField("repro_classify_packets_total")
+    packets_forwarded = MetricField("repro_classify_forwarded_total")
+    honeypot_marks = MetricField("repro_classify_honeypot_marks_total")
+    darkspace_marks = MetricField("repro_classify_darkspace_marks_total")
+    fanout_marks = MetricField("repro_classify_fanout_marks_total")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         bind_metrics(self, registry)

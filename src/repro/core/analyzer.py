@@ -74,17 +74,12 @@ class FrameCache:
     def __init__(self, max_entries: int = 4096) -> None:
         self.max_entries = max_entries
         self._entries: OrderedDict[bytes, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def get(self, key: bytes):
         result = self._entries.get(key)
-        if result is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if result is not None:
+            self._entries.move_to_end(key)
         return result
 
     def put(self, key: bytes, result) -> None:
@@ -101,11 +96,6 @@ class FrameCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class SemanticAnalyzer:
@@ -171,30 +161,17 @@ class SemanticAnalyzer:
         self.lift_timer = StageTimer("lift", registry, tracer)
         self.match_timer = StageTimer("match", registry, tracer)
         self._deadline_trips = registry.counter(
-            "repro_deadline_exceeded_total",
-            help="Payload analyses aborted by the per-payload deadline.",
-            unit="payloads")
+            "repro_deadline_exceeded_total")
         self._frames_skipped = registry.counter(
-            "repro_fastpath_frames_skipped_total",
-            help="Frames the anchor prefilter ruled out for every "
-                 "template (no disassembly performed).", unit="frames")
+            "repro_fastpath_frames_skipped_total")
         self._anchor_hits = registry.counter(
-            "repro_fastpath_anchor_hits_total",
-            help="Anchor pattern occurrences found by prefilter scans.",
-            unit="occurrences")
+            "repro_fastpath_anchor_hits_total")
         self._starts_pruned = registry.counter(
-            "repro_fastpath_candidate_starts_pruned_total",
-            help="Match start positions skipped via anchor offsets "
-                 "(ruled-out templates count their whole trace).",
-            unit="positions")
+            "repro_fastpath_candidate_starts_pruned_total")
         self._budget_trips = registry.counter(
-            "repro_match_budget_trips_total",
-            help="Per-(template, frame) searches cut short by the "
-                 "max_candidates backtracking budget.", unit="searches")
+            "repro_match_budget_trips_total")
         self._plan_compile_seconds = registry.counter(
-            "repro_match_plan_compile_seconds",
-            help="Cumulative time spent compiling templates into match "
-                 "plans.", unit="seconds")
+            "repro_match_plan_compile_seconds")
         # Compile the library's match plans eagerly at load time so the
         # first frame doesn't pay compilation inside its match span.
         compile_before = self.engine.plan_compile_seconds

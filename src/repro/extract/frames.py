@@ -62,20 +62,10 @@ class BinaryFrame:
 class BinaryExtractor:
     """Extracts binary frames from application payloads."""
 
-    payloads_seen = MetricField(
-        "repro_extract_payloads_total",
-        help="Application payloads scanned for binary content.",
-        unit="payloads")
-    frames_emitted = MetricField(
-        "repro_extract_frames_total",
-        help="Binary frames emitted to the disassembler.", unit="frames")
-    bytes_in = MetricField(
-        "repro_extract_bytes_in_total",
-        help="Payload bytes entering extraction.", unit="bytes")
-    bytes_out = MetricField(
-        "repro_extract_bytes_out_total",
-        help="Frame bytes surviving extraction (the reduction is the "
-             "efficiency story of §4.2).", unit="bytes")
+    payloads_seen = MetricField("repro_extract_payloads_total")
+    frames_emitted = MetricField("repro_extract_frames_total")
+    bytes_in = MetricField("repro_extract_bytes_in_total")
+    bytes_out = MetricField("repro_extract_bytes_out_total")
 
     def __init__(
         self,
@@ -101,7 +91,7 @@ class BinaryExtractor:
         #: analyzed by prefix only; attacker code reached through an
         #: overflow is located by the other heuristics, with exact offsets.
         self.raw_frame_cap = raw_frame_cap
-        bind_metrics(self, registry)
+        registry = bind_metrics(self, registry)
         self.timer = StageTimer("extract", registry, tracer)
 
     # -- public -------------------------------------------------------------

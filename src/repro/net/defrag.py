@@ -85,35 +85,19 @@ class IpDefragmenter:
     TIMEOUT = 30.0
     MAX_TOTAL_BYTES = 8 * 1024 * 1024
 
-    fragments_seen = MetricField(
-        "repro_defrag_fragments_total",
-        help="IP fragments fed to the defragmenter.", unit="fragments")
-    fragments_dropped = MetricField(
-        "repro_defrag_fragments_dropped_total",
-        help="Fragments dropped as forged or contributing nothing.",
-        unit="fragments")
-    overlaps_trimmed = MetricField(
-        "repro_defrag_overlap_bytes_trimmed_total",
-        help="Bytes removed by first-writer-wins fragment trims.",
-        unit="bytes")
+    fragments_seen = MetricField("repro_defrag_fragments_total")
+    fragments_dropped = MetricField("repro_defrag_fragments_dropped_total")
+    overlaps_trimmed = MetricField("repro_defrag_overlap_bytes_trimmed_total")
     datagrams_reassembled = MetricField(
-        "repro_defrag_datagrams_reassembled_total",
-        help="Datagrams successfully reassembled.", unit="datagrams")
-    datagrams_evicted = MetricField(
-        "repro_defrag_datagrams_evicted_total",
-        help="Half-reassembled datagrams evicted (caps/timeout).",
-        unit="datagrams")
-    bytes_buffered = MetricField(
-        "repro_defrag_buffered_bytes", kind="gauge",
-        help="Bytes buffered across half-reassembled datagrams, per-piece "
-             "charge included.",
-        unit="bytes")
+        "repro_defrag_datagrams_reassembled_total")
+    datagrams_evicted = MetricField("repro_defrag_datagrams_evicted_total")
+    bytes_buffered = MetricField("repro_defrag_buffered_bytes")
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         #: in age order: ``first_seen`` never falls from front to back.
         self._buffers: OrderedDict[tuple, _FragmentBuffer] = OrderedDict()
-        bind_metrics(self, registry)
+        registry = bind_metrics(self, registry)
         #: the defragmenter and the TCP reassembler share the "reassemble"
         #: stage: together they are the reassembly front-end.
         self.timer = StageTimer("reassemble", registry, tracer)

@@ -211,42 +211,19 @@ class StreamReassembler:
     #: payload arriving after a reap can be counted.
     REAPED_MEMORY = 1024
 
-    non_tcp_packets = MetricField(
-        "repro_reassembly_non_tcp_packets_total",
-        help="Packets seen by the reassembler without a TCP flow.",
-        unit="packets")
-    evicted = MetricField(
-        "repro_reassembly_streams_evicted_total",
-        help="TCP streams evicted under the stream/byte caps.",
-        unit="streams")
-    reaped_closed = MetricField(
-        "repro_reassembly_streams_reaped_total", labels={"reason": "closed"},
-        help="TCP streams let go closed, whole and analysed.",
-        unit="streams")
-    reaped_idle = MetricField(
-        "repro_reassembly_streams_reaped_total", labels={"reason": "idle"},
-        help="TCP streams let go idle past Stream.IDLE_TIMEOUT.",
-        unit="streams")
+    non_tcp_packets = MetricField("repro_reassembly_non_tcp_packets_total")
+    evicted = MetricField("repro_reassembly_streams_evicted_total")
+    reaped_closed = MetricField("repro_reassembly_streams_reaped_total",
+                                {"reason": "closed"})
+    reaped_idle = MetricField("repro_reassembly_streams_reaped_total",
+                              {"reason": "idle"})
     segments_after_close = MetricField(
-        "repro_reassembly_segments_after_close_total",
-        help="Payload segments that found their flow already reaped; "
-             "each opens a new stream and is analysed.",
-        unit="segments")
+        "repro_reassembly_segments_after_close_total")
     overlaps_trimmed = MetricField(
-        "repro_reassembly_overlap_bytes_trimmed_total",
-        help="Bytes dropped by first-writer-wins segment trims.",
-        unit="bytes")
+        "repro_reassembly_overlap_bytes_trimmed_total")
     out_of_window_segments = MetricField(
-        "repro_reassembly_out_of_window_segments_total",
-        help="Segments dropped for lying outside what their stream can "
-             "still place (beyond the per-stream cap, or before a base "
-             "that can no longer move).",
-        unit="segments")
-    bytes_buffered = MetricField(
-        "repro_reassembly_buffered_bytes", kind="gauge",
-        help="Bytes held across all tracked streams, per-piece charge "
-             "included (falls when an analysed prefix is released).",
-        unit="bytes")
+        "repro_reassembly_out_of_window_segments_total")
+    bytes_buffered = MetricField("repro_reassembly_buffered_bytes")
 
     def __init__(self, max_streams: int = 65536,
                  on_evict: Callable[[FlowKey], None] | None = None,
@@ -259,13 +236,10 @@ class StreamReassembler:
         self.max_streams = max_streams
         self.on_evict = on_evict
         reg = bind_metrics(self, registry)
-        self._active_streams = reg.gauge(
-            "repro_reassembly_active_streams",
-            help="Live TCP streams: open, or closed with data still "
-                 "missing or unanalysed.", unit="streams")
+        self._active_streams = reg.gauge("repro_reassembly_active_streams")
         #: shares the "reassemble" stage with the IP defragmenter — the
         #: two components are one front-end in the stage breakdown.
-        self.timer = StageTimer("reassemble", registry, tracer)
+        self.timer = StageTimer("reassemble", reg, tracer)
 
     def feed(self, pkt: Packet) -> Stream | None:
         if not pkt.is_tcp:

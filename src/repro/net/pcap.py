@@ -145,7 +145,7 @@ class PcapReader:
     :class:`~repro.errors.TruncatedCaptureError` by default.  With
     ``salvage=True`` the reader instead yields the complete record
     prefix, sets :attr:`truncated`, and counts the event in the
-    ``repro_pcap_truncated_total`` counter of ``registry`` (when given),
+    ``repro_pcap_truncated_total`` counter of ``registry``,
     so a production replay survives a damaged tail without silently
     pretending the file was whole.
 
@@ -172,12 +172,9 @@ class PcapReader:
         self.truncated = False
         #: complete records read so far (the salvageable prefix length).
         self.records_read = 0
-        self._truncated_counter = (
-            registry.counter(
-                "repro_pcap_truncated_total",
-                help="Captures that ended mid-record (salvaged or raised).",
-                unit="captures")
-            if registry is not None else None)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._truncated_counter = registry.counter(
+            "repro_pcap_truncated_total")
         if hasattr(path, "read"):
             self.path = None
             self._fh: BinaryIO = path  # type: ignore[assignment]
@@ -368,8 +365,7 @@ class PcapReader:
         """Record a mid-record truncation; returns True when salvaging
         (stop iteration cleanly) and raises otherwise."""
         self.truncated = True
-        if self._truncated_counter is not None:
-            self._truncated_counter.inc()
+        self._truncated_counter.inc()
         if self.salvage:
             return True
         raise TruncatedCaptureError(message,

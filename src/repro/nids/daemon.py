@@ -293,29 +293,12 @@ class SensorDaemon:
         #: where ``on_alert`` faults are counted: the ``deliver`` series
         #: of the engine's registry, whichever engine it is.
         self._firewall = StageFirewall(reg)
-        self._ingested = reg.counter(
-            "repro_daemon_ingested_total",
-            help="Packets pulled from the capture source.", unit="packets")
-        self._processed = reg.counter(
-            "repro_daemon_processed_total",
-            help="Packets taken off the ring and fed to the pipeline.",
-            unit="packets")
-        self._latency = reg.histogram(
-            "repro_daemon_packet_seconds",
-            help="Per-packet pipeline latency (ring take to alerts out).",
-            unit="seconds")
-        self._replayed = reg.counter(
-            "repro_alerts_replayed_total",
-            help="Journaled alerts re-offered to the sink after a restart.",
-            unit="alerts")
-        self._deduped = reg.counter(
-            "repro_alerts_deduped_total",
-            help="Duplicate alerts suppressed by delivery-side replay "
-                 "dedupe.", unit="alerts")
-        self._peak_rss = reg.gauge(
-            "repro_process_peak_rss_bytes",
-            help="Peak resident set of the sensor process (VmHWM).",
-            unit="bytes")
+        self._ingested = reg.counter("repro_daemon_ingested_total")
+        self._processed = reg.counter("repro_daemon_processed_total")
+        self._latency = reg.histogram("repro_daemon_packet_seconds")
+        self._replayed = reg.counter("repro_alerts_replayed_total")
+        self._deduped = reg.counter("repro_alerts_deduped_total")
+        self._peak_rss = reg.gauge("repro_process_peak_rss_bytes")
         #: under "block", the (packet, origin) pair refused by a full ring
         self._held: tuple | None = None
         self.reloads = 0
@@ -410,6 +393,9 @@ class SensorDaemon:
             "alert_seq": self._alert_seq,
             "reloads": self.reloads,
         })
+        # A resume replays only keys at or past the saved watermark and
+        # new alerts take rising seqs: nothing below can be offered again.
+        self.delivery.forget_below(self._alert_seq)
         self._last_checkpoint_processed = self._processed.value
 
     def _maybe_checkpoint(self) -> None:

@@ -32,10 +32,10 @@ across N sensor processes, the way a capture point outgrows one box:
   registry's :meth:`~repro.obs.MetricsRegistry.collect_delta`; the
   aggregator folds them with
   :meth:`~repro.obs.MetricsRegistry.merge_delta` into the central
-  registry.  Worker metric keys the aggregator never registered are
-  auto-registered *and counted* (``repro_obs_merge_unknown_total``), so
-  fleet-wide stage timings and shed/fault counters read like one
-  sensor's.
+  registry, which holds the same catalog of series as every worker's,
+  so fleet-wide stage timings and shed/fault counters read like one
+  sensor's (``repro_obs_merge_unknown_total`` stays 0 unless a worker
+  runs another version's catalog).
 
 The fleet is an *engine* (the contract is stated once, in
 :mod:`repro.nids.pipeline`): journal, checkpoints, resume, tailing and
@@ -44,7 +44,9 @@ drives it like the other two.  What the fleet keeps is supervision: the
 replay log holds the work units shipped since the last barrier
 (:meth:`SensorFleet.snapshot_state` or :meth:`SensorFleet.flush`;
 triples or extent jobs), so a watchdog-respawned shard is rehydrated
-from its barrier snapshot and re-fed exactly what it lost.
+from its barrier snapshot and re-fed exactly what it lost.  A shard that
+dies before there is a log (no watchdog, no snapshot yet) restarts blank
+and says so: a ``resilience.shard-lost`` alert and a counter.
 """
 
 from __future__ import annotations
@@ -61,11 +63,15 @@ from ..digest import sha1
 from ..net.packet import Packet
 from ..net.pcap import PcapReader, PcapRecordMeta
 from ..obs import MetricsRegistry
+from ..resilience.firewall import DEGRADED_SEVERITY
 from .alerts import Alert
 from .options import FLEET_TRANSPORTS, SensorOptions
 from .pipeline import SemanticNids
 
 __all__ = ["SensorFleet", "FleetStats", "FLEET_TRANSPORTS", "kill_pool"]
+
+#: Degraded alert of a shard that restarted with nothing to replay from.
+SHARD_LOST_TEMPLATE = "resilience.shard-lost"
 
 #: Serialized size of one ``(seq0, offset, count)`` extent descriptor —
 #: what the offset transport ships instead of payload bytes.
@@ -261,7 +267,6 @@ class SensorFleet:
         self.alerts: list[Alert] = []
         self._alerts_out = 0
         self._seq = 0
-        self._batches_sent = 0
         self._deltas_merged = 0
         #: pickle: lists of (seq, wire, ts) triples.  offset: lists of
         #: mutable [seq0, file_offset, count, end_offset] extent runs.
@@ -274,24 +279,12 @@ class SensorFleet:
         self._futures: list[deque] = [deque() for _ in range(workers)]
         #: (seq, alert) pairs folded from the shards and not yet released
         self._collected: list = []
-        self._dispatched = self.registry.counter(
-            "repro_fleet_dispatched_total",
-            help="Packets dispatched to fleet workers.", unit="packets")
-        self._batch_counter = self.registry.counter(
-            "repro_fleet_batches_total",
-            help="Dispatch batches shipped to fleet workers.",
-            unit="batches")
+        reg = self.registry
+        self._dispatched = reg.counter("repro_fleet_dispatched_total")
+        self._batch_counter = reg.counter("repro_fleet_batches_total")
         # -- dispatch-cost observability --
-        self._ship_bytes = self.registry.counter(
-            "repro_fleet_ship_bytes_total",
-            help="Payload bytes serialized into the dispatcher→worker "
-                 "transport (pickle triples; offset extents count only "
-                 "their 24-byte descriptors).",
-            unit="bytes")
-        self._ship_seconds = self.registry.histogram(
-            "repro_fleet_ship_seconds",
-            help="Dispatcher wall seconds per batch shipped "
-                 "(serialize + submit).", unit="seconds")
+        self._ship_bytes = reg.counter("repro_fleet_ship_bytes_total")
+        self._ship_seconds = reg.histogram("repro_fleet_ship_seconds")
         # -- supervision --
         self.watchdog_timeout = watchdog_timeout
         #: log shipped work units for replay?  Only a barrier empties the
@@ -305,14 +298,15 @@ class SensorFleet:
         self._replay: list[list] = [[] for _ in range(workers)]
         #: batch keys already folded (a replayed batch must not re-emit)
         self._folded: set[int] = set()
-        self._watchdog_restarts = self.registry.counter(
-            "repro_watchdog_restarts_total",
-            help="Fleet shards killed and respawned by the dispatcher "
-                 "watchdog after a missed heartbeat.", unit="restarts")
-        self._deduped_counter = self.registry.counter(
-            "repro_alerts_deduped_total",
-            help="Duplicate alerts suppressed by delivery-side replay "
-                 "dedupe.", unit="alerts")
+        #: packets shipped per shard since the last barrier: what a
+        #: restart without a replay log cannot re-feed.
+        self._since_barrier: list[int] = [0] * workers
+        #: timestamp of the last packet dispatched (stamps a shard loss)
+        self._capture_clock = 0.0
+        self._watchdog_restarts = reg.counter("repro_watchdog_restarts_total")
+        self._lost_packets = reg.counter(
+            "repro_fleet_shard_lost_packets_total")
+        self._deduped_counter = reg.counter("repro_alerts_deduped_total")
         self._pools = [self._spawn_pool(shard) for shard in range(workers)]
 
     def _spawn_pool(self, shard: int):
@@ -457,7 +451,7 @@ class SensorFleet:
             raw = bytes(raw)  # the replay log needs stable bytes
         shard = self._shard_of(Packet.peek_flow(raw))
         self._batches[shard].append((self._seq, raw, timestamp))
-        return self._dispatched_one(shard)
+        return self._dispatched_one(shard, timestamp)
 
     def _dispatch_meta(self, meta: PcapRecordMeta) -> list[Alert]:
         """Offset transport: fold one record boundary into its shard's
@@ -478,10 +472,11 @@ class SensorFleet:
             runs[-1][3] = meta.end
         else:
             runs.append([self._seq, meta.offset, 1, meta.end])
-        return self._dispatched_one(shard)
+        return self._dispatched_one(shard, meta.timestamp)
 
-    def _dispatched_one(self, shard: int) -> list[Alert]:
+    def _dispatched_one(self, shard: int, timestamp: float) -> list[Alert]:
         self._seq += 1
+        self._capture_clock = timestamp
         self._dispatched.inc()
         self._batch_counts[shard] += 1
         if self._batch_counts[shard] >= self.batch_size:
@@ -524,7 +519,7 @@ class SensorFleet:
         themselves (``pickle``), or ``(path, [(seq0, offset, count)])``
         for its extent runs (``offset``)."""
         batch, self._batches[shard] = self._batches[shard], []
-        self._batch_counts[shard] = 0
+        count, self._batch_counts[shard] = self._batch_counts[shard], 0
         if not batch:
             return
         t0 = time.perf_counter()
@@ -539,7 +534,7 @@ class SensorFleet:
         if self._track:
             self._replay[shard].append((key, fn, payload))
         self._submit_batch(shard, key, fn, payload)
-        self._batches_sent += 1
+        self._since_barrier[shard] += count
         self._batch_counter.inc()
         self._ship_seconds.observe(time.perf_counter() - t0)
 
@@ -596,18 +591,31 @@ class SensorFleet:
         """Watchdog kill path: terminate and reap the shard's worker,
         respawn the pool rehydrated from the last barrier snapshot, and
         resubmit every work unit shipped since that barrier from the
-        replay log."""
+        replay log.  Without a log the shard restarts blank: what it
+        was shipped since the barrier is counted and alerted degraded."""
         self._watchdog_restarts.inc()
         kill_pool(self._pools[shard])
         self._pools[shard] = self._spawn_pool(shard)
         self._futures[shard] = deque(
             (key, self._pools[shard].submit(fn, payload))
             for key, fn, payload in self._replay[shard])
+        if not self._track:
+            lost, self._since_barrier[shard] = self._since_barrier[shard], 0
+            self._lost_packets.inc(lost)
+            # Seq -1: handed out by the next release, ahead of the rest.
+            self._collected.append((-1, Alert(
+                timestamp=self._capture_clock, source=f"fleet-shard-{shard}",
+                destination="", template=SHARD_LOST_TEMPLATE,
+                severity=DEGRADED_SEVERITY, frame_origin="fleet",
+                detail=f"shard {shard} restarted with no replay log: "
+                       f"{lost} packet(s) dispatched to it since the last "
+                       "barrier were not re-fed")))
 
     def _reset_replay(self) -> None:
         """A barrier was reached: nothing shipped before it can need
         replaying (and no folded key can come back)."""
         self._replay = [[] for _ in range(self.workers)]
+        self._since_barrier = [0] * self.workers
         self._folded.clear()
 
     def _hand_out(self, alerts: list[Alert]) -> list[Alert]:
@@ -657,7 +665,8 @@ class SensorFleet:
         # Everything shipped so far is folded and handed out; the replay
         # window (bounded otherwise only by snapshots) resets.
         self._reset_replay()
-        return out + self._hand_out(tails)
+        # (_release: the alert of a shard lost during the tails call)
+        return out + self._release() + self._hand_out(tails)
 
     # -- hot template reload -------------------------------------------------
 
@@ -685,7 +694,7 @@ class SensorFleet:
         return FleetStats(
             workers=self.workers,
             dispatched=self._seq,
-            batches=self._batches_sent,
+            batches=int(self._batch_counter.value),
             alerts=self._alerts_out,
             deltas_merged=self._deltas_merged,
             watchdog_restarts=int(self._watchdog_restarts.value),

@@ -237,9 +237,7 @@ class SemanticNids:
         self.firewall = StageFirewall(self.registry, quarantine=quarantine)
         self.stats = NidsStats(self.registry, self.tracer)
         self._template_reloads = self.registry.counter(
-            "repro_template_reloads_total",
-            help="Hot template-library reloads applied (digest changed).",
-            unit="reloads")
+            "repro_template_reloads_total")
         self.alerts: list[Alert] = []
         # Read per packet: plain attributes, not record lookups.
         self.max_rounds_per_stream = options.max_rounds_per_stream

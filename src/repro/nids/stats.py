@@ -1,13 +1,11 @@
 """Per-stage counters and timing for the NIDS pipeline.
 
 The paper's efficiency claims (§5.1: 2.36-3.27 s per exploit, Netsky in
-6.5 s vs 40 s for [5]) are about how much work each stage does.  Since
-the observability refactor, :class:`NidsStats` owns no numbers — every
-attribute is a view over a metric in the pipeline's shared
-:class:`~repro.obs.MetricsRegistry` (the thing ``--metrics-out``
-exports), and the stage timers are views over the same labeled stage
-metrics the components themselves time into.  The historical attribute
-names are unchanged.
+6.5 s vs 40 s for [5]) are about how much work each stage does.
+:class:`NidsStats` owns no numbers — every attribute is a view over a
+series of the pipeline's shared :class:`~repro.obs.MetricsRegistry`
+(the thing ``--metrics-out`` exports), and the stage timers are views
+over the same labeled stage metrics the components themselves time into.
 """
 
 from __future__ import annotations
@@ -28,77 +26,41 @@ __all__ = ["StageTimer", "NidsStats"]
 class NidsStats:
     """End-to-end pipeline statistics: a view over the metrics registry.
 
-    Attribute-to-metric mapping (all documented in
-    docs/observability.md): plain counters are :class:`MetricField`
-    descriptors — reads and ``+=`` behave like the pre-refactor ints —
-    and the stage timers share the ``repro_stage_*{stage=...}`` metrics
-    with the components doing the timing, so both always agree.
+    Each attribute names its series (declared in
+    :mod:`repro.obs.catalog`, documented in docs/observability.md):
+    plain counters are :class:`MetricField` descriptors — reads and
+    ``+=`` behave like ints — and the stage timers share the
+    ``repro_stage_*{stage=...}`` metrics with the components doing the
+    timing, so both always agree.
     """
 
-    packets = MetricField(
-        "repro_packets_total", help="Packets fed to the sensor.",
-        unit="packets")
-    payload_bytes = MetricField(
-        "repro_payload_bytes_total",
-        help="Transport payload bytes fed to the sensor.", unit="bytes")
-    payloads_analyzed = MetricField(
-        "repro_payloads_analyzed_total",
-        help="Payloads that reached extraction (stage b).", unit="payloads")
-    frames_extracted = MetricField(
-        "repro_frames_extracted_total",
-        help="Binary frames emitted by extraction.", unit="frames")
-    frames_analyzed = MetricField(
-        "repro_frames_analyzed_total",
-        help="Frames that went through semantic analysis.", unit="frames")
-    alerts = MetricField(
-        "repro_alerts_total", help="Alerts raised.", unit="alerts")
+    packets = MetricField("repro_packets_total")
+    payload_bytes = MetricField("repro_payload_bytes_total")
+    payloads_analyzed = MetricField("repro_payloads_analyzed_total")
+    frames_extracted = MetricField("repro_frames_extracted_total")
+    frames_analyzed = MetricField("repro_frames_analyzed_total")
+    alerts = MetricField("repro_alerts_total")
     #: content-hash frame cache (repro.core.analyzer.FrameCache) outcomes;
     #: both stay 0 when the cache is disabled.
-    frame_cache_hits = MetricField(
-        "repro_frame_cache_hits_total",
-        help="Frame-cache hits (every frame of a payload-memo hit "
-             "included).", unit="frames")
-    frame_cache_misses = MetricField(
-        "repro_frame_cache_misses_total",
-        help="Frame-cache misses.", unit="frames")
+    frame_cache_hits = MetricField("repro_frame_cache_hits_total")
+    frame_cache_misses = MetricField("repro_frame_cache_misses_total")
     #: the payload memo in front of stage (b) (SemanticNids._analyze_payload);
     #: both stay 0 when caching is disabled.
-    payload_memo_hits = MetricField(
-        "repro_payload_memo_hits_total",
-        help="Payloads answered from the payload memo (no stage ran).",
-        unit="payloads")
-    payload_memo_misses = MetricField(
-        "repro_payload_memo_misses_total",
-        help="Payloads the payload memo did not hold.", unit="payloads")
-    #: fast-path admission (repro.fastpath): shares the analyzer's counters
-    #: via registry aliasing, so serial-engine numbers show up here with no
-    #: extra plumbing; parallel workers merge theirs through the registry
-    #: delta.  All zero with ``--no-fastpath``.
+    payload_memo_hits = MetricField("repro_payload_memo_hits_total")
+    payload_memo_misses = MetricField("repro_payload_memo_misses_total")
+    #: fast-path admission (repro.fastpath): the analyzer's own counters;
+    #: all zero with ``--no-fastpath``.
     fastpath_frames_skipped = MetricField(
-        "repro_fastpath_frames_skipped_total",
-        help="Frames the anchor prefilter ruled out for every "
-             "template (no disassembly performed).", unit="frames")
-    fastpath_anchor_hits = MetricField(
-        "repro_fastpath_anchor_hits_total",
-        help="Anchor pattern occurrences found by prefilter scans.",
-        unit="occurrences")
+        "repro_fastpath_frames_skipped_total")
+    fastpath_anchor_hits = MetricField("repro_fastpath_anchor_hits_total")
     fastpath_starts_pruned = MetricField(
-        "repro_fastpath_candidate_starts_pruned_total",
-        help="Match start positions skipped via anchor offsets "
-             "(ruled-out templates count their whole trace).",
-        unit="positions")
+        "repro_fastpath_candidate_starts_pruned_total")
     #: parallel engine: payloads shipped to worker processes, and worker
     #: failures survived by falling back to the serial path.
-    payloads_offloaded = MetricField(
-        "repro_payloads_offloaded_total",
-        help="Payloads shipped to worker processes.", unit="payloads")
-    worker_failures = MetricField(
-        "repro_worker_failures_total",
-        help="Worker failures survived by degrading to the serial path.",
-        unit="failures")
+    payloads_offloaded = MetricField("repro_payloads_offloaded_total")
+    worker_failures = MetricField("repro_worker_failures_total")
     #: front-end (reassembly) aggregates: evasion pressure the sensor
-    #: absorbed.  Views over the series the defragmenter and the
-    #: reassembler (built first) registered, so they are always live.
+    #: absorbed — the defragmenter's and the reassembler's own series.
     fragments_dropped = MetricField("repro_defrag_fragments_dropped_total")
     datagrams_evicted = MetricField("repro_defrag_datagrams_evicted_total")
     streams_evicted = MetricField("repro_reassembly_streams_evicted_total")
@@ -107,103 +69,29 @@ class NidsStats:
     _defrag_trimmed = MetricField("repro_defrag_overlap_bytes_trimmed_total")
     _reassembly_trimmed = MetricField(
         "repro_reassembly_overlap_bytes_trimmed_total")
-    state_evicted = MetricField(
-        "repro_frontend_state_evicted_total",
-        help="Per-stream analysis states dropped with their stream.",
-        unit="streams")
+    state_evicted = MetricField("repro_frontend_state_evicted_total")
     #: worker self-healing (parallel engine, docs/robustness.md): the
     #: per-shard circuit breakers, pool rebuilds, and the payloads that
     #: rode the serial path while a shard was cooling off.  All zero on a
     #: serial engine and on any clean parallel run.
-    breaker_opened = MetricField(
-        "repro_breaker_opened_total",
-        help="Shard breakers tripped open (incl. failed probes reopening).",
-        unit="transitions")
-    breaker_half_open = MetricField(
-        "repro_breaker_half_open_total",
-        help="Shard breakers entering half-open to probe a rebuilt pool.",
-        unit="transitions")
-    breaker_closed = MetricField(
-        "repro_breaker_closed_total",
-        help="Shard breakers re-closed by a successful result.",
-        unit="transitions")
-    breaker_open_shards = MetricField(
-        "repro_breaker_open_shards", kind="gauge",
-        help="Shards currently open or half-open (not taking full load).",
-        unit="shards")
-    pool_rebuilds = MetricField(
-        "repro_pool_rebuilds_total",
-        help="Broken worker pools torn down and respawned.", unit="pools")
-    worker_retries = MetricField(
-        "repro_worker_retries_total",
-        help="In-flight payloads retried on a rebuilt pool.",
-        unit="payloads")
+    breaker_opened = MetricField("repro_breaker_opened_total")
+    breaker_half_open = MetricField("repro_breaker_half_open_total")
+    breaker_closed = MetricField("repro_breaker_closed_total")
+    breaker_open_shards = MetricField("repro_breaker_open_shards")
+    pool_rebuilds = MetricField("repro_pool_rebuilds_total")
+    worker_retries = MetricField("repro_worker_retries_total")
     serial_fallback_payloads = MetricField(
-        "repro_serial_fallback_payloads_total",
-        help="Payloads analyzed in-process because a shard was unavailable.",
-        unit="payloads")
-    #: capture salvage: incremented by PcapReader(salvage=True) when it
-    #: shares the sensor registry (``repro-sensor`` wires this up).
-    pcap_truncated = MetricField(
-        "repro_pcap_truncated_total",
-        help="Captures that ended mid-record (salvaged or raised).",
-        unit="captures")
-    #: crash-safety (docs/operations.md "Crash recovery & durability"):
-    #: incremented by the journal/checkpoint/delivery layer and the
-    #: fleet watchdog when they share the sensor registry.  All zero on
-    #: a run without ``--checkpoint-dir``.
-    journal_fsyncs = MetricField(
-        "repro_journal_fsync_total",
-        help="fsync calls issued by the write-ahead alert journal.",
-        unit="calls")
-    alerts_replayed = MetricField(
-        "repro_alerts_replayed_total",
-        help="Journaled alerts re-offered to the sink after a restart.",
-        unit="alerts")
-    alerts_deduped = MetricField(
-        "repro_alerts_deduped_total",
-        help="Duplicate alerts suppressed by delivery-side replay dedupe.",
-        unit="alerts")
-    watchdog_restarts = MetricField(
-        "repro_watchdog_restarts_total",
-        help="Fleet shards killed and respawned by the dispatcher "
-             "watchdog after a missed heartbeat.", unit="restarts")
-    #: fleet transport (docs/architecture.md "Fleet transport"):
-    #: incremented by the SensorFleet dispatcher when it shares the
-    #: sensor registry.  All zero on a single-sensor run.
-    fleet_ship_bytes = MetricField(
-        "repro_fleet_ship_bytes_total",
-        help="Payload bytes serialized into the dispatcher→worker "
-             "transport (pickle triples; offset extents count only "
-             "their 24-byte descriptors).", unit="bytes")
-    quarantine_write_errors = MetricField(
-        "repro_quarantine_write_errors_total",
-        help="Quarantine capture/metadata writes that failed and were "
-             "absorbed (ENOSPC, I/O errors).", unit="errors")
-    #: set by SensorDaemon at each heartbeat and at exit; 0 without one.
-    process_peak_rss = MetricField(
-        "repro_process_peak_rss_bytes", kind="gauge",
-        help="Peak resident set of the sensor process (VmHWM).",
-        unit="bytes")
+        "repro_serial_fallback_payloads_total")
+    #: the fleet dispatcher's, read off whichever engine a run used.
+    watchdog_restarts = MetricField("repro_watchdog_restarts_total")
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         self.registry = bind_metrics(self, registry)
-        # Checkpoint write latency lives here (not as a MetricField —
-        # those only model counters/gauges) so the metric is always in
-        # the schema, observed or not.
-        self.checkpoint_write_seconds = self.registry.histogram(
-            "repro_checkpoint_write_seconds",
-            help="Wall seconds per atomic checkpoint write "
-                 "(serialize+fsync+rename).", unit="seconds")
-        self.fleet_ship_seconds = self.registry.histogram(
-            "repro_fleet_ship_seconds",
-            help="Dispatcher wall seconds per fleet batch shipped "
-                 "(serialize + submit).", unit="seconds")
         tracer = tracer if tracer is not None else NullTracer()
-        # Historical attribute names; the stage labels are the canonical
-        # pipeline stage names (classify/reassemble/extract + the
-        # analyze aggregate over disassemble/lift/match).
+        # The stage labels are the canonical pipeline stage names
+        # (classify/reassemble/extract + the analyze aggregate over
+        # disassemble/lift/match).
         self.classify = StageTimer("classify", self.registry, tracer)
         self.reassembly = StageTimer("reassemble", self.registry, tracer)
         self.extraction = StageTimer("extract", self.registry, tracer)

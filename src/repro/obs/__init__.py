@@ -1,7 +1,10 @@
 """repro.obs — zero-dependency observability for the pipeline.
 
-Three pieces:
+Four pieces:
 
+- :mod:`repro.obs.catalog` — every ``repro_*`` series, declared once:
+  kind, unit, help and label values (docs/observability.md is checked
+  against it);
 - :mod:`repro.obs.registry` — counters, gauges, histograms; JSON and
   Prometheus export; picklable deltas for the parallel engine's workers;
 - :mod:`repro.obs.tracer` — opt-in per-stage spans (in-memory or JSONL);
@@ -11,6 +14,7 @@ Three pieces:
 See docs/observability.md for the full metric catalog.
 """
 
+from .catalog import ANALYZE_STAGE, CATALOG, PIPELINE_STAGES
 from .registry import (
     LATENCY_BUCKETS,
     Counter,
@@ -20,7 +24,7 @@ from .registry import (
     MetricsRegistry,
     bind_metrics,
 )
-from .stage import ANALYZE_STAGE, PIPELINE_STAGES, StageTimer
+from .stage import StageTimer
 from .tracer import NullTracer, Span, Tracer, aggregate_spans, read_spans
 from .window import (
     MetricsWindow,
@@ -31,6 +35,7 @@ from .window import (
 
 __all__ = [
     "ANALYZE_STAGE",
+    "CATALOG",
     "LATENCY_BUCKETS",
     "PIPELINE_STAGES",
     "Counter",

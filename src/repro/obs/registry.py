@@ -13,11 +13,14 @@ Design constraints, in order:
   parallel engine merges *deltas*, it never shares a registry between
   processes);
 - **identical schemas everywhere** — metric identity is
-  ``(name, sorted labels)``; serial and parallel engines construct the
-  same set at init time, so a snapshot's shape never depends on which
-  engine produced it;
+  ``(name, sorted labels)``, and a registry is born holding every series
+  of :data:`~repro.obs.catalog.CATALOG`, so a snapshot's shape never
+  depends on which engine, worker or aggregator produced it.  A
+  ``repro_*`` identity without a catalog row is refused; any other name
+  is an ad-hoc series, created where it is first asked for;
 - **picklable deltas** — worker processes ship ``collect_delta()``
-  output (plain tuples/lists) back with their results and the parent
+  output (plain ``(name, labels, value)`` tuples; the receiver's catalog
+  has the rest) back with their results and the parent
   ``merge_delta()``s them, which is how worker-side stage timings land
   in the parent's registry.
 """
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+
+from .catalog import CATALOG
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -54,40 +59,38 @@ class _Metric:
     kind = "metric"
     __slots__ = ("name", "labels", "help", "unit")
 
-    def __init__(self, name: str, labels: dict[str, str] | None,
-                 help: str = "", unit: str = "") -> None:
+    def __init__(self, name: str, labels, help: str = "",
+                 unit: str = "") -> None:
         self.name = name
-        self.labels = dict(labels or {})
+        self.labels = dict(labels or ())  # from a dict or a labels key
         self.help = help
         self.unit = unit
 
 
-class Counter(_Metric):
-    """Monotonically increasing value (decrements are tolerated only for
-    the parallel engine's failure-recovery accounting)."""
-
-    kind = "counter"
+class _Scalar(_Metric):
     __slots__ = ("value", "_last")
 
     def __init__(self, name, labels=None, help="", unit=""):
         super().__init__(name, labels, help, unit)
         self.value: int | float = 0
         self._last: int | float = 0
+
+
+class Counter(_Scalar):
+    """Monotonically increasing value."""
+
+    kind = "counter"
+    __slots__ = ()
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
 
 
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that goes up and down (buffered bytes, active streams)."""
 
     kind = "gauge"
-    __slots__ = ("value", "_last")
-
-    def __init__(self, name, labels=None, help="", unit=""):
-        super().__init__(name, labels, help, unit)
-        self.value: int | float = 0
-        self._last: int | float = 0
+    __slots__ = ()
 
     def set(self, value: int | float) -> None:
         self.value = value
@@ -118,41 +121,40 @@ class Histogram(_Metric):
         self.count += 1
 
 
-class MetricField:
-    """Class-level descriptor binding an attribute to a registry metric.
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
-    Components keep their historical counter attributes (``.evicted``,
-    ``.fragments_dropped``, ...) — reads and ``+=`` work exactly as on a
-    plain int — but the storage is a registry metric, so the same number
-    surfaces in ``--metrics-out`` without any syncing.  Call
-    :func:`bind_metrics` in ``__init__`` to materialize the instances.
+#: every catalog series, flattened once: what a registry is born with.
+_CATALOG_SERIES = tuple(
+    (_KINDS[row.kind], row.name, _labels_key(labels), row.help, row.unit)
+    for row in CATALOG.values() for labels in row.label_sets())
+
+
+class MetricField:
+    """Class-level descriptor binding an attribute to a catalog series.
+
+    A component declares ``evicted = MetricField("repro_..._total")``
+    and reads or ``+=``s the attribute exactly as a plain int, but the
+    storage is the registry's series, so the same number surfaces in
+    ``--metrics-out`` without any syncing.  Call :func:`bind_metrics` in
+    ``__init__`` to materialize the instances.
     """
 
-    def __init__(self, name: str, help: str = "", unit: str = "",
-                 kind: str = "counter",
+    def __init__(self, name: str,
                  labels: dict[str, str] | None = None) -> None:
         self.name = name
-        self.help = help
-        self.unit = unit
-        self.kind = kind
         self.labels = labels
-        self.attr = "?"
-
-    def __set_name__(self, owner, attr: str) -> None:
-        self.attr = attr
 
     def create(self, registry: "MetricsRegistry"):
-        factory = registry.counter if self.kind == "counter" else registry.gauge
-        return factory(self.name, labels=self.labels, help=self.help,
-                       unit=self.unit)
+        factory = getattr(registry, CATALOG[self.name].kind)
+        return factory(self.name, self.labels)
 
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        return obj._obs_metrics[self.attr].value
+        return obj._obs_metrics[self].value
 
     def __set__(self, obj, value) -> None:
-        obj._obs_metrics[self.attr].value = value
+        obj._obs_metrics[self].value = value
 
 
 def bind_metrics(obj, registry: "MetricsRegistry | None") -> "MetricsRegistry":
@@ -160,73 +162,71 @@ def bind_metrics(obj, registry: "MetricsRegistry | None") -> "MetricsRegistry":
     into ``registry`` (a private registry is created when ``None``) and
     return the registry used."""
     registry = registry if registry is not None else MetricsRegistry()
-    metrics: dict[str, _Metric] = {}
-    for klass in type(obj).__mro__:
-        for attr, field in vars(klass).items():
-            if isinstance(field, MetricField) and attr not in metrics:
-                metrics[attr] = field.create(registry)
-    obj._obs_metrics = metrics
+    obj._obs_metrics = {
+        field: field.create(registry)
+        for klass in type(obj).__mro__ for field in vars(klass).values()
+        if isinstance(field, MetricField)}
     return registry
 
 
 class MetricsRegistry:
     """Holds every metric of one sensor; the export and merge point.
 
-    Metric identity is ``(name, sorted(labels))``; registering an
-    existing identity returns the existing instance (so a
-    :class:`~repro.obs.stage.StageTimer` view in ``NidsStats`` and the
-    component that does the timing share one set of numbers), and
-    registering the same *name* with a different kind raises.
+    Metric identity is ``(name, sorted(labels))``.  Every catalog series
+    exists from construction, so asking for one returns the one instance
+    (a :class:`~repro.obs.stage.StageTimer` view in ``NidsStats`` and the
+    component that does the timing share one set of numbers); asking
+    under the wrong kind raises, and so does a ``repro_*`` identity the
+    catalog does not hold.
     """
 
     SNAPSHOT_SCHEMA = "repro.obs/v1"
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple, _Metric] = {}
-        self._kinds: dict[str, str] = {}
+        self._kinds = {row.name: row.kind for row in CATALOG.values()}
+        self._metrics: dict[tuple, _Metric] = {
+            (name, key): cls(name, key, help, unit)
+            for cls, name, key, help, unit in _CATALOG_SERIES}
+        self._merge_unknown = self.counter("repro_obs_merge_unknown_total")
 
     # -- registration --------------------------------------------------------
 
-    def _register(self, cls, name: str, labels, help: str, unit: str,
-                  **kwargs) -> _Metric:
-        key = (name, _labels_key(labels))
-        kind = cls.kind
-        metric = self._metrics.get(key)
-        if metric is not None:
-            if metric.kind != kind:
+    def _series(self, cls, name: str, key: tuple, *, admit: bool = False,
+                **kwargs) -> _Metric:
+        """The series of this identity and kind.  One the registry does
+        not hold is created, bare — but in the ``repro_`` namespace only
+        when the caller ``admit``s it (a worker's delta): there a
+        catalog row is what makes a series."""
+        if self._kinds.get(name, cls.kind) != cls.kind:
+            raise ValueError(f"metric {name!r} is registered as "
+                             f"{self._kinds[name]}, not {cls.kind}")
+        metric = self._metrics.get((name, key))
+        if metric is None:
+            if name.startswith("repro_") and not admit:
                 raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{metric.kind}, not {kind}")
-            return metric
-        if self._kinds.setdefault(name, kind) != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{self._kinds[name]}, not {kind}")
-        metric = cls(name, labels=labels, help=help, unit=unit, **kwargs)
-        self._metrics[key] = metric
+                    f"series {name!r} {dict(key)} has no row in "
+                    "repro.obs.catalog; declare it there")
+            self._kinds[name] = cls.kind
+            metric = self._metrics[name, key] = cls(name, key, **kwargs)
         return metric
 
-    def counter(self, name: str, labels: dict[str, str] | None = None,
-                help: str = "", unit: str = "") -> Counter:
-        return self._register(Counter, name, labels, help, unit)
+    def counter(self, name: str,
+                labels: dict[str, str] | None = None) -> Counter:
+        return self._series(Counter, name, _labels_key(labels))
 
-    def gauge(self, name: str, labels: dict[str, str] | None = None,
-              help: str = "", unit: str = "") -> Gauge:
-        return self._register(Gauge, name, labels, help, unit)
+    def gauge(self, name: str,
+              labels: dict[str, str] | None = None) -> Gauge:
+        return self._series(Gauge, name, _labels_key(labels))
 
     def histogram(self, name: str, labels: dict[str, str] | None = None,
-                  help: str = "", unit: str = "",
                   buckets: tuple[float, ...] = LATENCY_BUCKETS) -> Histogram:
-        return self._register(Histogram, name, labels, help, unit,
-                              buckets=buckets)
+        return self._series(Histogram, name, _labels_key(labels),
+                            buckets=buckets)
 
     # -- introspection -------------------------------------------------------
 
     def metrics(self) -> list[_Metric]:
         return [self._metrics[k] for k in sorted(self._metrics)]
-
-    def names(self) -> list[str]:
-        return sorted({m.name for m in self._metrics.values()})
 
     def get(self, name: str, labels: dict[str, str] | None = None):
         return self._metrics.get((name, _labels_key(labels)))
@@ -291,25 +291,24 @@ class MetricsRegistry:
 
     def collect_delta(self) -> dict:
         """Changes since the previous ``collect_delta`` call, as plain
-        picklable data.  Metrics with no change are omitted."""
+        picklable data: ``(name, labels, value)`` per changed series (a
+        histogram's value is its edges, bucket counts and sum).  Metrics
+        with no change are omitted."""
         counters: list[tuple] = []
         gauges: list[tuple] = []
         histograms: list[tuple] = []
-        for metric in self.metrics():
-            key = _labels_key(metric.labels)
+        for (name, key), metric in self._metrics.items():
             if isinstance(metric, Counter):
                 diff = metric.value - metric._last
                 if diff:
-                    counters.append((metric.name, key, diff,
-                                     metric.help, metric.unit))
+                    counters.append((name, key, diff))
                 metric._last = metric.value
             elif isinstance(metric, Histogram):
                 if metric.count != metric._last_count:
                     counts = [c - l for c, l in
                               zip(metric.counts, metric._last_counts)]
-                    histograms.append((metric.name, key, metric.edges,
-                                       counts, metric.sum - metric._last_sum,
-                                       metric.help, metric.unit))
+                    histograms.append((name, key, metric.edges, counts,
+                                       metric.sum - metric._last_sum))
                     metric._last_counts = list(metric.counts)
                     metric._last_sum = metric.sum
                     metric._last_count = metric.count
@@ -317,8 +316,7 @@ class MetricsRegistry:
                 # gauge: ship a level that moved.  Merge is last-writer-
                 # wins, so silence must not be a write: a gauge only the
                 # aggregator sets keeps its value.
-                gauges.append((metric.name, key, metric.value,
-                               metric.help, metric.unit))
+                gauges.append((name, key, metric.value))
                 metric._last = metric.value
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
@@ -326,25 +324,18 @@ class MetricsRegistry:
     def merge_delta(self, delta: dict) -> None:
         """Fold a ``collect_delta`` payload (from a worker process) in.
 
-        A delta key the receiving registry has never seen — a worker that
-        registered a metric the aggregator did not pre-build — is
-        auto-registered and folded like any other, and the event is
-        counted in ``repro_obs_merge_unknown_total`` so a schema skew
-        between fleet members is visible instead of silently mis-merged.
+        Help and unit are the receiver's own.  A delta series it does
+        not hold — every registry holding the whole catalog, one that a
+        version-skewed worker declared — is registered bare, folded like
+        any other and counted in ``repro_obs_merge_unknown_total``, so
+        the skew is visible instead of silently mis-merged.
         """
-        for name, labels, diff, help, unit in delta.get("counters", ()):
-            self._note_unknown(name, labels)
-            self.counter(name, labels=dict(labels), help=help,
-                         unit=unit).inc(diff)
-        for name, labels, value, help, unit in delta.get("gauges", ()):
-            self._note_unknown(name, labels)
-            self.gauge(name, labels=dict(labels), help=help,
-                       unit=unit).set(value)
-        for entry in delta.get("histograms", ()):
-            name, labels, edges, counts, sum_diff, help, unit = entry
-            self._note_unknown(name, labels)
-            hist = self.histogram(name, labels=dict(labels), help=help,
-                                  unit=unit, buckets=tuple(edges))
+        for name, key, diff in delta.get("counters", ()):
+            self._fold(Counter, name, key).inc(diff)
+        for name, key, value in delta.get("gauges", ()):
+            self._fold(Gauge, name, key).set(value)
+        for name, key, edges, counts, sum_diff in delta.get("histograms", ()):
+            hist = self._fold(Histogram, name, key, buckets=tuple(edges))
             if hist.edges != tuple(edges):
                 raise ValueError(f"histogram {name!r} bucket edges differ")
             for i, c in enumerate(counts):
@@ -352,15 +343,11 @@ class MetricsRegistry:
             hist.sum += sum_diff
             hist.count += sum(counts)
 
-    def _note_unknown(self, name: str, labels) -> None:
-        """Count a delta key that the receiver had not registered."""
-        if (name, tuple(labels)) in self._metrics:
-            return
-        self.counter(
-            "repro_obs_merge_unknown_total",
-            help="Delta keys merged that the receiving registry had not "
-                 "registered (auto-registered on arrival).",
-            unit="metrics").inc()
+    def _fold(self, cls, name: str, key, **kwargs) -> _Metric:
+        key = tuple(key)
+        if (name, key) not in self._metrics:
+            self._merge_unknown.inc()
+        return self._series(cls, name, key, admit=True, **kwargs)
 
 
 def _format_labels(labels: dict[str, str]) -> str:

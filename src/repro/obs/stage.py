@@ -1,15 +1,10 @@
 """Stage timing: the bridge between components, metrics, and spans.
 
 Every pipeline stage times itself through a :class:`StageTimer`.  The
-timer owns no numbers — it is a *view* over four labeled metrics in the
-shared registry:
-
-- ``repro_stage_calls_total{stage=...}``
-- ``repro_stage_seconds_total{stage=...}``
-- ``repro_stage_bytes_total{stage=...}``
-- ``repro_stage_latency_seconds{stage=...}`` (histogram, log buckets)
-
-Two StageTimers built from the same registry and stage name therefore
+timer owns no numbers — it is a *view* over the four ``{stage=...}``
+series of the shared registry (``repro_stage_calls_total``,
+``_seconds_total``, ``_bytes_total`` and the ``_latency_seconds``
+histogram).  Two StageTimers built from the same registry and stage name therefore
 *are* the same counters: the ``NidsStats.extraction`` view and the
 extractor's own self-timing converge without any syncing, and a worker
 process's stage metrics flow into the parent's timers through the
@@ -26,31 +21,11 @@ from time import perf_counter
 from .registry import MetricsRegistry
 from .tracer import NullTracer, Span, Tracer
 
-__all__ = ["ANALYZE_STAGE", "PIPELINE_STAGES", "StageTimer"]
-
-#: The six pipeline stages, in data-flow order.
-PIPELINE_STAGES: tuple[str, ...] = (
-    "classify", "reassemble", "extract", "disassemble", "lift", "match")
-
-#: Aggregate over disassemble+lift+match (one ``analyze_frame`` call);
-#: kept distinct so per-frame totals remain comparable with pre-obs runs.
-ANALYZE_STAGE = "analyze"
-
-_STAGE_HELP = {
-    "calls": "Stage invocations.",
-    "seconds": "Wall time spent inside the stage.",
-    "bytes": "Payload bytes processed by the stage.",
-    "latency": "Per-invocation stage latency.",
-}
+__all__ = ["StageTimer"]
 
 
 class StageTimer:
-    """Times one pipeline stage against registry-backed metrics.
-
-    Mutable ``calls`` / ``elapsed`` / ``bytes`` properties keep the
-    pre-obs ``stats.extraction.calls += 1`` call sites working (the
-    parallel engine synthesizes calls for cache replays that way).
-    """
+    """Times one pipeline stage against registry-backed metrics."""
 
     def __init__(self, name: str,
                  registry: MetricsRegistry | None = None,
@@ -59,18 +34,11 @@ class StageTimer:
         labels = {"stage": name}
         self.name = name
         self.tracer = tracer if tracer is not None else NullTracer()
-        self._calls = registry.counter(
-            "repro_stage_calls_total", labels=labels,
-            help=_STAGE_HELP["calls"], unit="calls")
-        self._seconds = registry.counter(
-            "repro_stage_seconds_total", labels=labels,
-            help=_STAGE_HELP["seconds"], unit="seconds")
-        self._bytes = registry.counter(
-            "repro_stage_bytes_total", labels=labels,
-            help=_STAGE_HELP["bytes"], unit="bytes")
-        self._latency = registry.histogram(
-            "repro_stage_latency_seconds", labels=labels,
-            help=_STAGE_HELP["latency"], unit="seconds")
+        self._calls = registry.counter("repro_stage_calls_total", labels)
+        self._seconds = registry.counter("repro_stage_seconds_total", labels)
+        self._bytes = registry.counter("repro_stage_bytes_total", labels)
+        self._latency = registry.histogram("repro_stage_latency_seconds",
+                                           labels)
 
     # -- the timing path -----------------------------------------------------
 
@@ -96,31 +64,19 @@ class StageTimer:
                                       duration=duration, nbytes=nbytes,
                                       attrs=attrs))
 
-    # -- back-compat value views ---------------------------------------------
+    # -- value views ---------------------------------------------------------
 
     @property
     def calls(self) -> int:
         return self._calls.value
 
-    @calls.setter
-    def calls(self, value: int) -> None:
-        self._calls.value = value
-
     @property
     def elapsed(self) -> float:
         return self._seconds.value
 
-    @elapsed.setter
-    def elapsed(self, value: float) -> None:
-        self._seconds.value = value
-
     @property
     def bytes(self) -> int:
         return self._bytes.value
-
-    @bytes.setter
-    def bytes(self, value: int) -> None:
-        self._bytes.value = value
 
     @property
     def mean(self) -> float:

@@ -49,13 +49,9 @@ class CheckpointStore:
         self.saves = 0
         self.load_failures = 0
         self._clock = clock
-        self._write_seconds = None
-        if registry is not None:
-            self._write_seconds = registry.histogram(
-                "repro_checkpoint_write_seconds",
-                help="Wall seconds per atomic checkpoint write "
-                     "(serialize+fsync+rename).", unit="seconds",
-            )
+        registry = registry if registry is not None else MetricsRegistry()
+        self._write_seconds = registry.histogram(
+            "repro_checkpoint_write_seconds")
         # Chaos seam: invoked after the temp file is durable but before
         # the rename publishes it — the classic "crash mid-checkpoint"
         # point.  Raising here leaves the previous checkpoint intact.
@@ -75,8 +71,7 @@ class CheckpointStore:
         os.replace(tmp, self.path)
         self._fsync_directory()
         self.saves += 1
-        if self._write_seconds is not None:
-            self._write_seconds.observe(self._clock() - started)
+        self._write_seconds.observe(self._clock() - started)
         return self.path
 
     def load(self) -> dict[str, Any] | None:

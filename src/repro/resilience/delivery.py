@@ -69,32 +69,13 @@ class DurableDelivery:
         self.failed = 0
         self._spool_dir = Path(spool_dir) if spool_dir is not None else None
         self._spool: AlertJournal | None = None
-
-        def _counter(name: str, help_text: str):
-            if registry is None:
-                return None
-            return registry.counter(name, help=help_text, unit="alerts")
-
-        self._retries = _counter(
-            "repro_delivery_retries_total",
-            "alert sink delivery attempts beyond the first",
-        )
-        self._spooled = _counter(
-            "repro_delivery_spooled_total",
-            "alerts parked in the disk spool after exhausting retries",
-        )
-        self._spool_errors = _counter(
-            "repro_delivery_spool_errors_total",
-            "spool writes refused (ENOSPC, I/O error, or spool cap)",
-        )
-        self._deduped = _counter(
-            "repro_alerts_deduped_total",
-            "duplicate alerts suppressed by delivery-side replay dedupe",
-        )
-        self._replayed = _counter(
-            "repro_alerts_replayed_total",
-            "journaled alerts re-offered to the sink after a restart",
-        )
+        registry = registry if registry is not None else MetricsRegistry()
+        self._retries = registry.counter("repro_delivery_retries_total")
+        self._spooled = registry.counter("repro_delivery_spooled_total")
+        self._spool_errors = registry.counter(
+            "repro_delivery_spool_errors_total")
+        self._deduped = registry.counter("repro_alerts_deduped_total")
+        self._replayed = registry.counter("repro_alerts_replayed_total")
 
     # -- dedupe bookkeeping -------------------------------------------
 
@@ -102,6 +83,14 @@ class DurableDelivery:
         """Record a key as already delivered (e.g. pre-crash journal tail)."""
 
         self._seen.add(key)
+
+    def forget_below(self, watermark: Any) -> None:
+        """Drop the dedupe keys below ``watermark``: for an owner whose
+        keys rise and who knows none below it can be offered again (the
+        daemon's checkpointed alert seq), so the set holds a checkpoint
+        interval of keys, not one per alert ever delivered."""
+
+        self._seen = {key for key in self._seen if key >= watermark}
 
     @property
     def seen(self) -> frozenset:
@@ -116,8 +105,7 @@ class DurableDelivery:
         """
 
         if key in self._seen:
-            if self._deduped is not None:
-                self._deduped.inc()
+            self._deduped.inc()
             return "duplicate"
         self._seen.add(key)
         if self._attempt_with_retries(key, alert):
@@ -133,8 +121,7 @@ class DurableDelivery:
         count = 0
         for key, record in entries:
             count += 1
-            if self._replayed is not None:
-                self._replayed.inc()
+            self._replayed.inc()
             self.deliver(key, record_to_alert(record))
         return count
 
@@ -148,8 +135,7 @@ class DurableDelivery:
                     return False
                 if self._clock() - started >= self.timeout:
                     return False
-                if self._retries is not None:
-                    self._retries.inc()
+                self._retries.inc()
                 self._sleep(self._backoff(attempt))
             else:
                 self.delivered += 1
@@ -190,11 +176,9 @@ class DurableDelivery:
                 raise OSError("alert spool is at capacity")
             spool.append(key, alert)
         except OSError:
-            if self._spool_errors is not None:
-                self._spool_errors.inc()
+            self._spool_errors.inc()
             return False
-        if self._spooled is not None:
-            self._spooled.inc()
+        self._spooled.inc()
         return True
 
     def replay_spool(self) -> int:

@@ -8,9 +8,8 @@ through: it resolves which stage failed, counts it
 (``repro_stage_faults_total{stage=...}``), and preserves the offending
 input in the quarantine capture (``repro_quarantined_total``).
 
-Both engines build their firewall at init and all stage labels are
-registered up front, so serial and parallel metric schemas stay
-identical whether or not anything ever faults.
+Every stage label is a value of the series' catalog row, so metric
+schemas are identical whether or not anything ever faults.
 """
 
 from __future__ import annotations
@@ -49,16 +48,11 @@ class StageFirewall:
             # the writer was constructed without one (the CLI path).
             quarantine.bind_registry(registry)
         self._fault_counters = {
-            stage: registry.counter(
-                "repro_stage_faults_total", labels={"stage": stage},
-                help="Exceptions contained by the stage firewall.",
-                unit="faults")
+            stage: registry.counter("repro_stage_faults_total",
+                                    {"stage": stage})
             for stage in CONTAINED_STAGES
         }
-        self._quarantined = registry.counter(
-            "repro_quarantined_total",
-            help="Offending inputs written to the quarantine capture.",
-            unit="inputs")
+        self._quarantined = registry.counter("repro_quarantined_total")
 
     @staticmethod
     def stage_for(site: str, exc: BaseException) -> str:
@@ -84,10 +78,9 @@ class StageFirewall:
         """Record one contained fault, flattened to strings (``stage``
         from :meth:`stage_for`, ``reason`` from :meth:`template_for`) so
         a worker's fault crosses the pickle boundary unchanged."""
-        counter = self._fault_counters.get(stage)
-        if counter is None:  # unknown stage: keep the schema fixed
-            counter = self._fault_counters["analyze"]
-        counter.inc()
+        # an unknown stage counts as "analyze": the schema stays fixed
+        self._fault_counters.get(
+            stage, self._fault_counters["analyze"]).inc()
         if self.quarantine is not None:
             before = self.quarantine.written
             self.quarantine.record(reason=reason, stage=stage, pkt=pkt,

@@ -112,13 +112,8 @@ class AlertJournal:
         self._pending = 0
         self._fh = None
         self._segment_index = self._last_segment_index()
-        self._fsync_counter = None
-        if registry is not None:
-            self._fsync_counter = registry.counter(
-                "repro_journal_fsync_total",
-                help="fsync calls issued by the write-ahead alert journal.",
-                unit="calls",
-            )
+        registry = registry if registry is not None else MetricsRegistry()
+        self._fsync_counter = registry.counter("repro_journal_fsync_total")
         # Chaos seam: when set, the next append writes this many bytes of
         # the frame, flushes, and raises — simulating a crash mid-write.
         self._tear_after_bytes: int | None = None
@@ -191,8 +186,7 @@ class AlertJournal:
         os.fsync(self._fh.fileno())
         self.synced += self._pending
         self._pending = 0
-        if self._fsync_counter is not None:
-            self._fsync_counter.inc()
+        self._fsync_counter.inc()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -59,18 +59,15 @@ class QuarantineWriter:
         self._consecutive_errors = 0
         self._pcap: PcapWriter | None = None
         self._meta = None
-        self._error_counter = None
-        if registry is not None:
-            self.bind_registry(registry)
+        self.bind_registry(
+            registry if registry is not None else MetricsRegistry())
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Surface write failures on a shared registry
         (``repro_quarantine_write_errors_total``); the engine's stage
         firewall binds its registry here automatically."""
         self._error_counter = registry.counter(
-            "repro_quarantine_write_errors_total",
-            help="Quarantine capture/metadata writes that failed and "
-                 "were absorbed (ENOSPC, I/O errors).", unit="errors")
+            "repro_quarantine_write_errors_total")
 
     # -- recording ----------------------------------------------------------
 
@@ -125,8 +122,7 @@ class QuarantineWriter:
 
     def _count_error(self) -> None:
         self.write_errors += 1
-        if self._error_counter is not None:
-            self._error_counter.inc()
+        self._error_counter.inc()
 
     def _synthesize(self, pkt: Packet | None,
                     payload: bytes | None) -> tuple[Packet, int | None]:

@@ -56,26 +56,13 @@ class BoundedRing:
         self._items: deque = deque()
         self._lock = threading.Lock()
         registry = registry if registry is not None else MetricsRegistry()
-        self._shed = registry.counter(
-            "repro_shed_packets_total", labels={"policy": policy},
-            help="Packets shed by the admission ring (never silent).",
-            unit="packets")
-        self._accepted = registry.counter(
-            "repro_ring_accepted_total",
-            help="Packets admitted into the ingestion ring.",
-            unit="packets")
+        self._shed = registry.counter("repro_shed_packets_total",
+                                      {"policy": policy})
+        self._accepted = registry.counter("repro_ring_accepted_total")
         self._backpressure = registry.counter(
-            "repro_backpressure_waits_total",
-            help="Ring-full refusals under the 'block' policy (the "
-                 "source was paused instead of packets shed).",
-            unit="refusals")
-        self._occupancy = registry.gauge(
-            "repro_ring_occupancy",
-            help="Packets currently queued in the ingestion ring.",
-            unit="packets")
-        self._high_watermark = registry.gauge(
-            "repro_ring_high_watermark",
-            help="Peak ring occupancy observed.", unit="packets")
+            "repro_backpressure_waits_total")
+        self._occupancy = registry.gauge("repro_ring_occupancy")
+        self._high_watermark = registry.gauge("repro_ring_high_watermark")
 
     # -- producer side -------------------------------------------------------
 

@@ -306,6 +306,25 @@ class TestCheckpointGate:
                               checkpoint_dir=tmp_path / "state")
         assert daemon.checkpoints is not None
 
+    def test_delivery_keeps_one_checkpoint_interval_of_keys(self, tmp_path):
+        """A key below the checkpointed alert seq can never be offered
+        again, so each checkpoint lets the dedupe set forget below it:
+        10,000 alerts, never more than an interval of keys held (one per
+        alert, for the life of the daemon, before)."""
+        packets = [_execve_packet(sport=1000 + i) for i in range(10_000)]
+        delivered = []
+        daemon = SensorDaemon(
+            SemanticNids(classification_enabled=False),
+            IterPacketSource(packets), shed_policy="block", batch_size=50,
+            checkpoint_dir=tmp_path / "state", checkpoint_interval=100,
+            journal_fsync_batch=1000, on_alert=delivered.append)
+        held = []
+        stats = daemon.run(
+            stop=lambda: held.append(len(daemon.delivery.seen)))
+        assert len(delivered) == stats.alerts == 10_000
+        assert stats.checkpoints >= 100 and stats.deduped == 0
+        assert max(held) <= 100 and len(daemon.delivery.seen) == 0
+
 
 DARK = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"])
 

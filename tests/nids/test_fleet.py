@@ -1,12 +1,15 @@
 """Tests for the sensor fleet: flow-hash dispatch across worker
-processes, deterministic alert merge, and cross-process metric folding
-via the registry delta protocol."""
+processes, deterministic alert merge, cross-process metric folding via
+the registry delta protocol, and what a dead worker costs."""
+
+import re
 
 import pytest
 
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
 from repro.nids import SemanticNids, SensorFleet
+from repro.nids.fleet import SHARD_LOST_TEMPLATE, kill_pool
 from repro.traffic.traces import build_table3_trace
 
 DARK = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
@@ -108,18 +111,61 @@ class TestMetricsAggregation:
         assert reg.get("repro_packets_total").value == 6
         assert stats.deltas_merged > 0
 
-    def test_unknown_worker_keys_are_counted_not_dropped(self):
-        """Workers register metrics the aggregator has never seen
-        (pipeline internals); the merge surfaces them and counts each
-        first-sight key in repro_obs_merge_unknown_total."""
+    def test_a_healthy_fleet_merges_no_unknown_series(self):
+        """The aggregator holds the catalog its workers hold: every
+        worker series is known on arrival (54 "unknown" before)."""
         with SensorFleet(workers=2, batch_size=2,
                          nids_options=dict(classification_enabled=False)) \
                 as fleet:
             for i in range(4):
                 fleet.process_packet(_execve_packet(sport=7100 + i))
             fleet.flush()
-            unknown = fleet.registry.get("repro_obs_merge_unknown_total")
-        assert unknown.value > 0
+            reg = fleet.registry
+        assert reg.get("repro_stage_calls_total", {"stage": "match"}).value
+        assert reg.get("repro_obs_merge_unknown_total").value == 0
+
+
+class TestShardLoss:
+    """A worker that dies is either re-fed from the replay log (kept
+    under a watchdog or once a snapshot was taken) or, without one,
+    restarts blank — and then says what it lost."""
+
+    KILL_AT = 1200
+
+    def _run(self, trace, snapshot_at=None, **options):
+        with SensorFleet(workers=2, batch_size=32, nids_options=DARK,
+                         **options) as fleet:
+            for i, pkt in enumerate(trace):
+                if i == snapshot_at:
+                    fleet.snapshot_state()
+                if i == self.KILL_AT:
+                    kill_pool(fleet._pools[0], discard=False)
+                fleet.process_packet(pkt)
+            fleet.flush()
+            lost = fleet.registry.get("repro_fleet_shard_lost_packets_total")
+            return fleet.alerts, fleet.stats, lost.value
+
+    def test_without_a_replay_log_the_loss_is_alerted_and_counted(self, trace):
+        alerts, stats, lost = self._run(trace)
+        assert stats.watchdog_restarts == 1
+        (alert,) = [a for a in alerts if a.template == SHARD_LOST_TEMPLATE]
+        assert alert.severity == "degraded"
+        assert alert.source == "fleet-shard-0"
+        assert alert.timestamp >= trace[self.KILL_AT - 1].timestamp
+        named = int(re.search(r"(\d+) packet\(s\)", alert.detail).group(1))
+        assert 0 < named == lost <= stats.dispatched
+        assert stats.alerts == len(alerts)
+
+    @pytest.mark.parametrize("options", [dict(watchdog_timeout=30.0),
+                                         dict(snapshot_at=400)],
+                             ids=["watchdog", "after-snapshot"])
+    def test_with_a_replay_log_the_stream_is_whole_and_silent(
+            self, trace, serial_alerts, options):
+        alerts, stats, lost = self._run(trace, **options)
+        assert stats.watchdog_restarts == 1
+        assert lost == 0
+        assert sorted(map(_alert_key, alerts)) == \
+            sorted(map(_alert_key, serial_alerts))
 
 
 class TestReload:

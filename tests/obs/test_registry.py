@@ -1,11 +1,16 @@
 """Tests for the metrics registry: counters, gauges, histograms,
-snapshot formats, and the worker delta protocol."""
+snapshot formats, the catalog it is born from, and the worker delta
+protocol.  Names without the ``repro_`` prefix are ad-hoc series (the
+registry mechanics on a known-small set); ``repro_*`` names are catalog
+rows."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.obs import (
+    CATALOG,
     LATENCY_BUCKETS,
     MetricField,
     MetricsRegistry,
@@ -16,14 +21,14 @@ from repro.obs import (
 class TestCounterGauge:
     def test_counter_increments(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_test_total", help="t", unit="things")
+        c = reg.counter("test_total")
         c.inc()
         c.inc(4)
         assert c.value == 5
 
     def test_gauge_sets_and_moves_both_ways(self):
         reg = MetricsRegistry()
-        g = reg.gauge("repro_test_level", help="t", unit="things")
+        g = reg.gauge("test_level")
         g.set(10)
         assert g.value == 10
         g.set(3)
@@ -31,23 +36,67 @@ class TestCounterGauge:
 
     def test_same_identity_returns_same_instance(self):
         reg = MetricsRegistry()
-        a = reg.counter("repro_x_total", labels={"stage": "extract"})
-        b = reg.counter("repro_x_total", labels={"stage": "extract"})
-        c = reg.counter("repro_x_total", labels={"stage": "match"})
+        a = reg.counter("x_total", labels={"stage": "extract"})
+        b = reg.counter("x_total", labels={"stage": "extract"})
+        c = reg.counter("x_total", labels={"stage": "match"})
         assert a is b
         assert a is not c
 
     def test_same_name_different_kind_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("repro_x_total")
+        reg.counter("x_total")
         with pytest.raises(ValueError):
-            reg.gauge("repro_x_total")
+            reg.gauge("x_total")
+        with pytest.raises(ValueError):
+            reg.gauge("x_total", labels={"stage": "lift"})
+        with pytest.raises(ValueError):
+            reg.gauge("repro_packets_total")
 
     def test_get_by_name_and_labels(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_x_total", labels={"stage": "lift"})
-        assert reg.get("repro_x_total", {"stage": "lift"}) is c
-        assert reg.get("repro_x_total", {"stage": "other"}) is None
+        c = reg.counter("x_total", labels={"stage": "lift"})
+        assert reg.get("x_total", {"stage": "lift"}) is c
+        assert reg.get("x_total", {"stage": "other"}) is None
+
+
+class TestCatalog:
+    def test_a_registry_is_born_with_every_catalog_series(self):
+        reg = MetricsRegistry()
+        assert {m.name for m in reg.metrics()} == set(CATALOG)
+        for row in CATALOG.values():
+            for labels in row.label_sets():
+                metric = reg.get(row.name, labels)
+                assert (metric.kind, metric.unit, metric.help) == \
+                    (row.kind, row.unit, row.help)
+        assert len(reg.metrics()) == sum(
+            len(row.label_sets()) for row in CATALOG.values())
+
+    def test_naming_a_series_returns_the_one_instance(self):
+        reg = MetricsRegistry()
+        calls = reg.counter("repro_stage_calls_total", {"stage": "lift"})
+        assert calls is reg.get("repro_stage_calls_total", {"stage": "lift"})
+        assert calls.help == CATALOG["repro_stage_calls_total"].help
+
+    def test_a_repro_name_without_a_row_is_refused(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="repro.obs.catalog"):
+            reg.counter("repro_undeclared_total")
+        with pytest.raises(ValueError, match="repro.obs.catalog"):
+            reg.histogram("repro_undeclared_seconds")
+        assert len(reg.metrics()) == len(MetricsRegistry().metrics())
+
+    def test_a_label_value_the_row_does_not_take_is_refused(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="repro.obs.catalog"):
+            reg.counter("repro_stage_calls_total", {"stage": "warp"})
+        with pytest.raises(ValueError, match="repro.obs.catalog"):
+            reg.counter("repro_stage_calls_total")  # the row is labelled
+
+    def test_every_row_is_well_formed(self):
+        for row in CATALOG.values():
+            assert row.name.startswith("repro_")
+            assert row.kind in ("counter", "gauge", "histogram")
+            assert row.unit and row.help, row.name
 
 
 class TestHistogram:
@@ -59,7 +108,7 @@ class TestHistogram:
 
     def test_observe_lands_in_correct_bucket(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_test_seconds")
+        h = reg.histogram("test_seconds")
         assert h.edges == LATENCY_BUCKETS
         h.observe(0.5e-6)   # below the first edge
         h.observe(2e-6)     # between 1us and 4us
@@ -72,7 +121,7 @@ class TestHistogram:
 
     def test_edge_value_goes_to_upper_bucket(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_test_seconds")
+        h = reg.histogram("test_seconds")
         h.observe(1e-6)  # exactly the first edge: le="1e-06" is inclusive
         assert h.counts[0] == 1
 
@@ -80,10 +129,9 @@ class TestHistogram:
 class TestSnapshot:
     def _populated(self):
         reg = MetricsRegistry()
-        reg.counter("repro_c_total", help="c", unit="things").inc(7)
-        reg.gauge("repro_g", help="g", unit="bytes").set(42)
-        reg.histogram("repro_h_seconds",
-                      labels={"stage": "extract"}).observe(2e-6)
+        reg.counter("c_total").inc(7)
+        reg.gauge("g").set(42)
+        reg.histogram("h_seconds", labels={"stage": "extract"}).observe(2e-6)
         return reg
 
     def test_json_snapshot_round_trips(self):
@@ -91,9 +139,10 @@ class TestSnapshot:
         data = json.loads(reg.to_json())
         assert data["schema"] == "repro.obs/v1"
         (counter,) = [c for c in data["counters"]
-                      if c["name"] == "repro_c_total"]
+                      if c["name"] == "c_total"]
         assert counter["value"] == 7
-        (hist,) = data["histograms"]
+        (hist,) = [h for h in data["histograms"]
+                   if h["name"] == "h_seconds"]
         assert hist["labels"] == {"stage": "extract"}
         assert hist["count"] == 1
         assert len(hist["counts"]) == len(hist["buckets"]) + 1
@@ -101,66 +150,64 @@ class TestSnapshot:
     def test_schema_lists_every_metric(self):
         reg = self._populated()
         kinds = {(name, kind) for name, kind, _, _ in reg.schema()}
-        assert ("repro_c_total", "counter") in kinds
-        assert ("repro_g", "gauge") in kinds
-        assert ("repro_h_seconds", "histogram") in kinds
+        assert ("c_total", "counter") in kinds
+        assert ("g", "gauge") in kinds
+        assert ("h_seconds", "histogram") in kinds
 
     def test_prometheus_exposition(self):
         text = self._populated().to_prometheus()
-        assert "# TYPE repro_c_total counter" in text
-        assert "repro_c_total 7" in text
-        assert "repro_g 42" in text
+        assert "# TYPE c_total counter" in text
+        assert "\nc_total 7\n" in text
+        assert "\ng 42\n" in text
         # cumulative buckets with the +Inf terminator and _sum/_count
         # (labels render sorted, so "le" precedes "stage")
-        assert 'repro_h_seconds_bucket{le="+Inf",stage="extract"} 1' in text
-        assert 'repro_h_seconds_count{stage="extract"} 1' in text
+        assert 'h_seconds_bucket{le="+Inf",stage="extract"} 1' in text
+        assert 'h_seconds_count{stage="extract"} 1' in text
 
     def test_prometheus_help_and_type_emitted_once_per_name(self):
         reg = MetricsRegistry()
-        reg.counter("repro_stage_calls_total", labels={"stage": "lift"},
-                    help="Stage invocations.").inc()
-        reg.counter("repro_stage_calls_total", labels={"stage": "match"},
-                    help="Stage invocations.").inc()
+        reg.counter("repro_stage_calls_total", {"stage": "lift"}).inc()
+        reg.counter("repro_stage_calls_total", {"stage": "match"}).inc()
         text = reg.to_prometheus()
         assert text.count("# TYPE repro_stage_calls_total counter") == 1
-        assert text.count("# HELP repro_stage_calls_total") == 1
+        assert text.count(
+            "# HELP repro_stage_calls_total Stage invocations.") == 1
 
 
 class TestDeltaProtocol:
     def test_counter_delta_is_since_last_collect(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_c_total")
+        c = reg.counter("c_total")
         c.inc(3)
         first = reg.collect_delta()
         c.inc(2)
         second = reg.collect_delta()
 
         parent = MetricsRegistry()
-        parent.counter("repro_c_total").inc(100)
+        parent.counter("c_total").inc(100)
         parent.merge_delta(first)
         parent.merge_delta(second)
-        assert parent.get("repro_c_total").value == 105
+        assert parent.get("c_total").value == 105
 
     def test_gauge_is_shipped_when_it_moved_and_only_then(self):
         """Last-writer-wins is only safe if silence is not a write: a
         gauge the worker never set must not reset the aggregator's."""
         worker = MetricsRegistry()
-        level = worker.gauge("repro_level")
-        worker.gauge("repro_parent_only")
+        level = worker.gauge("repro_ring_occupancy")
         parent = MetricsRegistry()
-        parent.gauge("repro_parent_only").set(7)
+        parent.gauge("repro_breaker_open_shards").set(7)
         level.set(3)
         parent.merge_delta(worker.collect_delta())
-        assert parent.get("repro_level").value == 3
-        assert parent.get("repro_parent_only").value == 7
+        assert parent.get("repro_ring_occupancy").value == 3
+        assert parent.get("repro_breaker_open_shards").value == 7
         assert worker.collect_delta()["gauges"] == []  # nothing moved
         level.set(0)
         parent.merge_delta(worker.collect_delta())
-        assert parent.get("repro_level").value == 0
+        assert parent.get("repro_ring_occupancy").value == 0
 
     def test_histogram_delta_merges_per_bucket(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_h_seconds")
+        h = reg.histogram("h_seconds")
         h.observe(2e-6)
         delta = reg.collect_delta()
         h.observe(100.0)
@@ -169,36 +216,59 @@ class TestDeltaProtocol:
         parent = MetricsRegistry()
         parent.merge_delta(delta)
         parent.merge_delta(delta2)
-        merged = parent.get("repro_h_seconds")
+        merged = parent.get("h_seconds")
         assert merged.count == 2
         assert merged.counts[1] == 1
         assert merged.counts[-1] == 1
         assert merged.sum == pytest.approx(100.0 + 2e-6)
 
-    def test_delta_is_plain_picklable_data(self):
-        import pickle
+    def test_histogram_edges_must_agree(self):
+        worker = MetricsRegistry()
+        worker.histogram("repro_daemon_packet_seconds").observe(1.0)
+        delta = worker.collect_delta()
+        (name, key, _edges, counts, total), = delta["histograms"]
+        delta["histograms"] = [(name, key, (0.5, 2.0), counts[:3], total)]
+        with pytest.raises(ValueError, match="bucket edges differ"):
+            MetricsRegistry().merge_delta(delta)
 
+    def test_delta_is_plain_picklable_data_without_help_or_unit(self):
+        """A delta is (name, labels, value): the receiver's catalog has
+        the prose, so none of it rides every batch."""
         reg = MetricsRegistry()
-        reg.counter("repro_c_total", labels={"stage": "x"}).inc()
-        reg.histogram("repro_h_seconds").observe(1.0)
+        reg.counter("repro_stage_calls_total", {"stage": "extract"}).inc()
+        reg.gauge("repro_reassembly_buffered_bytes").set(9)
+        reg.histogram("repro_stage_latency_seconds",
+                      {"stage": "extract"}).observe(1.0)
         delta = reg.collect_delta()
-        assert pickle.loads(pickle.dumps(delta)) == delta
+        blob = pickle.dumps(delta)
+        assert pickle.loads(blob) == delta
+        assert delta["counters"] == [
+            ("repro_stage_calls_total", (("stage", "extract"),), 1)]
+        assert delta["gauges"] == [("repro_reassembly_buffered_bytes", (), 9)]
+        (hist,) = delta["histograms"]
+        assert len(hist) == 5 and hist[:2] == (
+            "repro_stage_latency_seconds", (("stage", "extract"),))
+        for row in CATALOG.values():
+            assert row.help.encode() not in blob
+        parent = MetricsRegistry()
+        parent.merge_delta(pickle.loads(blob))
+        merged = parent.get("repro_stage_latency_seconds", {"stage": "extract"})
+        assert merged.count == 1 and merged.unit == "seconds"
+        assert parent.get("repro_obs_merge_unknown_total").value == 0
 
     def test_empty_delta_merges_as_noop(self):
         reg = MetricsRegistry()
-        reg.counter("repro_c_total").inc()
+        reg.counter("c_total").inc()
         reg.collect_delta()
         parent = MetricsRegistry()
         parent.merge_delta(reg.collect_delta())  # nothing new since last
-        existing = parent.get("repro_c_total")
-        assert existing is None or existing.value == 0
+        assert parent.get("c_total") is None
 
 
 class TestMetricField:
     class Component:
-        seen = MetricField("repro_comp_seen_total", help="seen",
-                           unit="things")
-        level = MetricField("repro_comp_level", kind="gauge", unit="bytes")
+        seen = MetricField("repro_packets_total")
+        level = MetricField("repro_ring_occupancy")
 
         def __init__(self, registry=None):
             bind_metrics(self, registry)
@@ -216,8 +286,8 @@ class TestMetricField:
         reg = MetricsRegistry()
         comp = self.Component(reg)
         comp.seen += 5
-        assert reg.get("repro_comp_seen_total").value == 5
-        assert reg.get("repro_comp_level").value == 0
+        assert reg.get("repro_packets_total").value == 5
+        assert reg.get("repro_ring_occupancy").value == 0
 
     def test_private_registry_when_none(self):
         a = self.Component()
@@ -225,38 +295,47 @@ class TestMetricField:
         a.seen += 1
         assert b.seen == 0
 
+    def test_a_field_names_a_catalog_row(self):
+        class Stray:
+            seen = MetricField("repro_undeclared_total")
+
+        with pytest.raises(KeyError):
+            bind_metrics(Stray(), None)
+
 
 class TestMergeUnknownKeys:
-    """Delta keys the receiver never registered must not vanish silently:
-    they are auto-registered AND counted (repro_obs_merge_unknown_total)."""
+    """A delta series the receiver does not hold — every registry holds
+    the catalog, so a worker built from another version's — must not
+    vanish silently: it is registered bare, folded AND counted
+    (repro_obs_merge_unknown_total)."""
 
     def test_unknown_counter_key_is_counted_and_folded(self):
-        worker = MetricsRegistry()
-        worker.counter("repro_worker_only_total",
-                       labels={"stage": "x"}).inc(3)
-        delta = worker.collect_delta()
-
-        parent = MetricsRegistry()  # never registered that key
-        parent.merge_delta(delta)
+        skewed = {"counters": [
+            ("repro_worker_only_total", (("stage", "x"),), 3)]}
+        parent = MetricsRegistry()
+        parent.merge_delta(skewed)
         assert parent.get("repro_worker_only_total",
                           {"stage": "x"}).value == 3
+        assert parent.get("repro_obs_merge_unknown_total").value == 1
+        parent.merge_delta(skewed)  # now held: folded, not counted again
+        assert parent.get("repro_worker_only_total",
+                          {"stage": "x"}).value == 6
         assert parent.get("repro_obs_merge_unknown_total").value == 1
 
     def test_known_keys_do_not_count_as_unknown(self):
         worker = MetricsRegistry()
-        worker.counter("repro_shared_total").inc()
+        worker.counter("shared_total").inc()
+        worker.counter("repro_packets_total").inc()
         delta = worker.collect_delta()
 
         parent = MetricsRegistry()
-        parent.counter("repro_shared_total")  # pre-registered
+        parent.counter("shared_total")  # pre-registered
         parent.merge_delta(delta)
-        unknown = parent.get("repro_obs_merge_unknown_total")
-        assert unknown is None or unknown.value == 0
+        assert parent.get("repro_obs_merge_unknown_total").value == 0
 
     def test_cross_process_round_trip(self):
         """The fleet path: the delta crosses a real process boundary and
         still folds (plus the unknown-key count) on the far side."""
-        import pickle
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=1) as pool:
@@ -265,16 +344,14 @@ class TestMergeUnknownKeys:
         parent = MetricsRegistry()
         parent.merge_delta(delta)
         parent.merge_delta(delta)  # second merge: key now known
-        assert parent.get("repro_xproc_total").value == 10
-        assert parent.get("repro_xproc_seconds").count == 2
+        assert parent.get("xproc_total").value == 10
+        assert parent.get("xproc_seconds").count == 2
         assert parent.get("repro_obs_merge_unknown_total").value == 2
 
 
 def _delta_from_worker_process() -> bytes:
     """Module-level so ProcessPoolExecutor can pickle the callable."""
-    import pickle
-
     reg = MetricsRegistry()
-    reg.counter("repro_xproc_total").inc(5)
-    reg.histogram("repro_xproc_seconds").observe(2e-6)
+    reg.counter("xproc_total").inc(5)
+    reg.histogram("xproc_seconds").observe(2e-6)
     return pickle.dumps(reg.collect_delta())

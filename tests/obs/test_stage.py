@@ -79,18 +79,20 @@ class TestStageTimer:
         with untraced.timed():
             pass  # NullTracer: no span, no error
 
-    def test_value_setters_keep_legacy_call_sites_working(self):
-        """The parallel engine synthesizes cache-replay accounting via
-        ``stats.extraction.calls += 1`` — plain augmented assignment."""
+    def test_value_views_are_read_only(self):
+        """Numbers enter through ``observe`` / ``timed``; the views only
+        read them."""
         timer = StageTimer("extract")
-        timer.calls += 1
-        timer.calls += 1
-        timer.elapsed += 0.5
-        timer.bytes = 99
-        assert timer.calls == 2
-        assert timer.elapsed == 0.5
-        assert timer.bytes == 99
+        timer.observe(0.5, nbytes=99)
+        timer.observe(0.0)
+        assert (timer.calls, timer.elapsed, timer.bytes) == (2, 0.5, 99)
         assert timer.mean == 0.25
+        with pytest.raises(AttributeError):
+            timer.calls += 1
+
+    def test_a_stage_outside_the_vocabulary_is_refused(self):
+        with pytest.raises(ValueError, match="repro.obs.catalog"):
+            StageTimer("warp")
 
     def test_mean_of_idle_timer_is_zero(self):
         assert StageTimer("lift").mean == 0.0

@@ -95,7 +95,7 @@ class TestMetricsWindow:
     def test_window_holds_increment_not_total(self):
         clock = FakeClock()
         reg = MetricsRegistry()
-        c = reg.counter("repro_w_total")
+        c = reg.counter("w_total")
         win = MetricsWindow(reg, clock=clock)
         c.inc(100)
         clock.advance(10.0)
@@ -103,13 +103,13 @@ class TestMetricsWindow:
         c.inc(5)
         clock.advance(10.0)
         snap = win.roll()
-        assert snap.counters[("repro_w_total", ())] == 5
-        assert snap.rate("repro_w_total") == pytest.approx(0.5)
+        assert snap.counters[("w_total", ())] == 5
+        assert snap.rate("w_total") == pytest.approx(0.5)
 
     def test_histogram_quantile_is_per_window(self):
         clock = FakeClock()
         reg = MetricsRegistry()
-        h = reg.histogram("repro_w_seconds")
+        h = reg.histogram("w_seconds")
         win = MetricsWindow(reg, clock=clock)
         for _ in range(100):
             h.observe(2e-6)  # slow past, bucket (1us, 4us]
@@ -119,9 +119,9 @@ class TestMetricsWindow:
             h.observe(0.3)  # this window is much slower
         clock.advance(1.0)
         snap = win.roll()
-        assert snap.quantile("repro_w_seconds", 0.99) > 0.2
-        assert snap.quantile("repro_w_seconds", 0.99) >= \
-            snap.quantile("repro_w_seconds", 0.5)
+        assert snap.quantile("w_seconds", 0.99) > 0.2
+        assert snap.quantile("w_seconds", 0.99) >= \
+            snap.quantile("w_seconds", 0.5)
 
     def test_bounded_to_max_windows(self):
         clock = FakeClock()
@@ -136,11 +136,11 @@ class TestMetricsWindow:
         """Windowing must keep its own bookkeeping: collect_delta's
         ``_last`` fields belong to the cross-process merge path."""
         reg = MetricsRegistry()
-        c = reg.counter("repro_w_total")
+        c = reg.counter("w_total")
         win = MetricsWindow(reg, clock=FakeClock())
         c.inc(7)
         win.roll()  # windows diff...
         delta = reg.collect_delta()  # ...but the delta still sees all 7
         parent = MetricsRegistry()
         parent.merge_delta(delta)
-        assert parent.get("repro_w_total").value == 7
+        assert parent.get("w_total").value == 7

@@ -151,3 +151,23 @@ class TestDocsChecker:
         checker.check_flags(README, "`--metrics-out` and `--benchmark-only`",
                             errors, checker.cli_flags())
         assert errors == []
+
+    def test_detects_metric_table_drift(self, checker, tmp_path, monkeypatch):
+        """A row whose kind moved, a series the catalog does not hold and
+        a catalog row left undocumented: one error each, and the missing
+        one carries the row to paste."""
+        doc = (README.parent / "docs" / "observability.md").read_text()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "observability.md").write_text(
+            doc.replace("| `repro_packets_total` | counter |",
+                        "| `repro_packets_total` | gauge |")
+               .replace("| `repro_alerts_total` |", "| `repro_alarms_total` |"))
+        monkeypatch.setattr(checker, "REPO", tmp_path)
+        errors = []
+        checker.check_metric_catalog(errors)
+        assert len(errors) == 3
+        assert "'repro_alarms_total' which has no row" in errors[0]
+        assert "'repro_packets_total' is stale" in errors[1]
+        assert errors[2].endswith(
+            "'repro_alerts_total' is missing; the catalog says: "
+            "| `repro_alerts_total` | counter | alerts | Alerts raised. |")

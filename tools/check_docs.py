@@ -19,7 +19,12 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md, and docs/:
    one generated from the live schema (``repro.scenario.SCHEMA``), row
    for row: a documented key the schema dropped fails, so does a schema
    key the table never mentions, and so does a type, default,
-   description or constraint that a record has since changed.
+   description or constraint that a record has since changed;
+6. the metric tables of ``docs/observability.md`` hold one row per row
+   of the series catalog (``repro.obs.CATALOG``) and no other: name,
+   label keys, kind and unit cell for cell (the meaning cell may say
+   more than the help text does), so a series cannot be exported
+   undocumented — checked without running a sensor.
 
 Zero third-party dependencies; run as
 ``PYTHONPATH=src python tools/check_docs.py``.  Exit code 0 when the
@@ -190,6 +195,41 @@ def check_scenario_schema(errors: list[str]) -> None:
                 f"live schema says: {row}")
 
 
+#: table rows of docs/observability.md whose first cell is a backticked
+#: series name, optionally followed by its label keys:
+#: ``| `repro_x_total` `{stage}` | counter | calls | ... |``.
+METRIC_ROW_RE = re.compile(
+    r"^\|\s*`(repro_[a-z0-9_]+)`(?: `\{([a-z_,]+)\}`)?\s*"
+    r"\|\s*([a-z]+)\s*\|\s*([^|]+?)\s*\|", re.MULTILINE)
+
+
+def check_metric_catalog(errors: list[str]) -> None:
+    """Diff docs/observability.md's metric tables against the catalog."""
+    from repro.obs import CATALOG
+
+    doc = REPO / "docs" / "observability.md"
+    if not doc.exists():  # already reported as a missing DOC_FILE
+        return
+    documented: dict[str, tuple] = {}
+    for name, labels, kind, unit in METRIC_ROW_RE.findall(doc.read_text()):
+        if name in documented:
+            errors.append(f"{doc.name}: series {name!r} has two table rows")
+        documented[name] = (tuple(labels.split(",")) if labels else (),
+                            kind, unit)
+    for name in sorted(documented.keys() - CATALOG.keys()):
+        errors.append(
+            f"{doc.name}: documents series {name!r} which has no row in "
+            f"repro.obs.catalog")
+    for name, row in CATALOG.items():
+        if documented.get(name) != (tuple(row.labels), row.kind, row.unit):
+            keys = f" `{{{','.join(row.labels)}}}`" if row.labels else ""
+            errors.append(
+                f"{doc.name}: the table row of series {name!r} is "
+                f"{'stale' if name in documented else 'missing'}; the "
+                f"catalog says: | `{name}`{keys} | {row.kind} | {row.unit} "
+                f"| {row.help} |")
+
+
 def check_flags(path: Path, text: str, errors: list[str],
                 known: set[str]) -> None:
     for flag in set(FLAG_RE.findall(text)):
@@ -216,6 +256,7 @@ def main() -> int:
         check_dotted_refs(path, text, errors)
         check_flags(path, text, errors, known_flags)
     check_scenario_schema(errors)
+    check_metric_catalog(errors)
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
